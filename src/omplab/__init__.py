@@ -31,7 +31,6 @@ from .linalg import (
     as_vector,
     format_matrix,
     format_vector,
-    jacobi_extremes_batch,
     least_squares,
     parse_matrix,
     parse_vector,

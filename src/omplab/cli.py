@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .experiments import (
     lemma_sweep,
@@ -113,21 +113,7 @@ def _cmd_sharpness(args):
 
 def _cmd_lemmas(args):
     report = lemma_sweep(args.seed, args.instances)
-    print(
-        json.dumps(
-            {
-                "instances": report.instances,
-                "lemma1_checks": report.lemma1_checks,
-                "lemma1_skipped": report.lemma1_skipped,
-                "min_margin_lemma1": report.min_margin_lemma1,
-                "min_margin_lemma2": report.min_margin_lemma2,
-                "min_margin_lemma3": report.min_margin_lemma3,
-                "min_margin_lemma4": report.min_margin_lemma4,
-                "violations": report.violations,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(asdict(report), indent=2))
     return EXIT_OK
 
 

@@ -167,9 +167,10 @@ def parse_config(text):
     """Parse the flat ``key = value`` config format (lists are comma-separated).
 
     Required keys: m, n, k, epsilon, trials. Lines starting with '#' and
-    blank lines are ignored; unknown keys are an error.
+    blank lines are ignored; unknown and repeated keys are an error.
     """
     kwargs = {}
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -179,6 +180,11 @@ def parse_config(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(
+                f"config key {key!r} repeated on lines {seen[key]} and {lineno}"
+            )
+        seen[key] = lineno
         if key in _CONFIG_INT_LISTS:
             kwargs[_CONFIG_INT_LISTS[key]] = tuple(
                 int(tok) for tok in value.replace(",", " ").split()
@@ -359,7 +365,12 @@ def _build_trial(task, mm_bound):
     return signal, noise
 
 
-def _run_trial(task):
+def _simulate(task):
+    """Run one trial: (outcome, instance, result, delta).
+
+    ``instance`` and ``result`` are None for a theorem1 trial skipped for
+    failing the RIC precondition; ``delta`` is None when no RIC was computed.
+    """
     A = _draw_matrix(task)
     delta = None
     ric_ok = None
@@ -367,10 +378,11 @@ def _run_trial(task):
         delta = exact_ric(A, task.k + 1, budget=task.subset_budget).delta
         ric_ok = delta < sharp_ric_bound(task.k)
     if task.mode == "theorem1" and not ric_ok:
-        return _TrialOutcome(
+        skipped = _TrialOutcome(
             held=False, attempted=False, success=False, iterations=0,
             rank_failure=False,
         )
+        return skipped, None, None, delta
     mm_bound = None
     if ric_ok:
         mm_bound = min_magnitude_bound(delta, task.k, task.epsilon)
@@ -387,33 +399,27 @@ def _run_trial(task):
         success = exact and result.iterations == task.k
     else:
         success = exact
-    return _TrialOutcome(
+    outcome = _TrialOutcome(
         held=held,
         attempted=True,
         success=success,
         iterations=result.iterations,
         rank_failure=result.stopped_by == "rank_failure",
     )
+    return outcome, instance, result, delta
 
 
-def _rebuild_failed_trial(task):
-    """Recreate the instance and trace of a trial for serialization."""
-    A = _draw_matrix(task)
-    delta = exact_ric(A, task.k + 1, budget=task.subset_budget).delta
-    mm_bound = min_magnitude_bound(delta, task.k, task.epsilon)
-    signal, noise = _build_trial(task, mm_bound)
-    instance = generate_measurement(A, signal, noise)
-    result = omp_run(
-        A, instance.measurement, _stop_rule(task), true_support=signal.support
-    )
-    return instance, result, delta
+def _run_trial(task):
+    """Pool entry point: only the outcome travels back from a worker."""
+    return _simulate(task)[0]
 
 
 def _map_trials(tasks, parallelism):
-    if parallelism <= 1 or len(tasks) <= 1:
+    workers = min(parallelism, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_trial(t) for t in tasks]
-    chunk = max(1, len(tasks) // (parallelism * 4))
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_trial, tasks, chunksize=chunk))
 
 
@@ -508,7 +514,7 @@ def theorem1_validation(config):
         outcomes = _map_trials(tasks, config.parallelism)
         for j, outcome in enumerate(outcomes):
             if outcome.held and not outcome.success:
-                instance, result, delta = _rebuild_failed_trial(tasks[j])
+                _, instance, result, delta = _simulate(tasks[j])
                 m, n, k, eps = cell
                 directory = os.path.join(
                     config.failure_dir,
@@ -584,10 +590,18 @@ class FailureInstance:
             raise ValueError("trace recovers the true support; not a failure")
 
 
-def _probe_family_gram(K, a, b, nu2):
+def _probe_family_gram(K, a, nu2, slack):
     """Gram of the probe family: equicorrelated support block (correlation a),
     one off-support column (index 0) correlated b with every support column,
-    off-column squared norm nu2."""
+    off-column squared norm nu2. None when the support columns do not
+    correlate positively with A x."""
+    mu = 1.0 + a * (K - 1)  # correlation of each support column with A x
+    if mu <= 1e-9:
+        return None
+    # At b = mu / K the off column ties the best in-support correlation, and
+    # the off column sits at index 0, so the smallest-index tie-break makes a
+    # tie already a wrong selection; slack > 0 makes the miss strict.
+    b = (mu / K) * (1.0 + slack)
     G = np.full((K + 1, K + 1), a)
     np.fill_diagonal(G, 1.0)
     G[0, 0] = nu2
@@ -596,16 +610,9 @@ def _probe_family_gram(K, a, b, nu2):
     return G
 
 
-def _probe_candidate(K, t, sharp, a, nu2, slack):
-    """Build and fully verify one probe candidate; None when it fails."""
-    mu = 1.0 + a * (K - 1)  # correlation of each support column with A x
-    if mu <= 1e-9:
-        return None
-    # At b = mu / K the off column ties the best in-support correlation, and
-    # the off column sits at index 0, so the smallest-index tie-break makes a
-    # tie already a wrong selection; slack > 0 makes the miss strict.
-    b = (mu / K) * (1.0 + slack)
-    G = _probe_family_gram(K, a, b, nu2)
+def _probe_candidate(K, t, sharp, G):
+    """Rescale Gram ``G`` onto RIC t, factor it and fully verify the result;
+    None when it fails."""
     try:
         w = np.linalg.eigvalsh(G)
     except np.linalg.LinAlgError:
@@ -633,8 +640,6 @@ def _probe_candidate(K, t, sharp, a, nu2, slack):
     result = omp_run(
         A, y, StopRule.max_iterations(K), true_support=signal.support
     )
-    if result.trace and result.trace[0].in_true_support:
-        return None
     if np.array_equal(result.recovered_support, signal.support):
         return None
     return FailureInstance(
@@ -649,13 +654,14 @@ def _probe_candidate(K, t, sharp, a, nu2, slack):
 def sharpness_probe(K, t, search_budget, seed):
     """Search for a verified greedy-failure instance with RIC within 1e-6 of t.
 
-    Phase one sweeps a structured grid over the probe family; phase two
-    spends the remaining budget on random restarts (random shape parameters
-    plus a small random symmetric Gram perturbation, rescaled back onto the
-    target RIC). Every returned instance is verified end to end by exact RIC
-    computation and an actual noiseless solver run. ``None`` (not found) is a
-    legitimate outcome: existence at every admissible t is known, but this
-    search is not guaranteed to construct a witness.
+    Phase one sweeps a structured grid over the probe family and keeps only
+    candidates whose first selection already misses; phase two spends the
+    remaining budget on random restarts (random shape parameters plus a small
+    random symmetric Gram perturbation, rescaled back onto the target RIC).
+    Every returned instance is verified end to end by exact RIC computation
+    and an actual noiseless solver run. ``None`` (not found) is a legitimate
+    outcome: existence at every admissible t is known, but this search is not
+    guaranteed to construct a witness.
     """
     if int(K) < 2:
         raise ValueError("K must be at least 2")
@@ -673,8 +679,14 @@ def sharpness_probe(K, t, search_budget, seed):
                 if budget_left == 0:
                     return None
                 budget_left -= 1
-                found = _probe_candidate(K, t, sharp, a, nu2, slack)
-                if found is not None:
+                G = _probe_family_gram(K, a, nu2, slack)
+                if G is None:
+                    continue
+                found = _probe_candidate(K, t, sharp, G)
+                if found is None:
+                    continue
+                trace = found.omp_trace.trace
+                if not (trace and trace[0].in_true_support):
                     return found
 
     rng = philox_generator(seed)
@@ -683,47 +695,14 @@ def sharpness_probe(K, t, search_budget, seed):
         a = float(rng.uniform(-0.98, 0.98))
         nu2 = float(rng.uniform(0.05, 5.0))
         slack = 10.0 ** float(rng.uniform(-10.0, -2.0))
-        mu = 1.0 + a * (K - 1)
-        if mu <= 1e-9:
+        G = _probe_family_gram(K, a, nu2, slack)
+        if G is None:
             continue
-        b = (mu / K) * (1.0 + slack)
-        G = _probe_family_gram(K, a, b, nu2)
         E = rng.standard_normal((K + 1, K + 1))
         G = G + (10.0 ** float(rng.uniform(-6.0, -2.5))) * (E + E.T) / 2.0
-        try:
-            w = np.linalg.eigvalsh(G)
-        except np.linalg.LinAlgError:
-            continue
-        lo, hi = float(w[0]), float(w[-1])
-        if lo <= 1e-9 or (hi - lo) / (hi + lo) > t:
-            continue
-        scale = (1.0 + t) / hi
-        if 1.0 - scale * lo > t + 1e-9:
-            continue
-        try:
-            L = np.linalg.cholesky(scale * G)
-        except np.linalg.LinAlgError:
-            continue
-        A = as_matrix(L.T)
-        signal = SparseSignal(
-            dimension=K + 1, support=np.arange(1, K + 1), values=np.ones(K)
-        )
-        delta = exact_ric(A, K + 1).delta
-        if abs(delta - t) > 1e-6 or delta < sharp - 1e-10:
-            continue
-        y = A @ signal.to_dense()
-        result = omp_run(
-            A, y, StopRule.max_iterations(K), true_support=signal.support
-        )
-        if np.array_equal(result.recovered_support, signal.support):
-            continue
-        return FailureInstance(
-            matrix=A,
-            signal=signal,
-            verified_delta=delta,
-            sharp_bound=sharp,
-            omp_trace=result,
-        )
+        found = _probe_candidate(K, t, sharp, G)
+        if found is not None:
+            return found
     return None
 
 
@@ -752,7 +731,7 @@ def save_failure_instance(directory, fi):
         )
 
 
-def load_failure_instance(directory, budget=DEFAULT_SUBSET_BUDGET):
+def load_failure_instance(directory):
     """Reload a FailureInstance, re-running the solver to rebuild the trace."""
     instance = load_problem_instance(directory)
     with open(os.path.join(directory, "report.json")) as fh:

@@ -3,8 +3,8 @@
 Least squares and projection residuals go through Householder QR rather than
 normal equations: squaring the condition number would corrupt experiments that
 sit close to the restricted-isometry boundary. Symmetric eigenvalue extremes
-use cyclic Jacobi sweeps, which are unconditionally robust on the small Gram
-matrices (at most a few dozen columns) this package produces.
+come from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), which
+is backward stable and takes a whole stack of small Gram matrices per call.
 
 Matrices are float64 numpy arrays kept in column-major (Fortran) layout, since
 the dominant access pattern is whole-column extraction. Vectors are 1-D
@@ -22,11 +22,6 @@ from scipy.linalg import solve_triangular
 #: Relative rank tolerance: the smallest |R[i,i]| of the QR factor must exceed
 #: this fraction of the largest, else the system is treated as singular.
 DEFAULT_RANK_TOL = 1e-10
-
-#: Jacobi sweeps stop once the off-diagonal Frobenius norm drops below this.
-JACOBI_OFF_TOL = 1e-12
-
-_JACOBI_MAX_SWEEPS = 40
 
 
 class SingularSystemError(Exception):
@@ -48,17 +43,14 @@ class SingularSystemError(Exception):
 
 @dataclass(frozen=True)
 class EigExtremes:
-    """Extreme eigenvalues of a symmetric matrix plus the sweep count used."""
+    """Smallest and largest eigenvalue of a symmetric matrix."""
 
     lambda_min: float
     lambda_max: float
-    iterations_used: int
 
     def __post_init__(self):
         if not (self.lambda_min <= self.lambda_max):
             raise ValueError("lambda_min exceeds lambda_max")
-        if self.iterations_used < 0:
-            raise ValueError("iterations_used must be non-negative")
 
 
 def as_matrix(a, name="matrix"):
@@ -164,81 +156,14 @@ def projection_residual(A_S, y, rank_tol=DEFAULT_RANK_TOL):
     return y - A_S @ least_squares(A_S, y, rank_tol)
 
 
-def jacobi_extremes_batch(mats, off_tol=JACOBI_OFF_TOL, max_sweeps=_JACOBI_MAX_SWEEPS):
-    """Extreme eigenvalues of a stack of symmetric matrices by cyclic Jacobi.
-
-    Rotations for one (p, q) pair are applied to the whole stack at once, so
-    the cost is a few hundred vectorized operations per sweep regardless of
-    how many matrices are in the batch. Sweeps continue until every matrix in
-    the stack has off-diagonal Frobenius norm at most ``off_tol``.
-
-    Args:
-        mats: array of shape (N, d, d); symmetry is assumed, not checked.
-
-    Returns:
-        (lambda_min, lambda_max, sweeps): two length-N arrays and the number
-        of full sweeps performed (shared across the batch).
-    """
-    a = np.array(mats, dtype=float, copy=True)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("expected a stack of square matrices (N, d, d)")
-    d = a.shape[1]
-    if d == 1:
-        w = a[:, 0, 0].copy()
-        return w, w.copy(), 0
-    rows, cols = np.triu_indices(d, k=1)
-    sweeps = 0
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * (a[:, rows, cols] ** 2).sum(axis=1))
-        if off.max() <= off_tol:
-            break
-        sweeps += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[:, p, q]
-                nz = apq != 0.0
-                if not nz.any():
-                    continue
-                t = np.zeros_like(apq)
-                with np.errstate(over="ignore", divide="ignore"):
-                    tau = np.zeros_like(apq)
-                    tau[nz] = (a[nz, q, q] - a[nz, p, p]) / (2.0 * apq[nz])
-                    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                    # hypot avoids overflow of tau**2; tau == inf gives t == 0
-                    t[nz] = sgn[nz] / (np.abs(tau[nz]) + np.hypot(1.0, tau[nz]))
-                t[~np.isfinite(t)] = 0.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cc = c[:, None]
-                ss = s[:, None]
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = cc * rp - ss * rq
-                a[:, q, :] = ss * rp + cc * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = cc * cp - ss * cq
-                a[:, :, q] = ss * cp + cc * cq
-                # the rotation annihilates (p, q); force exact zeros to keep
-                # the iterate symmetric
-                a[:, p, q] = 0.0
-                a[:, q, p] = 0.0
-    else:
-        off = np.sqrt(2.0 * (a[:, rows, cols] ** 2).sum(axis=1))
-        if off.max() > 1e-8:
-            raise ArithmeticError("Jacobi sweeps failed to converge")
-    diag = a[:, np.arange(d), np.arange(d)]
-    return diag.min(axis=1), diag.max(axis=1), sweeps
-
-
-def sym_eig_extremes(G, off_tol=JACOBI_OFF_TOL):
+def sym_eig_extremes(G):
     """Smallest and largest eigenvalue of a symmetric matrix.
 
     Args:
         G: square matrix, symmetric to within 1e-12 elementwise.
 
     Returns:
-        EigExtremes with the extremes and the Jacobi sweep count.
+        EigExtremes with the extremes.
 
     Raises:
         ValueError: ``G`` is not square or not symmetric within tolerance.
@@ -249,9 +174,8 @@ def sym_eig_extremes(G, off_tol=JACOBI_OFF_TOL):
         raise ValueError(f"matrix must be square, got {G.shape}")
     if d and np.abs(G - G.T).max() > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    sym = 0.5 * (G + G.T)
-    lo, hi, sweeps = jacobi_extremes_batch(sym[None], off_tol=off_tol)
-    return EigExtremes(float(lo[0]), float(hi[0]), sweeps)
+    w = np.linalg.eigvalsh(0.5 * (G + G.T))
+    return EigExtremes(float(w[0]), float(w[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ here would blur the sharpness experiments, which probe the boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -31,7 +32,6 @@ import numpy as np
 from .linalg import (
     EigExtremes,
     as_matrix,
-    jacobi_extremes_batch,
     projection_residual,
     submatrix_columns,
 )
@@ -41,7 +41,6 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 
 _CHUNK = 65536
 _SUBSET_CACHE_LIMIT = 200_000
-_subset_cache = {}
 
 
 class CapacityError(Exception):
@@ -96,21 +95,25 @@ class Lemma1Check(NamedTuple):
     holds: bool
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_subsets(n, K):
+    """All K-subsets of range(n) as a read-only (C(n, K), K) array, rows in
+    lexicographic order."""
+    count = math.comb(n, K)
+    full = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), K)),
+        dtype=np.intp,
+        count=count * K,
+    ).reshape(count, K)
+    full.flags.writeable = False
+    return full
+
+
 def _subset_chunks(n, K, count):
     """Yield (chunk_size, K) arrays of K-subsets of range(n) in lexicographic
     order. Small enumerations are cached; large ones are streamed."""
     if count <= _SUBSET_CACHE_LIMIT:
-        key = (n, K)
-        full = _subset_cache.get(key)
-        if full is None:
-            full = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(range(n), K)),
-                dtype=np.intp,
-                count=count * K,
-            ).reshape(count, K)
-            if len(_subset_cache) > 64:
-                _subset_cache.clear()
-            _subset_cache[key] = full
+        full = _cached_subsets(n, K)
         for start in range(0, count, _CHUNK):
             yield full[start : start + _CHUNK]
         return
@@ -126,9 +129,9 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     """Exact order-K RIC of A by exhaustive subset enumeration.
 
     Every K-column Gram submatrix is examined; eigenvalue extremes come from
-    batched Jacobi sweeps over chunks of subsets. Ties on delta are broken by
-    the lexicographically smallest witness subset (enumeration is
-    lexicographic and only strictly larger deltas replace the incumbent).
+    one batched LAPACK ``eigvalsh`` call per chunk of subsets. Ties on delta
+    are broken by the lexicographically smallest witness subset (enumeration
+    is lexicographic and only strictly larger deltas replace the incumbent).
 
     Args:
         A: the sensing matrix.
@@ -152,13 +155,14 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     best_extremes = None
     for chunk in _subset_chunks(n, K, count):
         grams = G[chunk[:, :, None], chunk[:, None, :]]
-        lo, hi, sweeps = jacobi_extremes_batch(grams)
+        w = np.linalg.eigvalsh(grams)
+        lo, hi = w[:, 0], w[:, -1]
         deltas = np.maximum(hi - 1.0, 1.0 - lo)
         i = int(np.argmax(deltas))
         if deltas[i] > best_delta:
             best_delta = float(deltas[i])
             best_subset = chunk[i].copy()
-            best_extremes = EigExtremes(float(lo[i]), float(hi[i]), sweeps)
+            best_extremes = EigExtremes(float(lo[i]), float(hi[i]))
     return RicReport(
         order=int(K),
         delta=best_delta,

@@ -2,9 +2,10 @@
 
 These deliberately take different computational routes than the package:
 eigenvalue extremes come from inertia-count bisection (Sturm style, via LDL
-pivot signs) instead of Jacobi; the RIC oracle loops subsets and builds each
-Gram entry by an explicit column dot product; the solver oracle refits from
-scratch with lstsq every iteration instead of updating a factorization.
+pivot signs) instead of LAPACK's eigensolver; the RIC oracle loops subsets
+and builds each Gram entry by an explicit column dot product; the solver
+oracle refits from scratch with lstsq every iteration instead of updating a
+factorization.
 """
 
 import itertools

@@ -133,6 +133,15 @@ def test_cli_bad_config_exit_code(workspace, capsys):
     assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+def test_cli_repeated_config_key_exit_code(workspace, capsys):
+    cfg = workspace["dir"] / "dup.cfg"
+    cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = 6\ntrials = 7\n")
+    out = workspace["dir"] / "out.csv"
+    assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'trials' repeated on lines 5 and 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sharpness(workspace, capsys):
     out = workspace["dir"] / "failure"
     code = main(

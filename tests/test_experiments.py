@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from omplab import experiments
 from omplab import (
     CapacityError,
     ExperimentConfig,
@@ -67,6 +69,12 @@ def test_parse_config_errors():
         parse_config("just some words\n")
 
 
+def test_parse_config_rejects_repeated_key():
+    text = "m = 12\nn = 14\nk = 1\nepsilon = 0\ntrials = 5\n\ntrials = 6\n"
+    with pytest.raises(ValueError, match="'trials' repeated on lines 5 and 7"):
+        parse_config(text)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(trials=0)
@@ -122,17 +130,42 @@ def test_theorem1_lemma1_family_nonvacuous():
 def test_phase_table_and_determinism_across_parallelism():
     cfg = _small_config(trials=8)
     serial = rows_csv_text(phase_table(cfg))
-    from dataclasses import replace
-
     parallel = rows_csv_text(phase_table(replace(cfg, parallelism=2)))
     assert serial == parallel
     assert serial.splitlines()[0] == EXPERIMENT_CSV_HEADER
 
 
+def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    cfg = _small_config(trials=6)  # two cells of six trials each
+    serial = rows_csv_text(phase_table(cfg))
+    for cpus, expected in ((4, [4, 4]), (16, [6, 6]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        pooled = rows_csv_text(phase_table(replace(cfg, parallelism=5000)))
+        assert sizes == expected
+        assert pooled == serial
+
+
 def test_theorem1_determinism_across_parallelism():
     cfg = _small_config(trials=8)
-    from dataclasses import replace
-
     a = rows_csv_text(theorem1_validation(cfg))
     b = rows_csv_text(theorem1_validation(replace(cfg, parallelism=3)))
     assert a == b
@@ -182,6 +215,25 @@ def test_sharpness_probe_finds_and_roundtrips(tmp_path):
     )
     check = verify_failure_instance(back)
     assert check["ok"]
+
+
+def test_sharpness_probe_random_restarts(monkeypatch):
+    class NoGrid:
+        """numpy with an empty linspace, so the structured grid is skipped."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def linspace(*args, **kwargs):
+            return np.empty(0)
+
+    monkeypatch.setattr(experiments, "np", NoGrid())
+    fi = sharpness_probe(2, 0.9, 3000, seed=1)
+    assert fi is not None
+    assert abs(fi.verified_delta - 0.9) <= 1e-6
+    assert not np.array_equal(fi.omp_trace.recovered_support, fi.signal.support)
+    assert verify_failure_instance(fi)["ok"]
 
 
 def test_sharpness_probe_validation():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from omplab import ripcheck
 from omplab import (
     CapacityError,
     SparseSignal,
@@ -69,6 +70,28 @@ def test_exact_ric_report_consistency():
 def test_exact_ric_tie_break_lexicographic():
     r = exact_ric(np.eye(6), 2)
     assert np.array_equal(r.witness_subset, [0, 1])
+
+
+def test_exact_ric_streamed_matches_cached(monkeypatch):
+    # the identity makes every subset tie, across chunk boundaries too
+    cases = [(gaussian_sensing_matrix(8, 12, seed=7), 3), (np.eye(6), 2)]
+    cached = [exact_ric(A, K) for A, K in cases]
+    monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 10)
+    monkeypatch.setattr(ripcheck, "_CHUNK", 7)
+    for (A, K), ref in zip(cases, cached):
+        streamed = exact_ric(A, K)
+        assert streamed.subsets_examined == ref.subsets_examined
+        assert streamed.delta == ref.delta
+        assert np.array_equal(streamed.witness_subset, ref.witness_subset)
+        assert streamed.witness_lambda == ref.witness_lambda
+
+
+def test_cached_subsets_are_read_only():
+    subsets = ripcheck._cached_subsets(6, 2)
+    assert subsets.shape == (math.comb(6, 2), 2)
+    assert not subsets.flags.writeable
+    with pytest.raises(ValueError):
+        subsets[0, 0] = 5
 
 
 def test_exact_ric_budget_and_validation():
