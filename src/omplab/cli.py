@@ -1,6 +1,7 @@
 """Command-line surface tying the library together.
 
-Exit codes: 0 success, 2 validation error, 3 capacity/budget error,
+Exit codes: 0 success, 2 validation error, 3 capacity/budget error or a
+failed worker pool (a pool worker died, e.g. killed for lack of memory),
 4 guarantee violation (a proven property failed, i.e. an implementation bug).
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 
 from .experiments import (
@@ -186,6 +188,9 @@ def main(argv=None):
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except BrokenProcessPool as exc:
+        print(f"worker pool failed: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except GuaranteeViolation as exc:
         print(f"guarantee violation: {exc}", file=sys.stderr)

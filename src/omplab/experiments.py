@@ -4,8 +4,8 @@ and the sharpness probe.
 Every experiment is a pure function of (config, master_seed). Trial t draws
 its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical across
-parallelism levels. Trials inside a cell may execute on a process pool;
-results are reduced in trial order.
+parallelism levels. All trials of a run may execute on one process pool,
+shared by every cell; results are reduced in trial order.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -21,7 +21,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -142,24 +142,32 @@ class ExperimentConfig:
         )
 
 
-_CONFIG_INT_LISTS = {"m": "m_values", "n": "n_values", "k": "k_values"}
-_CONFIG_FLOAT_LISTS = {"epsilon": "epsilon_values", "lemma1_deltas": "lemma1_deltas"}
-_CONFIG_INTS = {
-    "trials": "trials",
-    "master_seed": "master_seed",
-    "parallelism": "parallelism",
-    "subset_budget": "subset_budget",
-}
-_CONFIG_FLOATS = {
-    "margin_factor": "margin_factor",
-    "min_mag_fixed": "min_mag_fixed",
-    "dynamic_range": "dynamic_range",
-}
-_CONFIG_STRS = {
-    "min_mag_policy": "min_mag_policy",
-    "sign_pattern": "sign_pattern",
-    "ensemble": "ensemble",
-    "failure_dir": "failure_dir",
+def _int_list(value):
+    return tuple(int(tok) for tok in value.replace(",", " ").split())
+
+
+def _float_list(value):
+    return tuple(float(tok) for tok in value.replace(",", " ").split())
+
+
+# config key -> (ExperimentConfig field, value parser)
+_CONFIG_KEYS = {
+    "m": ("m_values", _int_list),
+    "n": ("n_values", _int_list),
+    "k": ("k_values", _int_list),
+    "epsilon": ("epsilon_values", _float_list),
+    "lemma1_deltas": ("lemma1_deltas", _float_list),
+    "trials": ("trials", int),
+    "master_seed": ("master_seed", int),
+    "parallelism": ("parallelism", int),
+    "subset_budget": ("subset_budget", int),
+    "margin_factor": ("margin_factor", float),
+    "min_mag_fixed": ("min_mag_fixed", float),
+    "dynamic_range": ("dynamic_range", float),
+    "min_mag_policy": ("min_mag_policy", str),
+    "sign_pattern": ("sign_pattern", str),
+    "ensemble": ("ensemble", str),
+    "failure_dir": ("failure_dir", str),
 }
 
 
@@ -185,33 +193,11 @@ def parse_config(text):
                 f"config key {key!r} repeated on lines {seen[key]} and {lineno}"
             )
         seen[key] = lineno
-        if key in _CONFIG_INT_LISTS:
-            kwargs[_CONFIG_INT_LISTS[key]] = tuple(
-                int(tok) for tok in value.replace(",", " ").split()
-            )
-        elif key in _CONFIG_FLOAT_LISTS:
-            kwargs[_CONFIG_FLOAT_LISTS[key]] = tuple(
-                float(tok) for tok in value.replace(",", " ").split()
-            )
-        elif key in _CONFIG_INTS:
-            kwargs[_CONFIG_INTS[key]] = int(value)
-        elif key in _CONFIG_FLOATS:
-            kwargs[_CONFIG_FLOATS[key]] = float(value)
-        elif key in _CONFIG_STRS:
-            kwargs[_CONFIG_STRS[key]] = value
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-    missing = [
-        k
-        for k, attr in (
-            ("m", "m_values"),
-            ("n", "n_values"),
-            ("k", "k_values"),
-            ("epsilon", "epsilon_values"),
-            ("trials", "trials"),
-        )
-        if attr not in kwargs
-    ]
+        field, parse = _CONFIG_KEYS[key]
+        kwargs[field] = parse(value)
+    missing = [k for k in ("m", "n", "k", "epsilon", "trials") if k not in seen]
     if missing:
         raise ValueError(f"config is missing required keys: {missing}")
     return ExperimentConfig(**kwargs)
@@ -260,25 +246,9 @@ def _csv_cell(value):
 
 
 def rows_csv_text(rows):
+    # ExperimentRow's field order is the CSV column order.
     lines = [EXPERIMENT_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    r.m,
-                    r.n,
-                    r.k,
-                    r.epsilon,
-                    r.trials,
-                    r.exact_support_rate,
-                    r.conditions_held_count,
-                    r.conditional_success_rate,
-                    r.mean_iterations,
-                    r.rank_failures,
-                )
-            )
-        )
+    lines += (",".join(_csv_cell(v) for v in astuple(r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -288,27 +258,22 @@ def write_rows_csv(path, rows):
 
 
 # ---------------------------------------------------------------------------
-# Trial execution. Workers are pure functions of a picklable task tuple, so
-# pool results are identical to serial results regardless of worker count.
+# Trial execution. Workers are pure functions of a picklable task (the frozen
+# config plus the cell and the trial seed), so pool results are identical to
+# serial results regardless of worker count. One pool serves every cell of a
+# run.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _TrialTask:
+    config: ExperimentConfig
     mode: str  # "theorem1" | "phase"
     m: int
     n: int
     k: int
     epsilon: float
     trial_seed: int
-    ensemble: str
-    min_mag_policy: str
-    margin_factor: float
-    min_mag_fixed: float
-    dynamic_range: float
-    sign_pattern: str
-    lemma1_deltas: tuple
-    subset_budget: int
     check_conditions: bool
 
 
@@ -323,19 +288,21 @@ class _TrialOutcome:
 
 def _draw_matrix(task):
     seed = _derived_seed(task.trial_seed, _MATRIX_TAG)
-    if task.ensemble == "lemma1_family":
+    config = task.config
+    if config.ensemble == "lemma1_family":
         rng = philox_generator(seed)
-        delta = task.lemma1_deltas[int(rng.integers(len(task.lemma1_deltas)))]
+        delta = config.lemma1_deltas[int(rng.integers(len(config.lemma1_deltas)))]
         A, _, _ = lemma1_example_instance(delta)
         return A
-    normalize = task.ensemble == "gaussian_normalized"
+    normalize = config.ensemble == "gaussian_normalized"
     return gaussian_sensing_matrix(task.m, task.n, seed, normalize_columns=normalize)
 
 
 def _min_mag_floor(task, mm_bound):
-    if task.min_mag_policy == "fixed":
-        return task.min_mag_fixed
-    floor = task.margin_factor * (2.0 * task.epsilon if mm_bound is None else mm_bound)
+    config = task.config
+    if config.min_mag_policy == "fixed":
+        return config.min_mag_fixed
+    floor = config.margin_factor * (2.0 * task.epsilon if mm_bound is None else mm_bound)
     return floor if floor > 0.0 else 1.0
 
 
@@ -353,9 +320,9 @@ def _build_trial(task, mm_bound):
         task.n,
         task.k,
         min_mag,
-        task.dynamic_range,
+        task.config.dynamic_range,
         _derived_seed(task.trial_seed, _SIGNAL_TAG),
-        sign_pattern=task.sign_pattern,
+        sign_pattern=task.config.sign_pattern,
     )
     noise = NoiseSpec(
         kind="l2_sphere",
@@ -374,8 +341,8 @@ def _simulate(task):
     A = _draw_matrix(task)
     delta = None
     ric_ok = None
-    if task.mode == "theorem1" or task.check_conditions:
-        delta = exact_ric(A, task.k + 1, budget=task.subset_budget).delta
+    if task.check_conditions:
+        delta = exact_ric(A, task.k + 1, budget=task.config.subset_budget).delta
         ric_ok = delta < sharp_ric_bound(task.k)
     if task.mode == "theorem1" and not ric_ok:
         skipped = _TrialOutcome(
@@ -395,10 +362,7 @@ def _simulate(task):
         A, instance.measurement, _stop_rule(task), true_support=signal.support
     )
     exact = bool(np.array_equal(result.recovered_support, signal.support))
-    if task.mode == "theorem1":
-        success = exact and result.iterations == task.k
-    else:
-        success = exact
+    success = exact and (task.mode == "phase" or result.iterations == task.k)
     outcome = _TrialOutcome(
         held=held,
         attempted=True,
@@ -423,39 +387,27 @@ def _map_trials(tasks, parallelism):
         return list(pool.map(_run_trial, tasks, chunksize=chunk))
 
 
-def _make_tasks(config, mode):
+def _run_cells(config, mode):
+    """Run every trial of the run in one ``_map_trials`` call; returns
+    ``(cell, tasks, outcomes)`` per cell in cell order. Trial j of cell ci has
+    global index t = ci * trials + j. Theorem1 trials always check the
+    conditions; phase trials only where the subset budget allows."""
     cells = config.cells()
-    tasks_per_cell = []
+    tasks = []
     for ci, (m, n, k, eps) in enumerate(cells):
-        if mode == "phase":
-            check = math.comb(n, k + 1) <= config.subset_budget and k + 1 <= n
-        else:
-            check = True
-        cell_tasks = []
+        check = mode == "theorem1" or (
+            math.comb(n, k + 1) <= config.subset_budget and k + 1 <= n
+        )
         for j in range(config.trials):
             t = ci * config.trials + j
             trial_seed = (config.master_seed ^ splitmix64(t)) & MASK64
-            cell_tasks.append(
-                _TrialTask(
-                    mode=mode,
-                    m=m,
-                    n=n,
-                    k=k,
-                    epsilon=eps,
-                    trial_seed=trial_seed,
-                    ensemble=config.ensemble,
-                    min_mag_policy=config.min_mag_policy,
-                    margin_factor=config.margin_factor,
-                    min_mag_fixed=config.min_mag_fixed,
-                    dynamic_range=config.dynamic_range,
-                    sign_pattern=config.sign_pattern,
-                    lemma1_deltas=config.lemma1_deltas,
-                    subset_budget=config.subset_budget,
-                    check_conditions=check,
-                )
-            )
-        tasks_per_cell.append(((m, n, k, eps), cell_tasks))
-    return tasks_per_cell
+            tasks.append(_TrialTask(config, mode, m, n, k, eps, trial_seed, check))
+    outcomes = _map_trials(tasks, config.parallelism)
+    per = config.trials
+    return [
+        (cell, tasks[ci * per:(ci + 1) * per], outcomes[ci * per:(ci + 1) * per])
+        for ci, cell in enumerate(cells)
+    ]
 
 
 def _aggregate_cell(cell, outcomes, with_conditions):
@@ -474,8 +426,7 @@ def _aggregate_cell(cell, outcomes, with_conditions):
             sum(1 for o in held if o.success) / cond_count if cond_count else None
         )
     else:
-        cond_count = None
-        cond_rate = None
+        cond_count = cond_rate = None
     return ExperimentRow(
         m=m,
         n=n,
@@ -496,8 +447,9 @@ def theorem1_validation(config):
     Per trial: draw the matrix, compute the exact order-(K+1) RIC, skip and
     count trials violating the RIC condition, draw the signal at the
     magnitude floor, add sphere noise, run the solver and record whether the
-    exact support came back in exactly K iterations. Any condition-holding
-    trial that fails is serialized under ``config.failure_dir`` and raises
+    exact support came back in exactly K iterations. Once every trial has
+    run, the first condition-holding trial that failed (cells in order, then
+    trials in order) is serialized under ``config.failure_dir`` and raises
     GuaranteeViolation: the conditional success rate must be exactly 1.0.
     """
     for m, n, k, _ in config.cells():
@@ -510,8 +462,7 @@ def theorem1_validation(config):
                 context=f"required by cell (m={m}, n={n}, K={k})",
             )
     rows = []
-    for cell, tasks in _make_tasks(config, "theorem1"):
-        outcomes = _map_trials(tasks, config.parallelism)
+    for cell, tasks, outcomes in _run_cells(config, "theorem1"):
         for j, outcome in enumerate(outcomes):
             if outcome.held and not outcome.success:
                 _, instance, result, delta = _simulate(tasks[j])
@@ -551,12 +502,10 @@ def phase_table(config):
     (conditions columns are empty elsewhere). Output is a pure function of
     (config, master_seed), byte-identical across parallelism settings.
     """
-    rows = []
-    for cell, tasks in _make_tasks(config, "phase"):
-        outcomes = _map_trials(tasks, config.parallelism)
-        with_conditions = tasks[0].check_conditions
-        rows.append(_aggregate_cell(cell, outcomes, with_conditions))
-    return rows
+    return [
+        _aggregate_cell(cell, outcomes, tasks[0].check_conditions)
+        for cell, tasks, outcomes in _run_cells(config, "phase")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -386,15 +386,5 @@ def ric_report_json(report):
 
 
 def condition_verdict_json(verdict):
-    """Stable key/value rendering of a ConditionVerdict."""
-    return json.dumps(
-        {
-            "ric_ok": verdict.ric_ok,
-            "ric_bound": verdict.ric_bound,
-            "min_mag_ok": verdict.min_mag_ok,
-            "min_mag_bound": verdict.min_mag_bound,
-            "overall": verdict.overall,
-            "delta": verdict.delta,
-        },
-        indent=2,
-    )
+    """Stable key/value rendering of a ConditionVerdict (keys in field order)."""
+    return json.dumps(asdict(verdict), indent=2)

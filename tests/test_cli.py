@@ -1,7 +1,9 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from omplab import experiments
 from omplab import (
     NoiseSpec,
     gaussian_sensing_matrix,
@@ -141,6 +143,32 @@ def test_cli_repeated_config_key_exit_code(workspace, capsys):
     assert "'trials' repeated on lines 5 and 6" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_cli_broken_pool_exit_code(workspace, capsys, monkeypatch):
+    class DyingPool:
+        """Stands in for a process pool whose worker died; starts no process."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    cfg = workspace["dir"] / "exp.cfg"
+    cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = 4\n")
+    out = workspace["dir"] / "out.csv"
+    args = ["phase", "--config", str(cfg), "--out", str(out), "--parallelism", "2"]
+    assert main(args) == 3
+    assert "worker pool failed: a worker process" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_cli_sharpness(workspace, capsys):
     out = workspace["dir"] / "failure"

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -8,17 +9,24 @@ from omplab import experiments
 from omplab import (
     CapacityError,
     ExperimentConfig,
+    GuaranteeViolation,
+    exact_ric,
+    gaussian_sensing_matrix,
     lemma_sweep,
     load_failure_instance,
     parse_config,
     phase_table,
     rows_csv_text,
     save_failure_instance,
+    sharp_ric_bound,
     sharpness_probe,
+    splitmix64,
     theorem1_validation,
     verify_failure_instance,
 )
 from omplab.experiments import EXPERIMENT_CSV_HEADER
+from omplab.omp import STOP_RESIDUAL
+from omplab.sensing import MASK64
 
 
 def _small_config(**overrides):
@@ -156,13 +164,63 @@ def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     cfg = _small_config(trials=6)  # two cells of six trials each
     serial = rows_csv_text(phase_table(cfg))
-    for cpus, expected in ((4, [4, 4]), (16, [6, 6]), (None, [])):
+    for cpus, expected in ((4, [4]), (16, [12]), (None, [])):
         sizes.clear()
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         pooled = rows_csv_text(phase_table(replace(cfg, parallelism=5000)))
         assert sizes == expected
         assert pooled == serial
 
+
+
+def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
+    class SerialPool:
+        """Stands in for the process pool and runs the tasks in-process."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    real_omp_run = experiments.omp_run
+
+    def drop_support_in_noisy_cells(A, y, rule, **kwargs):
+        result = real_omp_run(A, y, rule, **kwargs)
+        if rule.kind == STOP_RESIDUAL:
+            return replace(result, recovered_support=result.recovered_support[:0])
+        return result
+
+    monkeypatch.setattr(experiments, "omp_run", drop_support_in_noisy_cells)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+
+    cfg = _small_config()  # cells eps=0.0 (index 0) and eps=0.05 (index 1)
+    held = []
+    for j in range(cfg.trials):
+        seed = (cfg.master_seed ^ splitmix64(cfg.trials + j)) & MASK64
+        A = gaussian_sensing_matrix(
+            12, 14, experiments._derived_seed(seed, experiments._MATRIX_TAG)
+        )
+        held.append(exact_ric(A, 2).delta < sharp_ric_bound(1))
+    expected = f"cell_m12_n14_K1_eps0.05_trial{held.index(True)}"
+
+    for par in (1, 2):
+        failure_dir = tmp_path / f"p{par}"
+        with pytest.raises(GuaranteeViolation, match=expected):
+            theorem1_validation(
+                replace(cfg, parallelism=par, failure_dir=str(failure_dir))
+            )
+        assert [d.name for d in failure_dir.iterdir()] == [expected]
+        report = json.loads((failure_dir / expected / "report.json").read_text())
+        assert report["delta"] < report["ric_bound"]
+        assert report["recovered_support"] == []
 
 def test_theorem1_determinism_across_parallelism():
     cfg = _small_config(trials=8)
