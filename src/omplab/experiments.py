@@ -38,7 +38,6 @@ from .ripcheck import (
 from .sensing import (
     MASK64,
     NoiseSpec,
-    ProblemInstance,
     SparseSignal,
     gaussian_sensing_matrix,
     generate_measurement,
@@ -107,18 +106,20 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.min_mag_policy not in MIN_MAG_POLICIES:
             raise ValueError(f"min_mag_policy must be one of {MIN_MAG_POLICIES}")
+        if not math.isfinite(self.margin_factor):
+            raise ValueError("margin_factor must be finite")
         if self.min_mag_policy == "theorem_bound" and self.margin_factor <= 1.0:
             raise ValueError("margin_factor must exceed 1 for theorem_bound policy")
-        if self.min_mag_fixed <= 0:
-            raise ValueError("min_mag_fixed must be positive")
-        if self.dynamic_range < 1:
-            raise ValueError("dynamic_range must be at least 1")
+        if not (0 < self.min_mag_fixed < math.inf):
+            raise ValueError("min_mag_fixed must be positive and finite")
+        if not (1 <= self.dynamic_range < math.inf):
+            raise ValueError("dynamic_range must be finite and at least 1")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
-        if any(e < 0 for e in self.epsilon_values):
-            raise ValueError("epsilon values must be non-negative")
+        if not all(0 <= e < math.inf for e in self.epsilon_values):
+            raise ValueError("epsilon values must be finite and non-negative")
         for m, n, k, _ in self.cells():
             if m < 1 or n < 1 or k < 1:
                 raise ValueError("m, n and K must all be positive")
@@ -441,6 +442,18 @@ def _aggregate_cell(cell, outcomes, with_conditions):
     )
 
 
+def _write_record(directory, instance, result=None, report=None):
+    """Write a failure record: the problem instance directory, plus the
+    solver trace (``trace.csv``) and a JSON report (``report.json``) when
+    given."""
+    save_problem_instance(directory, instance)
+    if result is not None:
+        write_trace_csv(os.path.join(directory, "trace.csv"), result)
+    if report is not None:
+        with open(os.path.join(directory, "report.json"), "w") as fh:
+            json.dump(report, fh, indent=2)
+
+
 def theorem1_validation(config):
     """Validate the support-recovery guarantee cell by cell.
 
@@ -471,22 +484,13 @@ def theorem1_validation(config):
                     config.failure_dir,
                     f"cell_m{m}_n{n}_K{k}_eps{eps}_trial{j}",
                 )
-                save_problem_instance(directory, instance)
-                write_trace_csv(os.path.join(directory, "trace.csv"), result)
-                with open(os.path.join(directory, "report.json"), "w") as fh:
-                    json.dump(
-                        {
-                            "delta": delta,
-                            "ric_bound": sharp_ric_bound(k),
-                            "epsilon": eps,
-                            "recovered_support": [
-                                int(i) for i in result.recovered_support
-                            ],
-                            "true_support": [int(i) for i in instance.signal.support],
-                        },
-                        fh,
-                        indent=2,
-                    )
+                _write_record(directory, instance, result, {
+                    "delta": delta,
+                    "ric_bound": sharp_ric_bound(k),
+                    "epsilon": eps,
+                    "recovered_support": [int(i) for i in result.recovered_support],
+                    "true_support": [int(i) for i in instance.signal.support],
+                })
                 raise GuaranteeViolation(
                     f"recovery guarantee violated in cell {cell}, trial {j}; "
                     f"instance serialized to {directory}"
@@ -530,13 +534,29 @@ class FailureInstance:
     omp_trace: object
 
     def __post_init__(self):
-        if self.verified_delta < self.sharp_bound - 1e-10:
-            raise ValueError(
-                "verified delta sits below the sharp bound; not a valid "
-                "counterexample"
-            )
-        if np.array_equal(self.omp_trace.recovered_support, self.signal.support):
-            raise ValueError("trace recovers the true support; not a failure")
+        problem = _counterexample_problem(
+            self.verified_delta, self.sharp_bound, self.signal, self.omp_trace
+        )
+        if problem is not None:
+            raise ValueError(problem)
+
+
+def _k_step_run(A, signal):
+    """The noiseless K-iteration solver run on y = A x that a counterexample
+    must fail."""
+    y = A @ signal.to_dense()
+    rule = StopRule.max_iterations(signal.sparsity)
+    return omp_run(A, y, rule, true_support=signal.support)
+
+
+def _counterexample_problem(delta, sharp, signal, result):
+    """Why a verified RIC ``delta`` and a K-step run ``result`` do not make a
+    counterexample for ``signal``; None when they do."""
+    if delta < sharp - 1e-10:
+        return "verified delta sits below the sharp bound; not a valid counterexample"
+    if np.array_equal(result.recovered_support, signal.support):
+        return "trace recovers the true support; not a failure"
+    return None
 
 
 def _probe_family_gram(K, a, nu2, slack):
@@ -583,13 +603,10 @@ def _probe_candidate(K, t, sharp, G):
         dimension=K + 1, support=np.arange(1, K + 1), values=np.ones(K)
     )
     delta = exact_ric(A, K + 1).delta
-    if abs(delta - t) > 1e-6 or delta < sharp - 1e-10:
+    if abs(delta - t) > 1e-6:
         return None
-    y = A @ signal.to_dense()
-    result = omp_run(
-        A, y, StopRule.max_iterations(K), true_support=signal.support
-    )
-    if np.array_equal(result.recovered_support, signal.support):
+    result = _k_step_run(A, signal)
+    if _counterexample_problem(delta, sharp, signal, result) is not None:
         return None
     return FailureInstance(
         matrix=A,
@@ -598,6 +615,27 @@ def _probe_candidate(K, t, sharp, G):
         sharp_bound=sharp,
         omp_trace=result,
     )
+
+
+def _probe_grams(K, seed):
+    """Probe candidates ``(G, first_must_miss)``, one unit of search budget
+    each: the structured grid, whose candidates must miss on the first
+    selection, then random restarts without end. ``G`` is None where the
+    family guard fails."""
+    for a in np.linspace(-0.95, 0.95, 96):
+        for nu2 in np.linspace(0.05, 4.0, 80):
+            for slack in (1e-9, 1e-7, 1e-5, 1e-3):
+                yield _probe_family_gram(K, a, nu2, slack), True
+    rng = philox_generator(seed)
+    while True:
+        a = float(rng.uniform(-0.98, 0.98))
+        nu2 = float(rng.uniform(0.05, 5.0))
+        slack = 10.0 ** float(rng.uniform(-10.0, -2.0))
+        G = _probe_family_gram(K, a, nu2, slack)
+        if G is not None:
+            E = rng.standard_normal((K + 1, K + 1))
+            G = G + (10.0 ** float(rng.uniform(-6.0, -2.5))) * (E + E.T) / 2.0
+        yield G, False
 
 
 def sharpness_probe(K, t, search_budget, seed):
@@ -620,64 +658,26 @@ def sharpness_probe(K, t, search_budget, seed):
         raise ValueError(f"t must lie in [1/sqrt(K+1), 1) = [{sharp:.6f}, 1)")
     if search_budget < 1:
         raise ValueError("search_budget must be positive")
-    budget_left = int(search_budget)
-
-    for a in np.linspace(-0.95, 0.95, 96):
-        for nu2 in np.linspace(0.05, 4.0, 80):
-            for slack in (1e-9, 1e-7, 1e-5, 1e-3):
-                if budget_left == 0:
-                    return None
-                budget_left -= 1
-                G = _probe_family_gram(K, a, nu2, slack)
-                if G is None:
-                    continue
-                found = _probe_candidate(K, t, sharp, G)
-                if found is None:
-                    continue
-                trace = found.omp_trace.trace
-                if not (trace and trace[0].in_true_support):
-                    return found
-
-    rng = philox_generator(seed)
-    while budget_left > 0:
-        budget_left -= 1
-        a = float(rng.uniform(-0.98, 0.98))
-        nu2 = float(rng.uniform(0.05, 5.0))
-        slack = 10.0 ** float(rng.uniform(-10.0, -2.0))
-        G = _probe_family_gram(K, a, nu2, slack)
-        if G is None:
+    candidates = itertools.islice(_probe_grams(K, seed), int(search_budget))
+    for G, first_must_miss in candidates:
+        found = None if G is None else _probe_candidate(K, t, sharp, G)
+        if found is None:
             continue
-        E = rng.standard_normal((K + 1, K + 1))
-        G = G + (10.0 ** float(rng.uniform(-6.0, -2.5))) * (E + E.T) / 2.0
-        found = _probe_candidate(K, t, sharp, G)
-        if found is not None:
+        trace = found.omp_trace.trace
+        if not (first_must_miss and trace and trace[0].in_true_support):
             return found
     return None
 
 
 def save_failure_instance(directory, fi):
     """Serialize a FailureInstance as an instance directory plus trace/report."""
-    K = fi.signal.sparsity
-    y = fi.matrix @ fi.signal.to_dense()
-    instance = ProblemInstance(
-        matrix=fi.matrix,
-        signal=fi.signal,
-        noise=np.zeros(fi.matrix.shape[0]),
-        measurement=y,
-    )
-    save_problem_instance(directory, instance)
-    write_trace_csv(os.path.join(directory, "trace.csv"), fi.omp_trace)
-    with open(os.path.join(directory, "report.json"), "w") as fh:
-        json.dump(
-            {
-                "verified_delta": fi.verified_delta,
-                "sharp_bound": fi.sharp_bound,
-                "k": K,
-                "recovered_support": [int(i) for i in fi.omp_trace.recovered_support],
-            },
-            fh,
-            indent=2,
-        )
+    instance = generate_measurement(fi.matrix, fi.signal, NoiseSpec(kind="none"))
+    _write_record(directory, instance, fi.omp_trace, {
+        "verified_delta": fi.verified_delta,
+        "sharp_bound": fi.sharp_bound,
+        "k": fi.signal.sparsity,
+        "recovered_support": [int(i) for i in fi.omp_trace.recovered_support],
+    })
 
 
 def load_failure_instance(directory):
@@ -685,19 +685,12 @@ def load_failure_instance(directory):
     instance = load_problem_instance(directory)
     with open(os.path.join(directory, "report.json")) as fh:
         report = json.load(fh)
-    K = instance.signal.sparsity
-    result = omp_run(
-        instance.matrix,
-        instance.measurement,
-        StopRule.max_iterations(K),
-        true_support=instance.signal.support,
-    )
     return FailureInstance(
         matrix=instance.matrix,
         signal=instance.signal,
         verified_delta=float(report["verified_delta"]),
         sharp_bound=float(report["sharp_bound"]),
-        omp_trace=result,
+        omp_trace=_k_step_run(instance.matrix, instance.signal),
     )
 
 
@@ -710,12 +703,7 @@ def verify_failure_instance(fi, budget=DEFAULT_SUBSET_BUDGET):
     """
     K = fi.signal.sparsity
     delta = exact_ric(fi.matrix, K + 1, budget=budget).delta
-    result = omp_run(
-        fi.matrix,
-        fi.matrix @ fi.signal.to_dense(),
-        StopRule.max_iterations(K),
-        true_support=fi.signal.support,
-    )
+    result = _k_step_run(fi.matrix, fi.signal)
     delta_matches = abs(delta - fi.verified_delta) <= 1e-10
     still_fails = not np.array_equal(result.recovered_support, fi.signal.support)
     return {
@@ -857,11 +845,9 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
             lemma1_skipped += 1
 
         if violations:
-            instance = generate_measurement(
-                A, signal, NoiseSpec(kind="none", epsilon=0.0, seed=0)
-            )
+            instance = generate_measurement(A, signal, NoiseSpec(kind="none"))
             directory = os.path.join(failure_dir, f"instance_{i}")
-            save_problem_instance(directory, instance)
+            _write_record(directory, instance)
             raise GuaranteeViolation(
                 f"lemma violations {violations}; instance serialized to "
                 f"{directory}"

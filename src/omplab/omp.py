@@ -55,7 +55,7 @@ class StopRule:
 
     @classmethod
     def residual_at_most(cls, epsilon):
-        if epsilon < 0:
+        if not (epsilon >= 0):
             raise ValueError("epsilon must be non-negative")
         return cls(kind=STOP_RESIDUAL, epsilon=float(epsilon))
 

@@ -187,7 +187,7 @@ def min_magnitude_bound(delta_k1, K, epsilon):
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    if epsilon < 0:
+    if not (epsilon >= 0):
         raise ValueError("epsilon must be non-negative")
     if not (0.0 <= delta_k1 < sharp_ric_bound(K)):
         raise ValueError(
@@ -211,7 +211,7 @@ def check_theorem1_conditions(A, signal, epsilon, budget=DEFAULT_SUBSET_BUDGET):
         raise ValueError("signal must have nonempty support")
     if K + 1 > A.shape[1]:
         raise ValueError("need at least K+1 columns to check order K+1")
-    if epsilon < 0:
+    if not (epsilon >= 0):
         raise ValueError("epsilon must be non-negative")
     report = exact_ric(A, K + 1, budget=budget)
     bound = sharp_ric_bound(K)

@@ -102,7 +102,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
-        if self.epsilon < 0:
+        if not (self.epsilon >= 0):
             raise ValueError("epsilon must be non-negative")
 
 

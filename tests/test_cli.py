@@ -135,6 +135,23 @@ def test_cli_bad_config_exit_code(workspace, capsys):
     assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+def test_cli_non_finite_config_exit_code(workspace, capsys):
+    cfg = workspace["dir"] / "inf.cfg"
+    cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = 2\n"
+                   "dynamic_range = inf\n")
+    out = workspace["dir"] / "out.csv"
+    assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "dynamic_range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_nan_eps_exit_code(workspace, capsys):
+    A, x, y = (str(workspace[key]) for key in ("A", "x", "y"))
+    assert main(["check", "--matrix", A, "--signal", x, "--eps", "nan"]) == 2
+    assert main(["omp", "--matrix", A, "--measurement", y, "--eps", "nan"]) == 2
+    assert "epsilon must be non-negative" in capsys.readouterr().err
+
+
 def test_cli_repeated_config_key_exit_code(workspace, capsys):
     cfg = workspace["dir"] / "dup.cfg"
     cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = 6\ntrials = 7\n")

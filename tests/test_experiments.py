@@ -26,7 +26,8 @@ from omplab import (
 )
 from omplab.experiments import EXPERIMENT_CSV_HEADER
 from omplab.omp import STOP_RESIDUAL
-from omplab.sensing import MASK64
+from omplab.ripcheck import Lemma1Check
+from omplab.sensing import MASK64, load_problem_instance
 
 
 def _small_config(**overrides):
@@ -94,6 +95,15 @@ def test_config_validation():
         _small_config(ensemble="lemma1_family")  # wrong cell shape
     with pytest.raises(ValueError):
         _small_config(epsilon_values=(-0.1,))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            _small_config(dynamic_range=bad)
+    with pytest.raises(ValueError):
+        _small_config(min_mag_policy="fixed", min_mag_fixed=math.inf)
+    with pytest.raises(ValueError):
+        _small_config(epsilon_values=(0.0, math.inf))
+    with pytest.raises(ValueError):
+        _small_config(margin_factor=math.nan)
 
 
 def test_theorem1_validation_counts():
@@ -309,6 +319,23 @@ def test_sharpness_probe_budget_exhaustion_returns_none():
     assert sharpness_probe(2, 0.9, 3, seed=0) is None
 
 
+def test_sharpness_probe_grid_and_restarts_share_one_budget(monkeypatch):
+    # At K = 3 the grid points with a <= -0.5 fail the family guard; they,
+    # the other grid points and every restart each cost one unit of budget.
+    real_gram = experiments._probe_family_gram
+    calls = []
+
+    def counting_gram(*args):
+        calls.append(args)
+        return real_gram(*args)
+
+    monkeypatch.setattr(experiments, "_probe_candidate", lambda *args: None)
+    monkeypatch.setattr(experiments, "_probe_family_gram", counting_gram)
+    budget = 96 * 80 * 4 + 7
+    assert sharpness_probe(3, 0.9, budget, seed=0) is None
+    assert len(calls) == budget
+
+
 def test_lemma_sweep_report():
     rep = lemma_sweep(123, 40)
     assert rep.violations == 0
@@ -320,6 +347,21 @@ def test_lemma_sweep_report():
     assert rep.min_margin_lemma4 > -1e-9
     with pytest.raises(ValueError):
         lemma_sweep(1, 0)
+
+
+def test_lemma_sweep_violation_serializes_instance(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        experiments, "verify_lemma1", lambda *a, **k: Lemma1Check(-1.0, 0.0, False)
+    )
+    with pytest.raises(GuaranteeViolation, match="instance_0"):
+        lemma_sweep(7, 5, failure_dir=tmp_path)
+    assert [d.name for d in tmp_path.iterdir()] == ["instance_0"]
+    record = tmp_path / "instance_0"
+    assert sorted(f.name for f in record.iterdir()) == [
+        "A.mat", "v.vec", "x.sig", "y.vec"
+    ]
+    instance = load_problem_instance(record)
+    assert not np.any(instance.noise)
 
 
 def test_lemma_sweep_deterministic():

@@ -184,6 +184,8 @@ def test_stop_rule_validation():
     with pytest.raises(ValueError):
         StopRule.residual_at_most(-0.1)
     with pytest.raises(ValueError):
+        StopRule.residual_at_most(float("nan"))
+    with pytest.raises(ValueError):
         StopRule(kind="until_bored")
     A = np.eye(3)
     with pytest.raises(ValueError):
