@@ -51,6 +51,7 @@ from .sensing import (
 
 ENSEMBLES = ("gaussian_normalized", "gaussian_raw", "lemma1_family")
 MIN_MAG_POLICIES = ("theorem_bound", "fixed")
+LEMMA1_DELTAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 _MATRIX_TAG = 0x11
 _SIGNAL_TAG = 0x22
@@ -89,7 +90,7 @@ class ExperimentConfig:
     dynamic_range: float = 10.0
     sign_pattern: str = "random"
     ensemble: str = "gaussian_normalized"
-    lemma1_deltas: tuple = (0.1, 0.2, 0.3, 0.4, 0.5)
+    lemma1_deltas: tuple = LEMMA1_DELTAS
     master_seed: int = 0
     parallelism: int = 1
     subset_budget: int = DEFAULT_SUBSET_BUDGET
@@ -771,9 +772,8 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
         kind, m, n, K = _SWEEP_SHAPES[i % len(_SWEEP_SHAPES)]
         rng = philox_generator(_derived_seed(trial_seed, 0x77))
         if kind == "lemma1_family":
-            delta_grid = (0.1, 0.2, 0.3, 0.4, 0.5)
             A, signal, _ = lemma1_example_instance(
-                delta_grid[i % len(delta_grid)]
+                LEMMA1_DELTAS[i % len(LEMMA1_DELTAS)]
             )
         elif kind == "identity":
             A = as_matrix(np.eye(n))

@@ -2,9 +2,10 @@
 
 Least squares and projection residuals go through Householder QR rather than
 normal equations: squaring the condition number would corrupt experiments that
-sit close to the restricted-isometry boundary. Symmetric eigenvalue extremes
-come from LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), which
-is backward stable and takes a whole stack of small Gram matrices per call.
+sit close to the restricted-isometry boundary. The triangular solves after QR
+use ``numpy.linalg.solve``. Symmetric eigenvalue extremes come from LAPACK's
+symmetric eigensolver (``numpy.linalg.eigvalsh``), which is backward stable
+and takes a whole stack of small Gram matrices per call.
 
 Matrices are float64 numpy arrays kept in column-major (Fortran) layout, since
 the dominant access pattern is whole-column extraction. Vectors are 1-D
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 #: Relative rank tolerance: the smallest |R[i,i]| of the QR factor must exceed
 #: this fraction of the largest, else the system is treated as singular.
@@ -109,13 +109,12 @@ def submatrix_columns(A, indices):
     return np.asfortranarray(A[:, np.sort(idx)])
 
 
-def least_squares(A_S, y, rank_tol=DEFAULT_RANK_TOL):
+def least_squares(A_S, y):
     """Minimize ||y - A_S x||_2 via Householder QR.
 
     Args:
         A_S: m x k matrix with full column rank.
         y: length-m vector.
-        rank_tol: relative tolerance on the QR diagonal; overridable per call.
 
     Returns:
         The length-k minimizer. The residual ``y - A_S x`` is orthogonal to
@@ -137,12 +136,12 @@ def least_squares(A_S, y, rank_tol=DEFAULT_RANK_TOL):
     diag = np.abs(np.diag(R))
     largest = float(diag.max())
     worst = int(np.argmin(diag))
-    if largest == 0.0 or diag[worst] <= rank_tol * largest:
+    if largest == 0.0 or diag[worst] <= DEFAULT_RANK_TOL * largest:
         raise SingularSystemError(worst, diag[worst], largest)
-    return solve_triangular(R, Q.T @ y, lower=False)
+    return np.linalg.solve(R, Q.T @ y)
 
 
-def projection_residual(A_S, y, rank_tol=DEFAULT_RANK_TOL):
+def projection_residual(A_S, y):
     """Residual of ``y`` after orthogonal projection onto the columns of A_S.
 
     Computes ``y - A_S * least_squares(A_S, y)``, i.e. the image of ``y``
@@ -153,7 +152,7 @@ def projection_residual(A_S, y, rank_tol=DEFAULT_RANK_TOL):
     y = as_vector(y, "y")
     if A_S.shape[1] == 0:
         return y.copy()
-    return y - A_S @ least_squares(A_S, y, rank_tol)
+    return y - A_S @ least_squares(A_S, y)
 
 
 def sym_eig_extremes(G):

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, submatrix_columns
 from .sensing import SparseSignal
@@ -89,7 +88,7 @@ class OmpResult:
         return len(self.trace)
 
 
-def omp_run(A, y, rule, true_support=None, rank_tol=DEFAULT_RANK_TOL):
+def omp_run(A, y, rule, true_support=None):
     """Run orthogonal matching pursuit on (A, y) under ``rule``.
 
     Args:
@@ -101,7 +100,6 @@ def omp_run(A, y, rule, true_support=None, rank_tol=DEFAULT_RANK_TOL):
             which the result reports ``budget_exhausted``.
         true_support: optional ground-truth support used only to annotate the
             trace; the solver never reads it for decisions.
-        rank_tol: relative QR diagonal tolerance for the refits.
 
     Returns:
         OmpResult. A rank-deficient refit is reported as
@@ -158,7 +156,7 @@ def omp_run(A, y, rule, true_support=None, rank_tol=DEFAULT_RANK_TOL):
         u = u - Q[:, :k] @ w2
         rho = float(np.linalg.norm(u))
         diag = np.append(np.abs(np.diag(R[:k, :k])), rho)
-        if rho == 0.0 or diag.min() <= rank_tol * diag.max():
+        if rho == 0.0 or diag.min() <= DEFAULT_RANK_TOL * diag.max():
             stopped_by = STOPPED_RANK_FAILURE
             break
         Q[:, k] = u / rho
@@ -184,7 +182,7 @@ def omp_run(A, y, rule, true_support=None, rank_tol=DEFAULT_RANK_TOL):
             stopped_by = STOPPED_RULE_MET
 
     if k:
-        beta = solve_triangular(R[:k, :k], qty[:k], lower=False)
+        beta = np.linalg.solve(R[:k, :k], qty[:k])
         order = np.argsort(chosen)
         support = np.asarray(chosen, dtype=np.intp)[order]
         values = np.asarray(beta)[order]

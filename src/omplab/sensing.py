@@ -220,6 +220,8 @@ def random_sparse_signal(n, K, min_mag, dynamic_range, seed, sign_pattern="rando
         raise ValueError("min_mag must be positive")
     if dynamic_range < 1:
         raise ValueError("dynamic_range must be at least 1")
+    if not math.isfinite(min_mag * dynamic_range):
+        raise ValueError("min_mag and min_mag * dynamic_range must be finite")
     if sign_pattern not in SIGN_PATTERNS:
         raise ValueError(f"sign_pattern must be one of {SIGN_PATTERNS}")
     rng = philox_generator(seed)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,15 @@ def test_cli_non_finite_config_exit_code(workspace, capsys):
     assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
     assert "dynamic_range" in capsys.readouterr().err
     assert not out.exists()
+    # finite values whose magnitude range overflows the float maximum
+    for command, tail in (
+        ("phase", "epsilon = 0.0\nmin_mag_policy = fixed\nmin_mag_fixed = 1e308\n"),
+        ("validate-theorem1", "epsilon = 1e307\n"),
+    ):
+        cfg.write_text("m = 10\nn = 12\nk = 1\ntrials = 2\n" + tail)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_nan_eps_exit_code(workspace, capsys):
@@ -228,3 +241,18 @@ def test_cli_lemmas(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == 0
     assert payload["instances"] == 8
+
+
+def test_cli_imports_numpy_only():
+    """numpy is the only numerical dependency; scipy must not creep back in."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, omplab.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

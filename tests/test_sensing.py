@@ -154,6 +154,10 @@ def test_random_signal_validation():
         random_sparse_signal(4, 2, 1.0, 0.5, seed=0)
     with pytest.raises(ValueError):
         random_sparse_signal(4, 2, 1.0, 2.0, seed=0, sign_pattern="alternating")
+    with pytest.raises(ValueError):
+        random_sparse_signal(4, 2, 1e308, 10.0, seed=0)  # range overflows
+    with pytest.raises(ValueError):
+        random_sparse_signal(4, 2, np.inf, 1.0, seed=0)
 
 
 def test_problem_instance_reconstruction_guard():
