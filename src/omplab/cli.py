@@ -92,7 +92,11 @@ def _cmd_phase(args):
 
 
 def _cmd_sharpness(args):
-    found = sharpness_probe(args.k, args.t, args.budget, args.seed)
+    # --budget and --seed steered a former search and no longer affect the
+    # result; they stay validated so existing command lines keep exit codes.
+    if args.budget < 1:
+        raise ValueError("--budget must be positive")
+    found = sharpness_probe(args.k, args.t)
     if found is None:
         print(json.dumps({"found": False, "k": args.k, "t": args.t}, indent=2))
         return EXIT_OK
@@ -164,12 +168,13 @@ def build_parser():
     p.set_defaults(func=_cmd_phase)
 
     p = sub.add_parser(
-        "sharpness", help="search for a greedy-failure instance at RIC = t"
+        "sharpness", help="build and verify a greedy-failure instance at RIC = t"
     )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    unused = "accepted for compatibility; does not affect the result"
+    p.add_argument("--budget", type=int, required=True, help=unused)
+    p.add_argument("--seed", type=int, required=True, help=unused)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sharpness)
 

@@ -54,8 +54,8 @@ class StopRule:
 
     @classmethod
     def residual_at_most(cls, epsilon):
-        if not (epsilon >= 0):
-            raise ValueError("epsilon must be non-negative")
+        if not (0 <= epsilon < math.inf):
+            raise ValueError("epsilon must be non-negative and finite")
         return cls(kind=STOP_RESIDUAL, epsilon=float(epsilon))
 
     def __post_init__(self):

@@ -139,13 +139,15 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
         budget: refuse enumerations beyond this many subsets.
 
     Raises:
-        ValueError: K out of range.
+        ValueError: K out of range, or ``budget`` below 1.
         CapacityError: C(n, K) exceeds ``budget``.
     """
     A = as_matrix(A)
     n = A.shape[1]
     if not (1 <= K <= n):
         raise ValueError(f"order must lie in [1, {n}], got {K}")
+    if budget < 1:
+        raise ValueError(f"subset budget must be positive, got {budget}")
     count = math.comb(n, K)
     if count > budget:
         raise CapacityError(n, K, count, budget)
@@ -187,8 +189,8 @@ def min_magnitude_bound(delta_k1, K, epsilon):
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    if not (epsilon >= 0):
-        raise ValueError("epsilon must be non-negative")
+    if not (0 <= epsilon < math.inf):
+        raise ValueError("epsilon must be non-negative and finite")
     if not (0.0 <= delta_k1 < sharp_ric_bound(K)):
         raise ValueError(
             f"delta_k1 = {delta_k1} outside [0, 1/sqrt({K + 1})); "
@@ -211,8 +213,8 @@ def check_theorem1_conditions(A, signal, epsilon, budget=DEFAULT_SUBSET_BUDGET):
         raise ValueError("signal must have nonempty support")
     if K + 1 > A.shape[1]:
         raise ValueError("need at least K+1 columns to check order K+1")
-    if not (epsilon >= 0):
-        raise ValueError("epsilon must be non-negative")
+    if not (0 <= epsilon < math.inf):
+        raise ValueError("epsilon must be non-negative and finite")
     report = exact_ric(A, K + 1, budget=budget)
     bound = sharp_ric_bound(K)
     ric_ok = report.delta < bound

@@ -102,8 +102,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
-        if not (self.epsilon >= 0):
-            raise ValueError("epsilon must be non-negative")
+        if not (0 <= self.epsilon < math.inf):
+            raise ValueError("epsilon must be non-negative and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,6 +57,10 @@ def test_cli_ric_capacity_exit_code(workspace, capsys):
 def test_cli_ric_validation_exit_code(workspace, capsys):
     assert main(["ric", "--matrix", str(workspace["A"]), "--order", "0"]) == 2
     assert main(["ric", "--matrix", "/nonexistent.mat", "--order", "2"]) == 2
+    for budget in ("0", "-5"):
+        args = ["ric", "--matrix", str(workspace["A"]), "--order", "2"]
+        assert main(args + ["--budget", budget]) == 2
+        assert "subset budget must be positive" in capsys.readouterr().err
 
 
 def test_cli_omp_with_trace(workspace, capsys):
@@ -160,9 +164,10 @@ def test_cli_non_finite_config_exit_code(workspace, capsys):
 
 def test_cli_nan_eps_exit_code(workspace, capsys):
     A, x, y = (str(workspace[key]) for key in ("A", "x", "y"))
-    assert main(["check", "--matrix", A, "--signal", x, "--eps", "nan"]) == 2
-    assert main(["omp", "--matrix", A, "--measurement", y, "--eps", "nan"]) == 2
-    assert "epsilon must be non-negative" in capsys.readouterr().err
+    for eps in ("nan", "inf"):
+        assert main(["check", "--matrix", A, "--signal", x, "--eps", eps]) == 2
+        assert main(["omp", "--matrix", A, "--measurement", y, "--eps", eps]) == 2
+        assert "epsilon must be non-negative" in capsys.readouterr().err
 
 
 def test_cli_repeated_config_key_exit_code(workspace, capsys):
@@ -234,6 +239,31 @@ def test_cli_sharpness_invalid_t(workspace, capsys):
         ]
     )
     assert code == 2
+
+
+def test_cli_sharpness_ignores_budget_and_seed(workspace, capsys):
+    outs = []
+    for budget, seed in (("20000", "2"), ("3", "99")):
+        out = workspace["dir"] / f"failure_{budget}_{seed}"
+        args = ["sharpness", "--k", "3", "--t", "0.8", "--budget", budget,
+                "--seed", seed, "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["found"] is True
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outs[0]) == ["A.mat", "report.json", "trace.csv", "v.vec",
+                               "x.sig", "y.vec"]
+    assert outs[0] == outs[1]
+
+
+def test_cli_sharpness_validation_exit_codes(workspace, capsys):
+    out = workspace["dir"] / "failure3"
+    base = ["sharpness", "--t", "0.9", "--seed", "2", "--out", str(out)]
+    assert main(base + ["--k", "2", "--budget", "0"]) == 2
+    assert "--budget must be positive" in capsys.readouterr().err
+    too_big = str(experiments.MAX_SHARPNESS_K + 1)
+    assert main(base + ["--k", too_big, "--budget", "100"]) == 2
+    assert "K must lie in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_lemmas(capsys):

@@ -104,6 +104,9 @@ def test_config_validation():
         _small_config(epsilon_values=(0.0, math.inf))
     with pytest.raises(ValueError):
         _small_config(margin_factor=math.nan)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            _small_config(subset_budget=bad)
 
 
 def test_theorem1_validation_counts():
@@ -266,7 +269,7 @@ def test_csv_rendering_blanks():
 
 
 def test_sharpness_probe_finds_and_roundtrips(tmp_path):
-    fi = sharpness_probe(2, 0.9, 20000, seed=1)
+    fi = sharpness_probe(2, 0.9)
     assert fi is not None
     assert abs(fi.verified_delta - 0.9) <= 1e-6
     assert fi.verified_delta >= fi.sharp_bound - 1e-10
@@ -285,55 +288,44 @@ def test_sharpness_probe_finds_and_roundtrips(tmp_path):
     assert check["ok"]
 
 
-def test_sharpness_probe_random_restarts(monkeypatch):
-    class NoGrid:
-        """numpy with an empty linspace, so the structured grid is skipped."""
+def test_sharpness_probe_builds_on_k_t_grid(tmp_path):
+    for K in range(2, 9):
+        sharp = sharp_ric_bound(K)
+        grid = [sharp + 1e-12, *np.linspace(sharp, 1.0 - 1e-6, 9)[1:]]
+        for i, t in enumerate(grid):
+            fi = sharpness_probe(K, float(t))
+            assert fi is not None, (K, t)
+            assert abs(fi.verified_delta - t) <= 1e-12, (K, t)
+            assert fi.omp_trace.trace[0].selected_index == 0, (K, t)
+            d = tmp_path / f"K{K}_{i}"
+            save_failure_instance(d, fi)
+            assert verify_failure_instance(load_failure_instance(d))["ok"], (K, t)
+
+
+def test_sharpness_probe_exact_tie_returns_none():
+    # At t == 1/sqrt(K+1) the first selection is an exact tie that rounding
+    # would decide, so no instance is claimed.
+    for K in range(2, 9):
+        assert sharpness_probe(K, sharp_ric_bound(K)) is None
+
+
+def test_sharpness_probe_validation(monkeypatch):
+    class NoNumpy:
+        """Fails any numpy use, so every rejection must precede allocation."""
 
         def __getattr__(self, name):
-            return getattr(np, name)
+            raise AssertionError(f"np.{name} used before validation")
 
-        @staticmethod
-        def linspace(*args, **kwargs):
-            return np.empty(0)
-
-    monkeypatch.setattr(experiments, "np", NoGrid())
-    fi = sharpness_probe(2, 0.9, 3000, seed=1)
-    assert fi is not None
-    assert abs(fi.verified_delta - 0.9) <= 1e-6
-    assert not np.array_equal(fi.omp_trace.recovered_support, fi.signal.support)
-    assert verify_failure_instance(fi)["ok"]
-
-
-def test_sharpness_probe_validation():
+    monkeypatch.setattr(experiments, "np", NoNumpy())
     with pytest.raises(ValueError):
-        sharpness_probe(1, 0.9, 100, seed=0)
+        sharpness_probe(1, 0.9)
     with pytest.raises(ValueError):
-        sharpness_probe(2, 0.3, 100, seed=0)  # below the sharp bound
+        sharpness_probe(2, 0.3)  # below the sharp bound
     with pytest.raises(ValueError):
-        sharpness_probe(2, 1.0, 100, seed=0)
-    with pytest.raises(ValueError):
-        sharpness_probe(2, 0.9, 0, seed=0)
-
-
-def test_sharpness_probe_budget_exhaustion_returns_none():
-    assert sharpness_probe(2, 0.9, 3, seed=0) is None
-
-
-def test_sharpness_probe_grid_and_restarts_share_one_budget(monkeypatch):
-    # At K = 3 the grid points with a <= -0.5 fail the family guard; they,
-    # the other grid points and every restart each cost one unit of budget.
-    real_gram = experiments._probe_family_gram
-    calls = []
-
-    def counting_gram(*args):
-        calls.append(args)
-        return real_gram(*args)
-
-    monkeypatch.setattr(experiments, "_probe_candidate", lambda *args: None)
-    monkeypatch.setattr(experiments, "_probe_family_gram", counting_gram)
-    budget = 96 * 80 * 4 + 7
-    assert sharpness_probe(3, 0.9, budget, seed=0) is None
-    assert len(calls) == budget
+        sharpness_probe(2, 1.0)
+    for K in (experiments.MAX_SHARPNESS_K + 1, 100_000):
+        with pytest.raises(ValueError, match="K must lie in"):
+            sharpness_probe(K, 0.9)
 
 
 def test_lemma_sweep_report():

@@ -183,8 +183,9 @@ def test_stop_rule_validation():
         StopRule.max_iterations(0)
     with pytest.raises(ValueError):
         StopRule.residual_at_most(-0.1)
-    with pytest.raises(ValueError):
-        StopRule.residual_at_most(float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            StopRule.residual_at_most(bad)
     with pytest.raises(ValueError):
         StopRule(kind="until_bored")
     A = np.eye(3)

@@ -103,6 +103,9 @@ def test_exact_ric_budget_and_validation():
         exact_ric(A, 0)
     with pytest.raises(ValueError):
         exact_ric(A, 21)
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            exact_ric(A, 2, budget=bad)
 
 
 def test_ric_monotone_in_order():
@@ -129,6 +132,8 @@ def test_min_magnitude_bound_values():
         min_magnitude_bound(0.5, 3, 0.1)  # at the bound: undefined
     with pytest.raises(ValueError):
         min_magnitude_bound(-0.1, 3, 0.1)
+    with pytest.raises(ValueError):
+        min_magnitude_bound(0.25, 3, math.inf)
 
 
 def test_check_conditions_identity():

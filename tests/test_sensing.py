@@ -78,8 +78,9 @@ def test_noise_determinism_and_zero_eps():
     )
     with pytest.raises(ValueError):
         NoiseSpec(kind="gaussian", epsilon=0.1)
-    with pytest.raises(ValueError):
-        NoiseSpec(kind="l2_ball", epsilon=-0.1)
+    for bad in (-0.1, float("inf")):
+        with pytest.raises(ValueError):
+            NoiseSpec(kind="l2_ball", epsilon=bad)
 
 
 def test_gaussian_matrix_normalized_columns():
