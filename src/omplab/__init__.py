@@ -25,8 +25,8 @@ from .experiments import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    EigExtremes,
     SingularSystemError,
+    as_epsilon,
     as_matrix,
     as_vector,
     format_matrix,
@@ -38,7 +38,6 @@ from .linalg import (
     read_matrix,
     read_vector,
     submatrix_columns,
-    sym_eig_extremes,
     write_matrix,
     write_vector,
 )

@@ -25,6 +25,7 @@ from .experiments import (
 from .linalg import SingularSystemError, read_matrix, read_vector
 from .omp import GuaranteeViolation, StopRule, omp_result_json, omp_run, write_trace_csv
 from .ripcheck import (
+    DEFAULT_SUBSET_BUDGET,
     CapacityError,
     check_theorem1_conditions,
     condition_verdict_json,
@@ -41,8 +42,7 @@ EXIT_GUARANTEE = 4
 
 def _cmd_ric(args):
     A = read_matrix(args.matrix)
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    report = exact_ric(A, args.order, **kwargs)
+    report = exact_ric(A, args.order, budget=args.budget)
     print(ric_report_json(report))
     return EXIT_OK
 
@@ -134,7 +134,7 @@ def build_parser():
     p = sub.add_parser("ric", help="exact RIC of a matrix at a given order")
     p.add_argument("--matrix", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     p.set_defaults(func=_cmd_ric)
 
     p = sub.add_parser("omp", help="run the solver on a measurement")

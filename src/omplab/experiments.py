@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, projection_residual, submatrix_columns
+from .linalg import as_epsilon, as_matrix, projection_residual, submatrix_columns
 from .omp import GuaranteeViolation, StopRule, omp_run, write_trace_csv
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
@@ -121,8 +121,8 @@ class ExperimentConfig:
             raise ValueError("parallelism must be positive")
         if self.subset_budget < 1:
             raise ValueError("subset_budget must be positive")
-        if not all(0 <= e < math.inf for e in self.epsilon_values):
-            raise ValueError("epsilon values must be finite and non-negative")
+        for eps in self.epsilon_values:
+            as_epsilon(eps)
         for m, n, k, _ in self.cells():
             if m < 1 or n < 1 or k < 1:
                 raise ValueError("m, n and K must all be positive")
@@ -639,7 +639,7 @@ def load_failure_instance(directory):
     )
 
 
-def verify_failure_instance(fi, budget=DEFAULT_SUBSET_BUDGET):
+def verify_failure_instance(fi):
     """Re-verify a FailureInstance from scratch.
 
     Returns a dict with the recomputed RIC, whether it matches the stored
@@ -647,7 +647,7 @@ def verify_failure_instance(fi, budget=DEFAULT_SUBSET_BUDGET):
     the support; ``ok`` is the conjunction.
     """
     K = fi.signal.sparsity
-    delta = exact_ric(fi.matrix, K + 1, budget=budget).delta
+    delta = exact_ric(fi.matrix, K + 1).delta
     result = _k_step_run(fi.matrix, fi.signal)
     delta_matches = abs(delta - fi.verified_delta) <= 1e-10
     still_fails = not np.array_equal(result.recovered_support, fi.signal.support)

@@ -3,9 +3,7 @@
 Least squares and projection residuals go through Householder QR rather than
 normal equations: squaring the condition number would corrupt experiments that
 sit close to the restricted-isometry boundary. The triangular solves after QR
-use ``numpy.linalg.solve``. Symmetric eigenvalue extremes come from LAPACK's
-symmetric eigensolver (``numpy.linalg.eigvalsh``), which is backward stable
-and takes a whole stack of small Gram matrices per call.
+use ``numpy.linalg.solve``.
 
 Matrices are float64 numpy arrays kept in column-major (Fortran) layout, since
 the dominant access pattern is whole-column extraction. Vectors are 1-D
@@ -15,7 +13,7 @@ there is no hidden state, so values are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -39,18 +37,6 @@ class SingularSystemError(Exception):
             f"magnitude {self.diagonal_value:.3e} against largest "
             f"{self.largest_diagonal:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class EigExtremes:
-    """Smallest and largest eigenvalue of a symmetric matrix."""
-
-    lambda_min: float
-    lambda_max: float
-
-    def __post_init__(self):
-        if not (self.lambda_min <= self.lambda_max):
-            raise ValueError("lambda_min exceeds lambda_max")
 
 
 def as_matrix(a, name="matrix"):
@@ -77,6 +63,13 @@ def as_vector(v, name="vector"):
     if w.size and not np.all(np.isfinite(w)):
         raise ValueError(f"{name} contains non-finite entries")
     return w
+
+
+def as_epsilon(epsilon):
+    """Return the noise radius ``epsilon`` unchanged if finite and non-negative."""
+    if not (0 <= epsilon < math.inf):
+        raise ValueError("epsilon must be non-negative and finite")
+    return epsilon
 
 
 def submatrix_columns(A, indices):
@@ -153,28 +146,6 @@ def projection_residual(A_S, y):
     if A_S.shape[1] == 0:
         return y.copy()
     return y - A_S @ least_squares(A_S, y)
-
-
-def sym_eig_extremes(G):
-    """Smallest and largest eigenvalue of a symmetric matrix.
-
-    Args:
-        G: square matrix, symmetric to within 1e-12 elementwise.
-
-    Returns:
-        EigExtremes with the extremes.
-
-    Raises:
-        ValueError: ``G`` is not square or not symmetric within tolerance.
-    """
-    G = as_matrix(G, "G")
-    d = G.shape[0]
-    if G.shape[1] != d:
-        raise ValueError(f"matrix must be square, got {G.shape}")
-    if d and np.abs(G - G.T).max() > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    w = np.linalg.eigvalsh(0.5 * (G + G.T))
-    return EigExtremes(float(w[0]), float(w[-1]))
 
 
 # ---------------------------------------------------------------------------

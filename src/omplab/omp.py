@@ -8,8 +8,9 @@ refit reuses a thin QR factorization grown by one column per iteration
 iteration serves as the correctness oracle in the tests.
 
 Two stopping rules are supported: a fixed iteration count, and a residual
-threshold ||r|| <= eps checked after each refit (and once before the loop,
-so a measurement already inside the noise ball yields an empty support).
+threshold ||r|| <= eps. Either is decided by ``StopRule.met`` at the top of
+each pass, before any column is selected, so a measurement already inside
+the noise ball yields an empty support.
 Rank failure during a refit is reported as an outcome rather than raised:
 experiment harnesses must be able to count such trials.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, submatrix_columns
+from .linalg import DEFAULT_RANK_TOL, as_epsilon, as_matrix, as_vector, submatrix_columns
 from .sensing import SparseSignal
 
 STOP_MAX_ITERATIONS = "max_iterations"
@@ -54,13 +55,17 @@ class StopRule:
 
     @classmethod
     def residual_at_most(cls, epsilon):
-        if not (0 <= epsilon < math.inf):
-            raise ValueError("epsilon must be non-negative and finite")
-        return cls(kind=STOP_RESIDUAL, epsilon=float(epsilon))
+        return cls(kind=STOP_RESIDUAL, epsilon=float(as_epsilon(epsilon)))
 
     def __post_init__(self):
         if self.kind not in (STOP_MAX_ITERATIONS, STOP_RESIDUAL):
             raise ValueError(f"unknown stop rule kind {self.kind!r}")
+
+    def met(self, iterations, residual_norm):
+        """Whether the solver stops at this state of its run."""
+        if self.kind == STOP_MAX_ITERATIONS:
+            return iterations >= self.k
+        return residual_norm <= self.epsilon
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,9 @@ def omp_run(A, y, rule, true_support=None):
     Args:
         A: m x n sensing matrix.
         y: length-m measurement.
-        rule: StopRule. ``max_iterations(K)`` requires K <= min(m, n); the
-            residual rule additionally stops before the loop when
-            ||y|| <= eps. Either way at most min(m, n) iterations run, after
-            which the result reports ``budget_exhausted``.
+        rule: StopRule, asked through ``rule.met`` before every selection.
+            ``max_iterations(K)`` requires K <= min(m, n). At most min(m, n)
+            iterations run; the result then reports ``budget_exhausted``.
         true_support: optional ground-truth support used only to annotate the
             trace; the solver never reads it for decisions.
 
@@ -129,13 +133,9 @@ def omp_run(A, y, rule, true_support=None):
     r = y.copy()
     rnorm = float(np.linalg.norm(r))
 
-    stopped_by = None
-    if rule.kind == STOP_RESIDUAL and rnorm <= rule.epsilon:
-        stopped_by = STOPPED_RULE_MET
-
     k = 0
-    while stopped_by is None:
-        if rule.kind == STOP_MAX_ITERATIONS and k == rule.k:
+    while True:
+        if rule.met(k, rnorm):
             stopped_by = STOPPED_RULE_MET
             break
         if k == budget:
@@ -178,8 +178,6 @@ def omp_run(A, y, rule, true_support=None):
                 in_true_support=None if truth is None else (j in truth),
             )
         )
-        if rule.kind == STOP_RESIDUAL and rnorm <= rule.epsilon:
-            stopped_by = STOPPED_RULE_MET
 
     if k:
         beta = np.linalg.solve(R[:k, :k], qty[:k])

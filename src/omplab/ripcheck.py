@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    EigExtremes,
+    as_epsilon,
     as_matrix,
     projection_residual,
     submatrix_columns,
@@ -62,12 +62,13 @@ class CapacityError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class RicReport:
-    """Exact order-K RIC plus the witnessing subset and its spectrum."""
+    """Exact order-K RIC plus the witnessing subset's Gram eigenvalue extremes."""
 
     order: int
     delta: float
     witness_subset: np.ndarray
-    witness_lambda: EigExtremes
+    lambda_min: float
+    lambda_max: float
     subsets_examined: int
 
 
@@ -154,7 +155,7 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     G = A.T @ A
     best_delta = -math.inf
     best_subset = None
-    best_extremes = None
+    best_lo = best_hi = None
     for chunk in _subset_chunks(n, K, count):
         grams = G[chunk[:, :, None], chunk[:, None, :]]
         w = np.linalg.eigvalsh(grams)
@@ -164,12 +165,13 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
         if deltas[i] > best_delta:
             best_delta = float(deltas[i])
             best_subset = chunk[i].copy()
-            best_extremes = EigExtremes(float(lo[i]), float(hi[i]))
+            best_lo, best_hi = float(lo[i]), float(hi[i])
     return RicReport(
         order=int(K),
         delta=best_delta,
         witness_subset=best_subset,
-        witness_lambda=best_extremes,
+        lambda_min=best_lo,
+        lambda_max=best_hi,
         subsets_examined=count,
     )
 
@@ -187,11 +189,9 @@ def min_magnitude_bound(delta_k1, K, epsilon):
     Defined only for delta_k1 in [0, 1/sqrt(K+1)); outside that range the
     denominator is non-positive and a domain error is raised.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if not (0 <= epsilon < math.inf):
-        raise ValueError("epsilon must be non-negative and finite")
-    if not (0.0 <= delta_k1 < sharp_ric_bound(K)):
+    bound = sharp_ric_bound(K)  # rejects K < 1
+    as_epsilon(epsilon)
+    if not (0.0 <= delta_k1 < bound):
         raise ValueError(
             f"delta_k1 = {delta_k1} outside [0, 1/sqrt({K + 1})); "
             "the magnitude bound is undefined there"
@@ -199,11 +199,11 @@ def min_magnitude_bound(delta_k1, K, epsilon):
     return 2.0 * epsilon / (1.0 - math.sqrt(K + 1.0) * delta_k1)
 
 
-def check_theorem1_conditions(A, signal, epsilon, budget=DEFAULT_SUBSET_BUDGET):
+def check_theorem1_conditions(A, signal, epsilon):
     """Evaluate both recovery conditions for (A, x, eps) with exact RIC.
 
-    Strict inequalities, zero tolerance. Returns a ConditionVerdict; the RIC
-    enumeration budget propagates as CapacityError.
+    Strict inequalities, zero tolerance. Returns a ConditionVerdict; an RIC
+    enumeration beyond the default subset budget propagates as CapacityError.
     """
     A = as_matrix(A)
     if A.shape[1] != signal.dimension:
@@ -213,9 +213,8 @@ def check_theorem1_conditions(A, signal, epsilon, budget=DEFAULT_SUBSET_BUDGET):
         raise ValueError("signal must have nonempty support")
     if K + 1 > A.shape[1]:
         raise ValueError("need at least K+1 columns to check order K+1")
-    if not (0 <= epsilon < math.inf):
-        raise ValueError("epsilon must be non-negative and finite")
-    report = exact_ric(A, K + 1, budget=budget)
+    as_epsilon(epsilon)
+    report = exact_ric(A, K + 1)
     bound = sharp_ric_bound(K)
     ric_ok = report.delta < bound
     if ric_ok:
@@ -234,7 +233,7 @@ def check_theorem1_conditions(A, signal, epsilon, budget=DEFAULT_SUBSET_BUDGET):
     )
 
 
-def verify_lemma1(A, signal, S, delta_k1=None, budget=DEFAULT_SUBSET_BUDGET):
+def verify_lemma1(A, signal, S, delta_k1=None):
     """Numerically check the selection inequality behind support recovery.
 
     For a proper subset S of the support Omega of x, with P the orthogonal
@@ -267,7 +266,7 @@ def verify_lemma1(A, signal, S, delta_k1=None, budget=DEFAULT_SUBSET_BUDGET):
     if delta_k1 is None:
         if omega.size + 1 > A.shape[1]:
             raise ValueError("need |support|+1 <= columns to compute the RIC")
-        delta_k1 = exact_ric(A, omega.size + 1, budget=budget).delta
+        delta_k1 = exact_ric(A, omega.size + 1).delta
     z = submatrix_columns(A, rest) @ x_rest
     p = projection_residual(submatrix_columns(A, S), z)
     comp = np.setdiff1d(np.arange(A.shape[1]), omega)
@@ -304,8 +303,7 @@ def chang_wu_min_mag_bound(delta, K, epsilon):
         raise ValueError("K must be at least 1")
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    as_epsilon(epsilon)
     denom = 1.0 - delta - math.sqrt(1.0 - delta) * math.sqrt(K) * delta
     if denom <= 0.0:
         return math.inf
@@ -338,14 +336,11 @@ class ComparisonReport:
 
 def comparison_report(K, delta_k1, epsilon):
     """Compare both recovery conditions at (K, delta_{K+1}, eps)."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    cw_ric = chang_wu_ric_bound(K)  # both bound functions reject K < 1
+    our_ric = sharp_ric_bound(K)
     if not (0.0 <= delta_k1 < 1.0):
         raise ValueError("delta_k1 must lie in [0, 1)")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    cw_ric = chang_wu_ric_bound(K)
-    our_ric = sharp_ric_bound(K)
+    as_epsilon(epsilon)
     cw_mm = chang_wu_min_mag_bound(delta_k1, K, epsilon)
     if delta_k1 < our_ric:
         our_mm = min_magnitude_bound(delta_k1, K, epsilon)
@@ -379,8 +374,8 @@ def ric_report_json(report):
             "order": report.order,
             "delta": report.delta,
             "witness": [int(i) for i in report.witness_subset],
-            "lambda_min": report.witness_lambda.lambda_min,
-            "lambda_max": report.witness_lambda.lambda_max,
+            "lambda_min": report.lambda_min,
+            "lambda_max": report.lambda_max,
             "subsets_examined": report.subsets_examined,
         },
         indent=2,

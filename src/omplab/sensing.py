@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    as_epsilon,
     as_matrix,
     as_vector,
     read_matrix,
@@ -102,8 +103,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
-        if not (0 <= self.epsilon < math.inf):
-            raise ValueError("epsilon must be non-negative and finite")
+        as_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from omplab import (
-    EigExtremes,
     SingularSystemError,
+    as_epsilon,
     format_matrix,
     format_vector,
     least_squares,
@@ -12,10 +14,9 @@ from omplab import (
     parse_vector,
     projection_residual,
     submatrix_columns,
-    sym_eig_extremes,
 )
 
-from _oracles import eig_extremes_bisect, normal_equations_ls
+from _oracles import normal_equations_ls
 
 
 def test_submatrix_identity_columns():
@@ -134,58 +135,12 @@ def test_projection_contraction_and_idempotence():
         assert np.abs(pp - p).max() <= 1e-9
 
 
-def test_sym_eig_identity():
-    ext = sym_eig_extremes(np.eye(2))
-    assert ext.lambda_min == pytest.approx(1.0, abs=1e-14)
-    assert ext.lambda_max == pytest.approx(1.0, abs=1e-14)
-
-
-def test_sym_eig_diagonal():
-    ext = sym_eig_extremes(np.diag([0.7, 1.3]))
-    assert ext.lambda_min == pytest.approx(0.7, abs=1e-14)
-    assert ext.lambda_max == pytest.approx(1.3, abs=1e-14)
-
-
-def test_sym_eig_matches_bisection_oracle():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        X = rng.standard_normal((6, 6))
-        G = 0.5 * (X + X.T)
-        ext = sym_eig_extremes(G)
-        lo, hi = eig_extremes_bisect(G, tol=1e-11)
-        assert abs(ext.lambda_min - lo) < 1e-9
-        assert abs(ext.lambda_max - hi) < 1e-9
-
-
-def test_sym_eig_rayleigh_sandwich():
-    rng = np.random.default_rng(15)
-    X = rng.standard_normal((7, 7))
-    G = 0.5 * (X + X.T)
-    ext = sym_eig_extremes(G)
-    for _ in range(100):
-        u = rng.standard_normal(7)
-        u /= np.linalg.norm(u)
-        q = float(u @ G @ u)
-        assert ext.lambda_min - 1e-8 <= q <= ext.lambda_max + 1e-8
-
-
-def test_sym_eig_gram_nonnegative():
-    rng = np.random.default_rng(16)
-    B = rng.standard_normal((9, 5))
-    ext = sym_eig_extremes(B.T @ B)
-    assert ext.lambda_min >= -1e-10
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        sym_eig_extremes(np.ones((2, 3)))
-
-
-def test_eig_extremes_invariants():
-    with pytest.raises(ValueError):
-        EigExtremes(2.0, 1.0)
+def test_as_epsilon():
+    for eps in (0, 0.0, 0.5, 1e300):
+        assert as_epsilon(eps) is eps
+    for bad in (-1e-300, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            as_epsilon(bad)
 
 
 def test_matrix_text_roundtrip_exact():

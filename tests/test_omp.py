@@ -195,6 +195,15 @@ def test_stop_rule_validation():
         omp_run(A, np.ones(2), StopRule.max_iterations(1))
 
 
+def test_stop_rule_met():
+    rule = StopRule.max_iterations(3)
+    assert not rule.met(2, 0.0)
+    assert rule.met(3, 1e9)
+    rule = StopRule.residual_at_most(0.5)
+    assert rule.met(0, 0.5)
+    assert not rule.met(100, np.nextafter(0.5, 1.0))
+
+
 def test_selection_margin_zero_residual():
     A = gaussian_sensing_matrix(6, 9, seed=12)
     lhs, rhs = selection_margin(A, np.zeros(6), [1, 3], [])

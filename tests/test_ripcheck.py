@@ -53,14 +53,13 @@ def test_exact_ric_matches_double_loop_oracle():
 def test_exact_ric_report_consistency():
     A = gaussian_sensing_matrix(10, 14, seed=5)
     r = exact_ric(A, 3)
-    lam = r.witness_lambda
-    assert r.delta == max(lam.lambda_max - 1.0, 1.0 - lam.lambda_min)
+    assert r.delta == max(r.lambda_max - 1.0, 1.0 - r.lambda_min)
     # unit eigenvector of the extreme eigenvalue realizes it through A_S
     A_S = submatrix_columns(A, r.witness_subset)
     w, V = np.linalg.eigh(A_S.T @ A_S)
     extreme = (
-        lam.lambda_max if lam.lambda_max - 1.0 >= 1.0 - lam.lambda_min
-        else lam.lambda_min
+        r.lambda_max if r.lambda_max - 1.0 >= 1.0 - r.lambda_min
+        else r.lambda_min
     )
     idx = int(np.argmin(np.abs(w - extreme)))
     u = V[:, idx]
@@ -83,7 +82,8 @@ def test_exact_ric_streamed_matches_cached(monkeypatch):
         assert streamed.subsets_examined == ref.subsets_examined
         assert streamed.delta == ref.delta
         assert np.array_equal(streamed.witness_subset, ref.witness_subset)
-        assert streamed.witness_lambda == ref.witness_lambda
+        assert streamed.lambda_min == ref.lambda_min
+        assert streamed.lambda_max == ref.lambda_max
 
 
 def test_cached_subsets_are_read_only():
@@ -285,6 +285,18 @@ def test_comparison_chang_wu_undefined_denominator():
     assert rep.sharp_min_mag_defined
     if not rep.chang_wu_min_mag_defined:
         assert rep.min_mag_weaker
+
+
+def test_comparison_rejects_non_finite_epsilon():
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            chang_wu_min_mag_bound(0.1, 2, eps)
+        # delta = 0.7 is above the sharp bound for K = 2, so only the prior
+        # bound reads epsilon
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            comparison_report(2, 0.7, eps)
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        comparison_report(2, 0.1, math.nan)
 
 
 def test_bound_ordering_chain():
