@@ -5,12 +5,16 @@ eigenvalue extremes come from inertia-count bisection (Sturm style, via LDL
 pivot signs) instead of LAPACK's eigensolver; the RIC oracle loops subsets
 and builds each Gram entry by an explicit column dot product; the solver
 oracle refits from scratch with lstsq every iteration instead of updating a
-factorization.
+factorization. The one exception is ``ric_unpruned``, a bit-identity
+reference rather than an independent route: it is the exhaustive RIC loop
+without eigensolve pruning.
 """
 
 import itertools
 
 import numpy as np
+
+from omplab.linalg import as_matrix
 
 
 class _ZeroPivot(Exception):
@@ -82,6 +86,21 @@ def ric_double_loop(A, K, tol=1e-11):
         lmin, lmax = eig_extremes_bisect(gram, tol)
         best = max(best, lmax - 1.0, 1.0 - lmin)
     return best
+
+
+def ric_unpruned(A, K):
+    """(delta, witness, lambda_min, lambda_max) from eigensolving every
+    K-subset Gram, as exact_ric did before it pruned eigensolves: the same
+    Gram and the same LAPACK call, so it must agree bit for bit. The first
+    maximal subset in lexicographic order is the witness."""
+    A = as_matrix(A)
+    G = A.T @ A
+    subsets = np.array(list(itertools.combinations(range(A.shape[1]), K)))
+    w = np.linalg.eigvalsh(G[subsets[:, :, None], subsets[:, None, :]])
+    lo, hi = w[:, 0], w[:, -1]
+    deltas = np.maximum(hi - 1.0, 1.0 - lo)
+    i = int(np.argmax(deltas))
+    return float(deltas[i]), subsets[i], float(lo[i]), float(hi[i])
 
 
 def normal_equations_ls(A, y):

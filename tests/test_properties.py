@@ -1,15 +1,22 @@
-"""Property tests for omp_run on random Gaussian problems under either rule.
+"""Property tests for omp_run on random Gaussian problems under either rule,
+and for exact_ric against the unpruned reference on tie-heavy matrices.
 
 Hypothesis runs derandomized and without an example database, so the suite
 stays deterministic. It still caches the constants it reads from source
 files under ``.hypothesis/``, which git ignores.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omplab import StopRule, omp_run
+from omplab import StopRule, exact_ric, omp_run, ripcheck, sharp_ric_bound
+from omplab.experiments import sharpness_probe
+
+from _oracles import ric_unpruned
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -78,3 +85,52 @@ def test_final_residual_orthogonal_to_selected_columns(run):
     cols = A[:, res.recovered_support]
     tol = 1e-9 * np.linalg.norm(A, 2) * np.linalg.norm(y)
     assert np.abs(cols.T @ residual).max(initial=0.0) <= tol
+
+
+@st.composite
+def _ric_cases(draw):
+    """(A, K): Gaussian draws and tie-heavy ones (identity, repeated columns,
+    equal-norm diagonals, the sharpness counterexample)."""
+    kind = draw(st.sampled_from(
+        ["gaussian", "identity", "repeated", "diagonal", "sharpness"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 10))
+    if kind == "gaussian":
+        m = draw(st.integers(1, 10))
+        A = rng.standard_normal((m, n)) / math.sqrt(m)
+    elif kind == "identity":
+        A = np.eye(n)
+    elif kind == "repeated":
+        m = draw(st.integers(1, 10))
+        B = rng.standard_normal((m, draw(st.integers(1, n))))
+        A = B[:, rng.integers(0, B.shape[1], size=n)]
+    elif kind == "diagonal":
+        A = np.diag(np.full(n, draw(st.sampled_from([0.5, 1.0, math.sqrt(1.5), 2.0]))))
+    else:
+        k = draw(st.integers(2, 6))
+        t = sharp_ric_bound(k) + draw(st.sampled_from([1e-3, 0.05, 0.2]))
+        fi = sharpness_probe(k, t)
+        assume(fi is not None)
+        A = fi.matrix
+        n = A.shape[1]
+    return A, draw(st.integers(1, min(n, 4)))
+
+
+@_SETTINGS
+@given(_ric_cases(), st.integers(1, 40), st.integers(1, 8))
+def test_exact_ric_bit_identical_to_unpruned(case, chunk, lead):
+    A, K = case
+    delta, witness, lo, hi = ric_unpruned(A, K)
+    reports = [exact_ric(A, K)]
+    # streamed in small chunks with a small leading block, so that later
+    # chunks are pruned in part or in full
+    with mock.patch.multiple(ripcheck, _SUBSET_CACHE_LIMIT=0, _CHUNK=chunk,
+                             _LEAD=lead):
+        reports.append(exact_ric(A, K))
+    for r in reports:
+        assert r.delta == delta
+        assert np.array_equal(r.witness_subset, witness)
+        assert r.lambda_min == lo
+        assert r.lambda_max == hi
+        assert r.subsets_examined == math.comb(A.shape[1], K)
+        assert 1 <= r.subsets_eigensolved <= r.subsets_examined

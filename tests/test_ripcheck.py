@@ -24,7 +24,7 @@ from omplab import (
     verify_lemma1,
 )
 
-from _oracles import ric_double_loop
+from _oracles import ric_double_loop, ric_unpruned
 
 
 def test_exact_ric_identity_is_zero():
@@ -32,6 +32,8 @@ def test_exact_ric_identity_is_zero():
         r = exact_ric(np.eye(5), K)
         assert abs(r.delta) <= 1e-12
         assert r.subsets_examined == math.comb(5, K)
+        # every subset ties, so none can be pruned
+        assert r.subsets_eigensolved == math.comb(5, K)
 
 
 def test_exact_ric_lemma1_family():
@@ -84,6 +86,56 @@ def test_exact_ric_streamed_matches_cached(monkeypatch):
         assert np.array_equal(streamed.witness_subset, ref.witness_subset)
         assert streamed.lambda_min == ref.lambda_min
         assert streamed.lambda_max == ref.lambda_max
+
+
+def _streamed(monkeypatch, chunk):
+    monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 10)
+    monkeypatch.setattr(ripcheck, "_CHUNK", chunk)
+
+
+def test_exact_ric_order_one_witness_matches_unpruned(monkeypatch):
+    # at order 1 the Gershgorin bound is delta_S itself, so pruning on a bare
+    # bound < incumbent would hang on rounding; many columns tie at the max
+    rng = np.random.default_rng(41)
+    A = np.diag(rng.choice([0.8, 1.0, 1.1, 1.3], size=100))
+    delta, witness, lo, hi = ric_unpruned(A, 1)
+    cached = exact_ric(A, 1)
+    _streamed(monkeypatch, 9)
+    streamed = exact_ric(A, 1)
+    for r in (cached, streamed):
+        assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
+        assert np.array_equal(r.witness_subset, witness)
+        assert r.subsets_eigensolved < r.subsets_examined
+
+
+def test_exact_ric_rounding_guard_keeps_permuted_ties(monkeypatch):
+    # columns (0, 1) and (3, 2) have the same Gram up to a permutation; their
+    # computed deltas tie while their computed bounds can differ, and a delta
+    # can exceed its own computed bound by an ulp. With a leading block of one
+    # subset, only the rounding guard keeps the first of them.
+    monkeypatch.setattr(ripcheck, "_LEAD", 1)
+    for seed in range(20):
+        B = np.random.default_rng(seed).standard_normal((3, 2))
+        B /= np.linalg.norm(B, axis=0)
+        A = np.zeros((6, 4))
+        A[:3, :2] = B
+        A[3:, 2:] = B[:, ::-1]
+        delta, witness, lo, hi = ric_unpruned(A, 2)
+        r = exact_ric(A, 2)
+        assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
+        assert np.array_equal(r.witness_subset, witness)
+
+
+def test_exact_ric_equal_norm_diagonal_ties_everywhere(monkeypatch):
+    # every subset has delta = 1.5 - 1 up to the rounding of sqrt(1.5)**2
+    A = np.diag(np.full(9, math.sqrt(1.5)))
+    cached = exact_ric(A, 3)
+    _streamed(monkeypatch, 5)
+    streamed = exact_ric(A, 3)
+    for r in (cached, streamed):
+        assert r.delta == pytest.approx(0.5, abs=1e-15)
+        assert np.array_equal(r.witness_subset, [0, 1, 2])
+        assert r.subsets_eigensolved == math.comb(9, 3)
 
 
 def test_cached_subsets_are_read_only():
