@@ -21,7 +21,6 @@ from omplab import (
     selection_margin,
     sharp_ric_bound,
     omp_run,
-    submatrix_columns,
     trace_csv_text,
 )
 
@@ -53,7 +52,7 @@ print(trace_csv_text(result))
 print("selection margins per iteration (in-support max vs off-support max):")
 S = []
 for rec in result.trace:
-    r = projection_residual(submatrix_columns(A, S), inst.measurement)
+    r = projection_residual(A[:, sorted(S)], inst.measurement)
     lhs, rhs = selection_margin(A, r, x.support, S)
     print(f"  k={rec.iteration}: lhs={lhs:.6f}  rhs={rhs:.6f}  gap={lhs - rhs:.6f}")
     S.append(rec.selected_index)

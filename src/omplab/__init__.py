@@ -37,7 +37,6 @@ from .linalg import (
     projection_residual,
     read_matrix,
     read_vector,
-    submatrix_columns,
     write_matrix,
     write_vector,
 )

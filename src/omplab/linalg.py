@@ -72,36 +72,6 @@ def as_epsilon(epsilon):
     return epsilon
 
 
-def submatrix_columns(A, indices):
-    """Extract the columns of ``A`` named by ``indices``, in ascending order.
-
-    Args:
-        A: rows x cols matrix.
-        indices: iterable of distinct column indices in ``[0, cols)``.
-
-    Returns:
-        rows x len(indices) matrix whose j-th column is the j-th smallest
-        requested column of ``A``.
-
-    Raises:
-        IndexError: some index is outside ``[0, cols)``.
-        ValueError: duplicate indices.
-    """
-    A = as_matrix(A)
-    idx = np.asarray(list(indices), dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("indices must be a flat collection")
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= A.shape[1]:
-            raise IndexError(
-                f"column index out of range [0, {A.shape[1]}): "
-                f"{idx.min()}..{idx.max()}"
-            )
-        if np.unique(idx).size != idx.size:
-            raise ValueError("duplicate column indices")
-    return np.asfortranarray(A[:, np.sort(idx)])
-
-
 def least_squares(A_S, y):
     """Minimize ||y - A_S x||_2 via Householder QR.
 
@@ -139,12 +109,10 @@ def projection_residual(A_S, y):
 
     Computes ``y - A_S * least_squares(A_S, y)``, i.e. the image of ``y``
     under the orthogonal-complement projector of span(A_S). For a zero-column
-    ``A_S`` the projector is the identity and ``y`` is returned unchanged.
+    ``A_S`` the projector is the identity and a copy of ``y`` is returned.
     """
     A_S = as_matrix(A_S, "A_S")
     y = as_vector(y, "y")
-    if A_S.shape[1] == 0:
-        return y.copy()
     return y - A_S @ least_squares(A_S, y)
 
 

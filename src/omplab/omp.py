@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, as_epsilon, as_matrix, as_vector, submatrix_columns
+from .linalg import DEFAULT_RANK_TOL, as_epsilon, as_matrix, as_vector
 from .sensing import SparseSignal
 
 STOP_MAX_ITERATIONS = "max_iterations"
@@ -232,8 +232,8 @@ def selection_margin(A, residual, omega, S):
     rest = np.setdiff1d(omega, S)
     if rest.size == 0:
         raise ValueError("omega minus S is empty")
-    lhs = float(np.abs(submatrix_columns(A, rest).T @ residual).max())
-    rhs = float(np.abs(submatrix_columns(A, comp).T @ residual).max())
+    lhs = float(np.abs(A[:, rest].T @ residual).max())
+    rhs = float(np.abs(A[:, comp].T @ residual).max())
     return lhs, rhs
 
 

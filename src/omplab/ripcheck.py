@@ -32,12 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    as_epsilon,
-    as_matrix,
-    projection_residual,
-    submatrix_columns,
-)
+from .linalg import as_epsilon, as_matrix, projection_residual
 
 #: Hard ceiling on the number of subsets exact_ric will enumerate.
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -202,7 +197,8 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
         budget: refuse enumerations beyond this many subsets.
 
     Raises:
-        ValueError: K out of range, or ``budget`` below 1.
+        ValueError: K out of range, ``budget`` below 1, or A^T A overflows
+            (A is finite but its Gram matrix is not).
         CapacityError: C(n, K) exceeds ``budget``.
     """
     A = as_matrix(A)
@@ -214,7 +210,10 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     count = math.comb(n, K)
     if count > budget:
         raise CapacityError(n, K, count, budget)
-    G = A.T @ A
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ A
+    if not np.isfinite(G).all():
+        raise ValueError("A^T A overflows: the Gram matrix has non-finite entries")
     guard = _GUARD_C * K * np.finfo(float).eps / 2
     best_delta = -math.inf
     best_subset = None
@@ -222,10 +221,13 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     solved = 0
     for chunk in _subset_chunks(n, K, count):
         grams = G[chunk[:, :, None], chunk[:, None, :]]
-        bound = _norm_bounds(grams)
-        reach = bound + guard * (1.0 + bound)
-        # ``not reach < incumbent`` also keeps rows whose bound is NaN
-        todo = ~(reach < best_delta)
+        if best_subset is None and len(chunk) <= _LEAD:
+            # no incumbent and a short chunk: every row is eigensolved anyway
+            reach = np.full(len(chunk), np.inf)
+        else:
+            bound = _norm_bounds(grams)
+            reach = bound + guard * (1.0 + bound)
+        todo = reach >= best_delta
         if not todo.any():
             continue
         rows = np.flatnonzero(todo)
@@ -240,7 +242,7 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
             deltas[rows] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
             solved += rows.size
             todo[rows] = False
-            todo &= ~(reach < max(best_delta, deltas.max()))
+            todo &= reach >= max(best_delta, deltas.max())
             rows = np.flatnonzero(todo)
         i = int(np.argmax(deltas))
         if deltas[i] > best_delta:
@@ -335,8 +337,9 @@ def verify_lemma1(A, signal, S, delta_k1=None):
     if A.shape[1] != signal.dimension:
         raise ValueError("matrix columns must match signal dimension")
     omega = signal.support
-    S = np.asarray(list(S), dtype=np.intp)
-    if S.size and np.unique(S).size != S.size:
+    given = np.asarray(list(S), dtype=np.intp)
+    S = np.unique(given)
+    if S.size != given.size:
         raise ValueError("S contains duplicates")
     if not np.all(np.isin(S, omega)):
         raise ValueError("S must be a subset of the signal support")
@@ -349,13 +352,10 @@ def verify_lemma1(A, signal, S, delta_k1=None):
         if omega.size + 1 > A.shape[1]:
             raise ValueError("need |support|+1 <= columns to compute the RIC")
         delta_k1 = exact_ric(A, omega.size + 1).delta
-    z = submatrix_columns(A, rest) @ x_rest
-    p = projection_residual(submatrix_columns(A, S), z)
-    comp = np.setdiff1d(np.arange(A.shape[1]), omega)
-    lhs_in = float(np.abs(submatrix_columns(A, rest).T @ p).max())
-    lhs_out = (
-        float(np.abs(submatrix_columns(A, comp).T @ p).max()) if comp.size else 0.0
-    )
+    A_rest = A[:, rest]
+    p = projection_residual(A[:, S], A_rest @ x_rest)
+    lhs_in = float(np.abs(A_rest.T @ p).max())
+    lhs_out = float(np.abs(np.delete(A, omega, axis=1).T @ p).max(initial=0.0))
     lhs = lhs_in - lhs_out
     r = omega.size - S.size
     rhs = (
@@ -420,10 +420,7 @@ def comparison_report(K, delta_k1, epsilon):
     """Compare both recovery conditions at (K, delta_{K+1}, eps)."""
     cw_ric = chang_wu_ric_bound(K)  # both bound functions reject K < 1
     our_ric = sharp_ric_bound(K)
-    if not (0.0 <= delta_k1 < 1.0):
-        raise ValueError("delta_k1 must lie in [0, 1)")
-    as_epsilon(epsilon)
-    cw_mm = chang_wu_min_mag_bound(delta_k1, K, epsilon)
+    cw_mm = chang_wu_min_mag_bound(delta_k1, K, epsilon)  # checks delta, eps
     if delta_k1 < our_ric:
         our_mm = min_magnitude_bound(delta_k1, K, epsilon)
         our_defined = True

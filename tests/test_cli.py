@@ -10,6 +10,7 @@ import pytest
 from omplab import experiments
 from omplab import (
     NoiseSpec,
+    SparseSignal,
     gaussian_sensing_matrix,
     generate_measurement,
     random_sparse_signal,
@@ -61,6 +62,21 @@ def test_cli_ric_validation_exit_code(workspace, capsys):
         args = ["ric", "--matrix", str(workspace["A"]), "--order", "2"]
         assert main(args + ["--budget", budget]) == 2
         assert "subset budget must be positive" in capsys.readouterr().err
+
+
+def test_cli_ric_and_check_reject_overflowing_gram(tmp_path, capsys):
+    A = tmp_path / "A.mat"
+    x = tmp_path / "x.sig"
+    write_matrix(A, [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]])
+    write_signal(x, SparseSignal(dimension=3, support=[0], values=[1.0]))
+    for argv in (
+        ["ric", "--matrix", str(A), "--order", "2"],
+        ["check", "--matrix", str(A), "--signal", str(x), "--eps", "0.1"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err
+        assert "Traceback" not in err
 
 
 def test_cli_omp_with_trace(workspace, capsys):

@@ -13,51 +13,9 @@ from omplab import (
     parse_matrix,
     parse_vector,
     projection_residual,
-    submatrix_columns,
 )
 
 from _oracles import normal_equations_ls
-
-
-def test_submatrix_identity_columns():
-    A = np.eye(3)
-    out = submatrix_columns(A, [0, 2])
-    assert out.shape == (3, 2)
-    assert np.array_equal(out[:, 0], [1, 0, 0])
-    assert np.array_equal(out[:, 1], [0, 0, 1])
-
-
-def test_submatrix_lemma1_column():
-    A, _, _ = lemma1_example_instance(0.5)
-    col = submatrix_columns(A, [1])
-    assert col.shape == (3, 1)
-    assert np.allclose(col[:, 0], [0.0, np.sqrt(0.5), 0.0], atol=0, rtol=0)
-
-
-def test_submatrix_elementwise_oracle():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((5, 8))
-    S = [1, 4, 6]
-    out = submatrix_columns(A, S)
-    for j, s in enumerate(S):
-        for i in range(5):
-            assert out[i, j] == A[i, s]
-
-
-def test_submatrix_sorts_indices():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((4, 6))
-    assert np.array_equal(submatrix_columns(A, [5, 0, 2]), A[:, [0, 2, 5]])
-
-
-def test_submatrix_errors():
-    A = np.eye(3)
-    with pytest.raises(IndexError):
-        submatrix_columns(A, [0, 3])
-    with pytest.raises(IndexError):
-        submatrix_columns(A, [-1])
-    with pytest.raises(ValueError):
-        submatrix_columns(A, [1, 1])
 
 
 def test_least_squares_identity():
@@ -118,7 +76,7 @@ def test_projection_empty_set_is_identity():
 def test_projection_lemma1_projector():
     # selecting the first column of the worked example zeroes coordinate 0
     A, _, S = lemma1_example_instance(0.3)
-    A_S = submatrix_columns(A, S)
+    A_S = A[:, S]
     y = np.array([0.7, -1.1, 2.2])
     out = projection_residual(A_S, y)
     assert np.allclose(out, [0.0, -1.1, 2.2], atol=1e-15)

@@ -1,11 +1,13 @@
 """Property tests for omp_run on random Gaussian problems under either rule,
-and for exact_ric against the unpruned reference on tie-heavy matrices.
+for exact_ric against the unpruned reference on tie-heavy matrices, and for
+verify_lemma1 against an explicit oracle.
 
 Hypothesis runs derandomized and without an example database, so the suite
 stays deterministic. It still caches the constants it reads from source
 files under ``.hypothesis/``, which git ignores.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -13,7 +15,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omplab import StopRule, exact_ric, omp_run, ripcheck, sharp_ric_bound
+from omplab import (
+    SparseSignal,
+    StopRule,
+    exact_ric,
+    omp_run,
+    ripcheck,
+    sharp_ric_bound,
+    verify_lemma1,
+)
 from omplab.experiments import sharpness_probe
 
 from _oracles import ric_unpruned
@@ -134,3 +144,65 @@ def test_exact_ric_bit_identical_to_unpruned(case, chunk, lead):
         assert r.lambda_max == hi
         assert r.subsets_examined == math.comb(A.shape[1], K)
         assert 1 <= r.subsets_eigensolved <= r.subsets_examined
+
+
+@st.composite
+def _lemma1_cases(draw):
+    """(A, signal, delta_k1): a Gaussian A with a K-sparse signal. delta_k1 is
+    supplied or None (computed by verify_lemma1); a full-column support, which
+    leaves no off-support column, always supplies it."""
+    K = draw(st.integers(1, 4))
+    full = draw(st.booleans())
+    n = K if full else draw(st.integers(K + 1, 8))
+    m = draw(st.integers(K + 1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n)) / math.sqrt(m)
+    support = np.sort(rng.choice(n, size=K, replace=False))
+    values = rng.standard_normal(K)
+    signal = SparseSignal(dimension=n, support=support, values=values)
+    if full or draw(st.booleans()):
+        delta_k1 = draw(st.sampled_from([0.0, 0.1, 0.4, 0.9]))
+    else:
+        delta_k1 = None
+    return A, signal, delta_k1
+
+
+def _lemma1_oracle(A, signal, S, delta_k1):
+    """lhs and rhs of the selection inequality, one column at a time, with the
+    projection from an lstsq solve."""
+    omega = signal.support.tolist()
+    x = dict(zip(omega, signal.values.tolist()))
+    rest = [j for j in omega if j not in S]
+    z = sum(x[j] * A[:, j] for j in rest)
+    if S:
+        coef = np.linalg.lstsq(A[:, S], z, rcond=None)[0]
+        z = z - A[:, S] @ coef
+    lhs_in = max(abs(float(A[:, j] @ z)) for j in rest)
+    lhs_out = max(
+        (abs(float(A[:, j] @ z)) for j in range(A.shape[1]) if j not in omega),
+        default=0.0,
+    )
+    r = len(rest)
+    x_norm = math.sqrt(sum(x[j] ** 2 for j in rest))
+    rhs = (1.0 - math.sqrt(r + 1.0) * delta_k1) * x_norm / math.sqrt(r)
+    return lhs_in - lhs_out, rhs
+
+
+@_SETTINGS
+@given(_lemma1_cases())
+def test_verify_lemma1_matches_oracle(case):
+    A, signal, delta_k1 = case
+    if delta_k1 is None:
+        expected_delta = exact_ric(A, signal.sparsity + 1).delta
+    else:
+        expected_delta = delta_k1
+    scale = np.linalg.norm(A) ** 2 * np.linalg.norm(signal.values)
+    omega = signal.support.tolist()
+    for size in range(len(omega)):
+        for S in itertools.combinations(omega, size):
+            # S in descending order: the check must not depend on its order
+            check = verify_lemma1(A, signal, S[::-1], delta_k1=delta_k1)
+            lhs, rhs = _lemma1_oracle(A, signal, list(S), expected_delta)
+            assert abs(check.lhs - lhs) <= 1e-9 * scale
+            assert abs(check.rhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+            assert check.holds == (check.lhs >= check.rhs - 1e-10)

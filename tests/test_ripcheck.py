@@ -20,7 +20,6 @@ from omplab import (
     random_sparse_signal,
     ric_report_json,
     sharp_ric_bound,
-    submatrix_columns,
     verify_lemma1,
 )
 
@@ -57,7 +56,7 @@ def test_exact_ric_report_consistency():
     r = exact_ric(A, 3)
     assert r.delta == max(r.lambda_max - 1.0, 1.0 - r.lambda_min)
     # unit eigenvector of the extreme eigenvalue realizes it through A_S
-    A_S = submatrix_columns(A, r.witness_subset)
+    A_S = A[:, r.witness_subset]
     w, V = np.linalg.eigh(A_S.T @ A_S)
     extreme = (
         r.lambda_max if r.lambda_max - 1.0 >= 1.0 - r.lambda_min
@@ -158,6 +157,16 @@ def test_exact_ric_budget_and_validation():
     for bad in (0, -5):
         with pytest.raises(ValueError):
             exact_ric(A, 2, budget=bad)
+
+
+def test_exact_ric_rejects_overflowing_gram():
+    # A is finite but A^T A is not; its NaN deltas must not pass as a result
+    A = np.diag([1e200, 1.0, 1.0])
+    B = np.random.default_rng(0).standard_normal((40, 33))
+    B[:, 0] *= 1e200
+    for M, K in ((A, 2), (B, 5)):
+        with pytest.raises(ValueError, match="overflows"):
+            exact_ric(M, K)
 
 
 def test_ric_monotone_in_order():
