@@ -86,8 +86,12 @@ def least_squares(A_S, y):
     Raises:
         SingularSystemError: the QR diagonal reveals rank deficiency.
     """
-    A_S = as_matrix(A_S, "A_S")
-    y = as_vector(y, "y")
+    return _least_squares(as_matrix(A_S, "A_S"), as_vector(y, "y"))
+
+
+def _least_squares(A_S, y):
+    """:func:`least_squares` on an ``A_S`` and ``y`` already validated by
+    ``as_matrix`` and ``as_vector``."""
     m, k = A_S.shape
     if m != y.size:
         raise ValueError(f"shape mismatch: matrix has {m} rows, y has {y.size}")
@@ -113,7 +117,7 @@ def projection_residual(A_S, y):
     """
     A_S = as_matrix(A_S, "A_S")
     y = as_vector(y, "y")
-    return y - A_S @ least_squares(A_S, y)
+    return y - A_S @ _least_squares(A_S, y)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ here would blur the sharpness experiments, which probe the boundary.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -110,74 +109,109 @@ class Lemma1Check(NamedTuple):
 def _cached_subsets(n, K):
     """All K-subsets of range(n) as a read-only (C(n, K), K) array, rows in
     lexicographic order."""
-    count = math.comb(n, K)
-    full = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), K)),
-        dtype=np.intp,
-        count=count * K,
-    ).reshape(count, K)
+    full = _subsets(n, K)
     full.flags.writeable = False
     return full
 
 
+def _subsets(n, K, lo=0):
+    """All K-subsets of range(lo, n) as a (C(n - lo, K), K) array in Fortran
+    layout, rows in lexicographic order. Nothing is cached."""
+    return np.concatenate(list(_subset_blocks(n, K, lo, math.inf)))
+
+
+def _subset_blocks(n, K, lo, limit):
+    """Yield the K-subsets of range(lo, n) in lexicographic order, in
+    Fortran-layout blocks of rows (first, *tail) that share their first
+    element.
+
+    The tails of first element f are the (K-1)-subsets of range(f + 1, n):
+    the last C(n - f - 1, K - 1) rows of the (K-1)-subsets of
+    range(lo + 1, n). That table is built once when it has at most ``limit``
+    rows; otherwise each first element's tails are streamed the same way, so
+    no block exceeds ``limit`` rows.
+    """
+    if K == 0:
+        yield np.empty((1, 0), dtype=np.intp, order="F")
+        return
+    table = None
+    if math.comb(n - lo - 1, K - 1) <= limit:
+        table = _subsets(n, K - 1, lo + 1)
+    for first in range(lo, n - K + 1):
+        if table is None:
+            tails = _subset_blocks(n, K - 1, first + 1, limit)
+        else:
+            tails = (table[len(table) - math.comb(n - first - 1, K - 1):],)
+        for tail in tails:
+            block = np.empty((len(tail), K), dtype=np.intp, order="F")
+            block[:, 0] = first
+            block[:, 1:] = tail
+            yield block
+
+
 def _subset_chunks(n, K, count):
-    """Yield (chunk_size, K) arrays of K-subsets of range(n) in lexicographic
-    order. Small enumerations are cached; large ones are streamed."""
+    """Yield (size, K) arrays of K-subsets of range(n) in lexicographic order,
+    Fortran layout, at most ``_CHUNK`` rows each. Enumerations of at most
+    ``_SUBSET_CACHE_LIMIT`` subsets are cached whole; larger ones are streamed
+    one first element at a time and cache nothing."""
     if count <= _SUBSET_CACHE_LIMIT:
         full = _cached_subsets(n, K)
         for start in range(0, count, _CHUNK):
             yield full[start : start + _CHUNK]
         return
-    it = itertools.combinations(range(n), K)
-    for start in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - start)
-        yield np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(it, size)),
-            dtype=np.intp,
-            count=size * K,
-        ).reshape(size, K)
+    yield from _subset_blocks(n, K, 0, _CHUNK)
 
 
-def _norm_bounds(grams):
-    """min(||D||_inf, ||D||_F) >= ||D||_2 for each D = G_S - I of a
-    (size, K, K) Gram stack.
+def _norm_bounds(D, cols):
+    """min(||M_S - I||_inf, ||M_S - I||_F) >= ||M_S - I||_2 for each subset S.
 
-    ``eigvalsh`` reads only the lower triangle, so row i of the matrix it
-    solves is G_S[max(i, j), min(i, j)] over j; the bounds are taken on that
-    matrix. Rows are gathered one at a time, so no second (size, K, K) array
-    is allocated.
+    M_S is the Gram matrix of S as ``eigvalsh`` reads it: the lower triangle
+    of G_S, mirrored. D is the (n, n) array |G - I| for the whole Gram matrix
+    G; only entries on and below its diagonal are read. ``cols`` is a
+    (K, size) array whose columns are sorted subsets, so entry (a, b) of
+    |M_S - I| with a <= b is D[S_b, S_a]. Each of the K(K + 1)/2 entries is
+    gathered for the whole chunk with one flat ``take`` and added to the
+    running sums of rows a and b, as is its square; the Frobenius norm then
+    sums the K row sums of squares. No (size, K, K) array is built.
     """
-    size, K, _ = grams.shape
-    cols = np.arange(K)
-    gersh = np.zeros(size)
-    frob2 = np.zeros(size)
-    for i in range(K):
-        row = grams[:, np.maximum(cols, i), np.minimum(cols, i)]
-        row[:, i] -= 1.0
-        np.abs(row, out=row)
-        np.maximum(gersh, row.sum(axis=1), out=gersh)
-        row *= row
-        frob2 += row.sum(axis=1)
-        del row  # before the next row is gathered
-    return np.minimum(gersh, np.sqrt(frob2))
+    n = D.shape[0]
+    rows = D.take(cols * (n + 1))  # the diagonal entries |G_ss - 1|
+    squares = rows * rows
+    flat = cols * n
+    for b in range(1, len(cols)):
+        for a in range(b):
+            d = D.take(flat[b] + cols[a])
+            rows[a] += d
+            rows[b] += d
+            d *= d
+            squares[a] += d
+            squares[b] += d
+    return np.minimum(rows.max(axis=0), np.sqrt(squares.sum(axis=0)))
 
 
 def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     """Exact order-K RIC of A by exhaustive subset enumeration.
 
     Every K-subset S is enumerated and its deviation delta_S = ||G_S - I||_2
-    bounded above by b_S = min(||G_S - I||_inf, ||G_S - I||_F). Per chunk of
-    subsets, the ``_LEAD`` largest bounds are eigensolved first (one batched
-    LAPACK ``eigvalsh`` call), which sets the incumbent: the largest delta
-    found so far, carried across chunks. The other subsets are eigensolved
-    only if b_S + g_S >= incumbent, with the rounding guard
-    g_S = c K u (1 + b_S), c = ``_GUARD_C`` = 64 and u = 2**-53. A chunk
-    where no subset reaches the incumbent is skipped. Each subset is
-    eigensolved at most once.
+    bounded above by b_S = min(||G_S - I||_inf, ||G_S - I||_F), taken on the
+    lower triangle of G_S that ``eigvalsh`` reads. Subsets come in chunks of
+    at most ``_CHUNK`` rows; a streamed enumeration gives each first element
+    its own chunks. The bounds of a chunk are built from K(K + 1)/2 gathered
+    vectors of |G - I| entries, one per position pair (``_norm_bounds``); a
+    Gram matrix G_S is gathered only when S is eigensolved. Per chunk, the
+    ``_LEAD`` largest bounds are eigensolved first (one batched LAPACK
+    ``eigvalsh`` call), which sets the incumbent: the largest delta found so
+    far, carried across chunks. The other subsets are eigensolved only if
+    b_S + g_S >= incumbent, with the rounding guard g_S = c K u (1 + b_S),
+    c = ``_GUARD_C`` = 64 and u = 2**-53. A chunk where no subset reaches the
+    incumbent is skipped. Each subset is eigensolved at most once.
 
     The guard makes the pruning exact for the computed values, not just the
-    true ones. Rounding in b_S (one subtraction, K-term sums of |d| and of
-    d**2, a square root) is at most about (K + 3) u b_S. The symmetric
+    true ones. Rounding in b_S is at most about (K + 3) u b_S: |G - I| costs
+    one subtraction on the diagonal; each Gershgorin row is a K-term sum of
+    |d|; the Frobenius norm is the square root of a K-term sum, over rows, of
+    K-term row sums of d**2, so its 2K roundings (squares included) are
+    halved by the square root, which adds one more. The symmetric
     eigensolver is backward stable: its eigenvalues of G_S are off by at
     most p(K) u ||G_S||_2 <= p(K) u (1 + delta_S), with p a modest function
     of K (about K in practice), and forming delta_S from them adds one more
@@ -219,13 +253,15 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     best_subset = None
     best_lo = best_hi = None
     solved = 0
+    D = None  # |G - I|, built at the first chunk whose bounds are needed
     for chunk in _subset_chunks(n, K, count):
-        grams = G[chunk[:, :, None], chunk[:, None, :]]
         if best_subset is None and len(chunk) <= _LEAD:
             # no incumbent and a short chunk: every row is eigensolved anyway
             reach = np.full(len(chunk), np.inf)
         else:
-            bound = _norm_bounds(grams)
+            if D is None:
+                D = np.abs(G - np.eye(n))
+            bound = _norm_bounds(D, chunk.T)
             reach = bound + guard * (1.0 + bound)
         todo = reach >= best_delta
         if not todo.any():
@@ -237,7 +273,8 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
         lo = np.empty(len(chunk))
         hi = np.empty(len(chunk))
         while rows.size:
-            w = np.linalg.eigvalsh(grams[rows])
+            sub = chunk[rows]
+            w = np.linalg.eigvalsh(G[sub[:, :, None], sub[:, None, :]])
             lo[rows], hi[rows] = w[:, 0], w[:, -1]
             deltas[rows] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
             solved += rows.size
@@ -341,11 +378,15 @@ def verify_lemma1(A, signal, S, delta_k1=None):
     S = np.unique(given)
     if S.size != given.size:
         raise ValueError("S contains duplicates")
-    if not np.all(np.isin(S, omega)):
+    # omega and S are sorted, so S is a subset iff omega holds each S[i] at
+    # its insertion point
+    pos = np.searchsorted(omega, S)
+    if np.any(pos == omega.size) or not np.array_equal(omega[pos], S):
         raise ValueError("S must be a subset of the signal support")
     if S.size >= omega.size:
         raise ValueError("S must be a proper subset of the support")
-    rest_mask = ~np.isin(omega, S)
+    rest_mask = np.ones(omega.size, dtype=bool)
+    rest_mask[pos] = False
     rest = omega[rest_mask]
     x_rest = signal.values[rest_mask]
     if delta_k1 is None:

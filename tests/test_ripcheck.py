@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -143,6 +144,51 @@ def test_cached_subsets_are_read_only():
     assert not subsets.flags.writeable
     with pytest.raises(ValueError):
         subsets[0, 0] = 5
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_subset_enumeration_matches_itertools(monkeypatch, streamed, chunk):
+    if streamed:
+        monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 0)
+    monkeypatch.setattr(ripcheck, "_CHUNK", chunk)
+    for n, K in [(1, 1), (6, 1), (6, 6), (6, 2), (7, 3), (9, 4), (10, 6)]:
+        expected = np.array(list(itertools.combinations(range(n), K)))
+        assert np.array_equal(ripcheck._cached_subsets(n, K), expected)
+        chunks = list(ripcheck._subset_chunks(n, K, len(expected)))
+        assert all(1 <= len(c) <= chunk for c in chunks)
+        assert np.array_equal(np.concatenate(chunks), expected)
+
+
+def test_streamed_exact_ric_caches_nothing(monkeypatch):
+    A = gaussian_sensing_matrix(9, 13, seed=3)
+    before = ripcheck._cached_subsets.cache_info()
+    monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 0)
+    monkeypatch.setattr(ripcheck, "_CHUNK", 5)
+    exact_ric(A, 4)
+    assert ripcheck._cached_subsets.cache_info() == before
+
+
+def test_norm_bounds_match_norm_oracle():
+    # the upper triangle of G is deliberately off, so a bound that reads it
+    # instead of the lower triangle (which eigvalsh reads) is far from the
+    # oracle
+    rng = np.random.default_rng(11)
+    u = np.finfo(float).eps / 2
+    for n, K in ((9, 1), (9, 2), (12, 4), (16, 6)):
+        A = rng.standard_normal((n + 3, n)) / math.sqrt(n + 3)
+        G = A.T @ A + np.triu(rng.uniform(0.2, 0.5, (n, n)), 1)
+        subsets = np.array([np.sort(rng.choice(n, K, replace=False))
+                            for _ in range(50)])
+        bounds = ripcheck._norm_bounds(np.abs(G - np.eye(n)), subsets.T)
+        guard = ripcheck._GUARD_C * K * u
+        for S, b in zip(subsets, bounds):
+            G_S = G[np.ix_(S, S)]
+            M = np.tril(G_S) + np.tril(G_S, -1).T - np.eye(K)
+            oracle = min(np.linalg.norm(M, np.inf), np.linalg.norm(M, "fro"))
+            assert abs(b - oracle) <= (K + 3) * u * (1 + oracle)
+            w = np.linalg.eigvalsh(G_S)
+            assert b + guard * (1 + b) >= max(w[-1] - 1.0, 1.0 - w[0])
 
 
 def test_exact_ric_budget_and_validation():
