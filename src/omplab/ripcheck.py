@@ -6,10 +6,10 @@ x; equivalently the worst deviation of any K-column Gram spectrum from 1.
 Computing it is NP-hard in general, and the guarantees this package checks
 are statements about the exact constant, so :func:`exact_ric` enumerates
 every K-subset under a hard budget and refuses (loudly) beyond it. Each
-subset's deviation is bounded above by cheap matrix norms, and only subsets
-whose bound can still reach the largest deviation found so far are
-eigensolved; the result is the same, bit for bit, as eigensolving all of
-them. No approximation is ever silently substituted.
+subset's deviation is bounded above by a Frobenius norm built on its tail's,
+and only subsets whose bound can still reach the largest deviation found so
+far are eigensolved; the result is the same, bit for bit, as eigensolving
+all of them. No approximation is ever silently substituted.
 
 The headline sufficient condition for exact support recovery of a K-sparse
 signal from y = A x + v with ||v|| <= eps is
@@ -24,6 +24,7 @@ here would blur the sharpness experiments, which probe the boundary.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -36,10 +37,10 @@ from .linalg import as_epsilon, as_matrix, projection_residual
 #: Hard ceiling on the number of subsets exact_ric will enumerate.
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
-_CHUNK = 65536
-_SUBSET_CACHE_LIMIT = 200_000
+#: Most entries (rows times columns) in a subset table or a batch of Grams.
+_ENTRY_LIMIT = 500_000
 
-#: Subsets eigensolved first in each chunk, those with the largest bounds, to
+#: Subsets eigensolved first in each block, those with the largest bounds, to
 #: set the deviation the other subsets' bounds must reach.
 _LEAD = 64
 
@@ -114,115 +115,118 @@ def _cached_subsets(n, K):
     return full
 
 
-def _subsets(n, K, lo=0):
-    """All K-subsets of range(lo, n) as a (C(n - lo, K), K) array in Fortran
-    layout, rows in lexicographic order. Nothing is cached."""
-    return np.concatenate(list(_subset_blocks(n, K, lo, math.inf)))
+def _subsets(n, k):
+    """All k-subsets of range(n) as a (C(n, k), k) array in Fortran layout,
+    rows in lexicographic order, built in place level by level. Level j, the
+    j-subsets of range(k - j, n), is the first C(n - k + j, j) rows of the
+    last j columns; its rows (f, *tail) take the last C(n - f - 1, j - 1)
+    rows of level j - 1 as tails."""
+    table = np.empty((math.comb(n, k), k), dtype=np.intp, order="F")
+    rows = 1  # level 0: one empty subset
+    for j in range(1, k + 1):
+        below, rows = rows, 0
+        for f in range(k - j, n - j + 1):
+            c = math.comb(n - f - 1, j - 1)
+            table[rows : rows + c, k - j] = f
+            if rows:
+                table[rows : rows + c, k - j + 1 :] = table[below - c : below, k - j + 1 :]
+            rows += c
+    return table
 
 
-def _subset_blocks(n, K, lo, limit):
-    """Yield the K-subsets of range(lo, n) in lexicographic order, in
-    Fortran-layout blocks of rows (first, *tail) that share their first
-    element.
+def _pair_squares(G):
+    """P[i, j] = |G_ji - I_ji|**2, doubled off the diagonal, for i <= j: the
+    terms of ||M_S - I||_F**2, M_S the lower triangle of G_S mirrored."""
+    P = 2.0 * np.square(G.T, order="C")
+    np.fill_diagonal(P, np.square(G.diagonal() - 1.0))
+    return P
 
-    The tails of first element f are the (K-1)-subsets of range(f + 1, n):
-    the last C(n - f - 1, K - 1) rows of the (K-1)-subsets of
-    range(lo + 1, n). That table is built once when it has at most ``limit``
-    rows; otherwise each first element's tails are streamed the same way, so
-    no block exceeds ``limit`` rows.
-    """
-    if K == 0:
-        yield np.empty((1, 0), dtype=np.intp, order="F")
+
+def _table_squares(P, table):
+    """||M_S - I||_F**2 of each row S of ``table`` (see _subsets), level by
+    level: a row (f, *tail) adds P[f, f] and P[f, tail], then its tail's
+    squared norm, so a term passes through at most k additions."""
+    n, k = len(P), table.shape[1]
+    if k == 0:
+        return np.zeros(1)
+    flat = P.ravel()
+    squares = P.diagonal()[k - 1 :]
+    for j in range(2, k + 1):
+        level = table[: math.comb(n - k + j, j), k - j :]
+        row = level[:, 0] * n
+        new = flat.take(row + level[:, 0])
+        for column in level[:, 1:].T:
+            new += flat.take(row + column)
+        new += np.concatenate([squares[len(squares) - math.comb(n - f - 1, j - 1) :]
+                               for f in range(k - j, n - j + 1)])
+        squares = new
+    return squares
+
+
+def _bounded_blocks(G, K, count):
+    """Yield (prefix, tails, squares): the K-subsets (*prefix, *tail) of
+    range(n) in lexicographic order and their ||M_S - I||_F**2. Within
+    ``_ENTRY_LIMIT``, one cached block; beyond it, one per prefix of the
+    shortest length L whose tails, the (K - L)-subsets of range(L, n), fit:
+    built uncached, so memory stays bounded whatever K is."""
+    n = len(G)
+    if count * K <= _ENTRY_LIMIT:
+        table = _cached_subsets(n, K)
+        squares = (np.full(count, np.inf) if count <= _LEAD  # all eigensolved
+                   else _table_squares(_pair_squares(G), table))
+        yield np.empty(0, dtype=np.intp), table, squares
         return
-    table = None
-    if math.comb(n - lo - 1, K - 1) <= limit:
-        table = _subsets(n, K - 1, lo + 1)
-    for first in range(lo, n - K + 1):
-        if table is None:
-            tails = _subset_blocks(n, K - 1, first + 1, limit)
-        else:
-            tails = (table[len(table) - math.comb(n - first - 1, K - 1):],)
-        for tail in tails:
-            block = np.empty((len(tail), K), dtype=np.intp, order="F")
-            block[:, 0] = first
-            block[:, 1:] = tail
-            yield block
-
-
-def _subset_chunks(n, K, count):
-    """Yield (size, K) arrays of K-subsets of range(n) in lexicographic order,
-    Fortran layout, at most ``_CHUNK`` rows each. Enumerations of at most
-    ``_SUBSET_CACHE_LIMIT`` subsets are cached whole; larger ones are streamed
-    one first element at a time and cache nothing."""
-    if count <= _SUBSET_CACHE_LIMIT:
-        full = _cached_subsets(n, K)
-        for start in range(0, count, _CHUNK):
-            yield full[start : start + _CHUNK]
-        return
-    yield from _subset_blocks(n, K, 0, _CHUNK)
-
-
-def _norm_bounds(D, cols):
-    """min(||M_S - I||_inf, ||M_S - I||_F) >= ||M_S - I||_2 for each subset S.
-
-    M_S is the Gram matrix of S as ``eigvalsh`` reads it: the lower triangle
-    of G_S, mirrored. D is the (n, n) array |G - I| for the whole Gram matrix
-    G; only entries on and below its diagonal are read. ``cols`` is a
-    (K, size) array whose columns are sorted subsets, so entry (a, b) of
-    |M_S - I| with a <= b is D[S_b, S_a]. Each of the K(K + 1)/2 entries is
-    gathered for the whole chunk with one flat ``take`` and added to the
-    running sums of rows a and b, as is its square; the Frobenius norm then
-    sums the K row sums of squares. No (size, K, K) array is built.
-    """
-    n = D.shape[0]
-    rows = D.take(cols * (n + 1))  # the diagonal entries |G_ss - 1|
-    squares = rows * rows
-    flat = cols * n
-    for b in range(1, len(cols)):
-        for a in range(b):
-            d = D.take(flat[b] + cols[a])
-            rows[a] += d
-            rows[b] += d
-            d *= d
-            squares[a] += d
-            squares[b] += d
-    return np.minimum(rows.max(axis=0), np.sqrt(squares.sum(axis=0)))
+    P = np.triu(_pair_squares(G))  # a prefix's row sums read below the diagonal
+    L = 1
+    while math.comb(n - L, K - L) * (K - L) > _ENTRY_LIMIT:
+        L += 1
+    lower = _subsets(n - L, K - L)
+    lower_squares = _table_squares(P[L:, L:], lower)
+    lower += L
+    for prefix in itertools.combinations(range(n - K + L), L):
+        start = len(lower) - math.comb(n - prefix[-1] - 1, K - L)
+        prefix = np.array(prefix, dtype=np.intp)
+        col = P[prefix].sum(axis=0)  # what the prefix adds to each element
+        tails = lower[start:]
+        squares = np.full(len(tails), col[prefix].sum())
+        for column in tails.T:
+            squares += col.take(column)
+        squares += lower_squares[start:]
+        yield prefix, tails, squares
 
 
 def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     """Exact order-K RIC of A by exhaustive subset enumeration.
 
-    Every K-subset S is enumerated and its deviation delta_S = ||G_S - I||_2
-    bounded above by b_S = min(||G_S - I||_inf, ||G_S - I||_F), taken on the
-    lower triangle of G_S that ``eigvalsh`` reads. Subsets come in chunks of
-    at most ``_CHUNK`` rows; a streamed enumeration gives each first element
-    its own chunks. The bounds of a chunk are built from K(K + 1)/2 gathered
-    vectors of |G - I| entries, one per position pair (``_norm_bounds``); a
-    Gram matrix G_S is gathered only when S is eigensolved. Per chunk, the
-    ``_LEAD`` largest bounds are eigensolved first (one batched LAPACK
-    ``eigvalsh`` call), which sets the incumbent: the largest delta found so
-    far, carried across chunks. The other subsets are eigensolved only if
-    b_S + g_S >= incumbent, with the rounding guard g_S = c K u (1 + b_S),
-    c = ``_GUARD_C`` = 64 and u = 2**-53. A chunk where no subset reaches the
-    incumbent is skipped. Each subset is eigensolved at most once.
+    Every K-subset S is enumerated and its deviation delta_S = ||M_S - I||_2
+    bounded above by b_S = ||M_S - I||_F, where M_S is the lower triangle of
+    G_S mirrored, as ``eigvalsh`` reads it. b_S**2 adds up over pairs of
+    elements, so a subset (f, *tail) adds K terms of ``_pair_squares`` row f
+    to its tail's (``_bounded_blocks``). Per block, the ``_LEAD`` largest
+    bounds are eigensolved first (batched LAPACK ``eigvalsh`` calls on at
+    most ``_ENTRY_LIMIT`` Gram entries each), which sets the incumbent: the
+    largest delta found so far, carried across blocks. The other subsets are
+    eigensolved only if b_S + g_S >= incumbent, with the rounding guard
+    g_S = c K u (1 + b_S), c = ``_GUARD_C`` = 64 and u = 2**-53. Each subset
+    is eigensolved at most once.
 
     The guard makes the pruning exact for the computed values, not just the
-    true ones. Rounding in b_S is at most about (K + 3) u b_S: |G - I| costs
-    one subtraction on the diagonal; each Gershgorin row is a K-term sum of
-    |d|; the Frobenius norm is the square root of a K-term sum, over rows, of
-    K-term row sums of d**2, so its 2K roundings (squares included) are
-    halved by the square root, which adds one more. The symmetric
-    eigensolver is backward stable: its eigenvalues of G_S are off by at
-    most p(K) u ||G_S||_2 <= p(K) u (1 + delta_S), with p a modest function
-    of K (about K in practice), and forming delta_S from them adds one more
-    rounding. So a computed delta_S exceeds b_S by less than
-    (p(K) + K + 5) u (1 + b_S), which c K u (1 + b_S) covers for p(K) up to
-    about 58 K. A pruned subset's computed delta is therefore below a delta
-    that was computed, so it can be neither the maximum nor tied with it,
-    and the result is bit-identical to eigensolving every subset.
+    true ones. A term of b_S**2 costs at most three roundings (a subtraction
+    and a square on the diagonal, a square off it; doubling is exact), and
+    passes through at most K additions, or K + L - 1 < 2K in a block with a
+    prefix of length L. The terms are non-negative, so b_S**2 is off by less
+    than (2K + 2) u b_S**2, and b_S by (K + 2) u b_S. The symmetric
+    eigensolver is backward stable: its eigenvalues of G_S are off by at most
+    p(K) u ||G_S||_2 <= p(K) u (1 + delta_S), with p a modest function of K
+    (about K in practice), and forming delta_S adds one more rounding. So a
+    computed delta_S exceeds b_S by less than (p(K) + K + 4) u (1 + b_S),
+    which c K u (1 + b_S) covers for p(K) up to about 60 K. A pruned
+    subset's computed delta is therefore below a delta that was computed, so
+    it can be neither the maximum nor tied with it, and the result is
+    bit-identical to eigensolving every subset.
 
     Ties on delta are broken by the lexicographically smallest witness subset
-    (enumeration is lexicographic, the argmax of a chunk takes its smallest
+    (enumeration is lexicographic, the argmax of a block takes its smallest
     row, and only strictly larger deltas replace the incumbent).
 
     Args:
@@ -253,38 +257,34 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     best_subset = None
     best_lo = best_hi = None
     solved = 0
-    D = None  # |G - I|, built at the first chunk whose bounds are needed
-    for chunk in _subset_chunks(n, K, count):
-        if best_subset is None and len(chunk) <= _LEAD:
-            # no incumbent and a short chunk: every row is eigensolved anyway
-            reach = np.full(len(chunk), np.inf)
-        else:
-            if D is None:
-                D = np.abs(G - np.eye(n))
-            bound = _norm_bounds(D, chunk.T)
-            reach = bound + guard * (1.0 + bound)
+    batch = max(1, _ENTRY_LIMIT // (K * K))  # Grams gathered at once
+    for prefix, tails, squares in _bounded_blocks(G, K, count):
+        bound = np.sqrt(squares)
+        reach = bound + guard * (1.0 + bound)
         todo = reach >= best_delta
-        if not todo.any():
+        rows = todo.nonzero()[0]
+        if not rows.size:
             continue
-        rows = np.flatnonzero(todo)
         if rows.size > _LEAD:
             rows = rows[np.argpartition(bound[rows], -_LEAD)[-_LEAD:]]
-        deltas = np.full(len(chunk), -np.inf)
-        lo = np.empty(len(chunk))
-        hi = np.empty(len(chunk))
+        deltas = np.full(len(tails), -np.inf)
+        lo, hi = np.empty((2, len(tails)))
         while rows.size:
-            sub = chunk[rows]
+            rows = rows[:batch]
+            sub = np.empty((rows.size, K), dtype=np.intp)
+            sub[:, : prefix.size] = prefix
+            sub[:, prefix.size :] = tails[rows]
             w = np.linalg.eigvalsh(G[sub[:, :, None], sub[:, None, :]])
             lo[rows], hi[rows] = w[:, 0], w[:, -1]
             deltas[rows] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
             solved += rows.size
             todo[rows] = False
             todo &= reach >= max(best_delta, deltas.max())
-            rows = np.flatnonzero(todo)
+            rows = todo.nonzero()[0]
         i = int(np.argmax(deltas))
         if deltas[i] > best_delta:
             best_delta = float(deltas[i])
-            best_subset = chunk[i].copy()
+            best_subset = np.concatenate((prefix, tails[i]))
             best_lo, best_hi = float(lo[i]), float(hi[i])
     return RicReport(
         order=int(K),

@@ -64,6 +64,16 @@ def test_cli_ric_validation_exit_code(workspace, capsys):
         assert "subset budget must be positive" in capsys.readouterr().err
 
 
+def test_cli_ric_at_high_order(tmp_path, capsys):
+    # one subset of 1010 columns: the enumeration must not recurse per order
+    A = tmp_path / "A.mat"
+    write_matrix(A, gaussian_sensing_matrix(3, 1010, seed=4))
+    assert main(["ric", "--matrix", str(A), "--order", "1010"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["subsets_examined"] == 1
+    assert payload["witness"] == list(range(1010))
+
+
 def test_cli_ric_and_check_reject_overflowing_gram(tmp_path, capsys):
     A = tmp_path / "A.mat"
     x = tmp_path / "x.sig"

@@ -127,16 +127,19 @@ def _ric_cases(draw):
 
 
 @_SETTINGS
-@given(_ric_cases(), st.integers(1, 40), st.integers(1, 8))
-def test_exact_ric_bit_identical_to_unpruned(case, chunk, lead):
+@given(_ric_cases(), st.integers(0, 2**16), st.integers(1, 8))
+def test_exact_ric_bit_identical_to_unpruned(case, draw, lead):
     A, K = case
     delta, witness, lo, hi = ric_unpruned(A, K)
     reports = [exact_ric(A, K)]
-    # streamed in small chunks with a small leading block, so that later
-    # chunks are pruned in part or in full
-    with mock.patch.multiple(ripcheck, _SUBSET_CACHE_LIMIT=0, _CHUNK=chunk,
-                             _LEAD=lead):
-        reports.append(exact_ric(A, K))
+    # streamed with a small leading block, so that later blocks are pruned in
+    # part or in full: first with an entry limit that just holds the tails of
+    # the first elements (one block per first element), then with a limit
+    # below it, which streams by prefixes of length 2 or more once K >= 2
+    tails = math.comb(A.shape[1] - 1, K - 1) * (K - 1)
+    for limit in (tails, draw % max(tails, 1)):
+        with mock.patch.multiple(ripcheck, _ENTRY_LIMIT=limit, _LEAD=lead):
+            reports.append(exact_ric(A, K))
     for r in reports:
         assert r.delta == delta
         assert np.array_equal(r.witness_subset, witness)

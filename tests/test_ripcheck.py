@@ -74,33 +74,29 @@ def test_exact_ric_tie_break_lexicographic():
 
 
 def test_exact_ric_streamed_matches_cached(monkeypatch):
-    # the identity makes every subset tie, across chunk boundaries too
+    # the identity makes every subset tie, across block boundaries too; entry
+    # limits of 0, 10 and 110 stream C(12, 3) by prefixes of length 3, 2 and 1
     cases = [(gaussian_sensing_matrix(8, 12, seed=7), 3), (np.eye(6), 2)]
     cached = [exact_ric(A, K) for A, K in cases]
-    monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 10)
-    monkeypatch.setattr(ripcheck, "_CHUNK", 7)
-    for (A, K), ref in zip(cases, cached):
-        streamed = exact_ric(A, K)
-        assert streamed.subsets_examined == ref.subsets_examined
-        assert streamed.delta == ref.delta
-        assert np.array_equal(streamed.witness_subset, ref.witness_subset)
-        assert streamed.lambda_min == ref.lambda_min
-        assert streamed.lambda_max == ref.lambda_max
-
-
-def _streamed(monkeypatch, chunk):
-    monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 10)
-    monkeypatch.setattr(ripcheck, "_CHUNK", chunk)
+    for limit in (0, 10, 110):
+        monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
+        for (A, K), ref in zip(cases, cached):
+            streamed = exact_ric(A, K)
+            assert streamed.subsets_examined == ref.subsets_examined
+            assert streamed.delta == ref.delta
+            assert np.array_equal(streamed.witness_subset, ref.witness_subset)
+            assert streamed.lambda_min == ref.lambda_min
+            assert streamed.lambda_max == ref.lambda_max
 
 
 def test_exact_ric_order_one_witness_matches_unpruned(monkeypatch):
-    # at order 1 the Gershgorin bound is delta_S itself, so pruning on a bare
+    # at order 1 the Frobenius bound is delta_S itself, so pruning on a bare
     # bound < incumbent would hang on rounding; many columns tie at the max
     rng = np.random.default_rng(41)
     A = np.diag(rng.choice([0.8, 1.0, 1.1, 1.3], size=100))
     delta, witness, lo, hi = ric_unpruned(A, 1)
     cached = exact_ric(A, 1)
-    _streamed(monkeypatch, 9)
+    monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", 9)
     streamed = exact_ric(A, 1)
     for r in (cached, streamed):
         assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
@@ -130,7 +126,7 @@ def test_exact_ric_equal_norm_diagonal_ties_everywhere(monkeypatch):
     # every subset has delta = 1.5 - 1 up to the rounding of sqrt(1.5)**2
     A = np.diag(np.full(9, math.sqrt(1.5)))
     cached = exact_ric(A, 3)
-    _streamed(monkeypatch, 5)
+    monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", 10)
     streamed = exact_ric(A, 3)
     for r in (cached, streamed):
         assert r.delta == pytest.approx(0.5, abs=1e-15)
@@ -146,49 +142,88 @@ def test_cached_subsets_are_read_only():
         subsets[0, 0] = 5
 
 
+_ENUMERATIONS = [(1, 1), (6, 1), (6, 6), (6, 2), (7, 3), (9, 4), (10, 6), (30, 28)]
+
+
+def _rows(prefix, tails):
+    return np.hstack((np.broadcast_to(prefix, (len(tails), prefix.size)), tails))
+
+
 @pytest.mark.parametrize("streamed", [False, True])
-@pytest.mark.parametrize("chunk", range(1, 8))
-def test_subset_enumeration_matches_itertools(monkeypatch, streamed, chunk):
-    if streamed:
-        monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 0)
-    monkeypatch.setattr(ripcheck, "_CHUNK", chunk)
-    for n, K in [(1, 1), (6, 1), (6, 6), (6, 2), (7, 3), (9, 4), (10, 6)]:
+@pytest.mark.parametrize("size", range(1, 8))
+def test_subset_enumeration_matches_itertools(monkeypatch, streamed, size):
+    # whole tables level by level, one more of order ``size``; or blocks
+    # streamed under an entry limit of ``size``, small enough that prefixes
+    # of every length occur
+    for n, K in _ENUMERATIONS + ([] if streamed else [(size + 5, size)]):
         expected = np.array(list(itertools.combinations(range(n), K)))
-        assert np.array_equal(ripcheck._cached_subsets(n, K), expected)
-        chunks = list(ripcheck._subset_chunks(n, K, len(expected)))
-        assert all(1 <= len(c) <= chunk for c in chunks)
-        assert np.array_equal(np.concatenate(chunks), expected)
+        if not streamed:
+            table = ripcheck._subsets(n, K)
+            assert np.array_equal(table, expected)
+            for j in range(1, K + 1):
+                # level j holds the j-subsets of range(K - j, n); a build from
+                # range(n) at every level would hit C(30, 15) rows
+                level = table[: math.comb(n - K + j, j), K - j :]
+                assert len(level) <= len(expected)
+                assert np.array_equal(
+                    level, list(itertools.combinations(range(K - j, n), j)))
+            continue
+        monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", size)
+        blocks = list(ripcheck._bounded_blocks(np.eye(n), K, len(expected)))
+        for prefix, tails, _ in blocks:
+            assert prefix.size + tails.shape[1] == K
+            assert tails.size <= size
+        assert np.array_equal(np.concatenate([_rows(p, t) for p, t, _ in blocks]),
+                              expected)
 
 
 def test_streamed_exact_ric_caches_nothing(monkeypatch):
+    # entry limits of 0, 20, 200 and 1000 stream C(13, 4) by prefixes of
+    # length 4, 3, 2 and 1
     A = gaussian_sensing_matrix(9, 13, seed=3)
     before = ripcheck._cached_subsets.cache_info()
-    monkeypatch.setattr(ripcheck, "_SUBSET_CACHE_LIMIT", 0)
-    monkeypatch.setattr(ripcheck, "_CHUNK", 5)
-    exact_ric(A, 4)
+    for limit in (0, 20, 200, 1000):
+        monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
+        exact_ric(A, 4)
     assert ripcheck._cached_subsets.cache_info() == before
 
 
-def test_norm_bounds_match_norm_oracle():
+def test_high_order_exact_ric_runs_without_recursion():
+    # C(1010, 1010) = 1 subset: the enumeration must not recurse once per
+    # order. A has 3 rows, so the nonzero Gram eigenvalues are those of A A^T.
+    n = 1010
+    A = np.random.default_rng(5).standard_normal((3, n)) / math.sqrt(n)
+    r = exact_ric(A, n)
+    assert r.subsets_examined == 1
+    assert np.array_equal(r.witness_subset, np.arange(n))
+    assert r.lambda_max == pytest.approx(np.linalg.eigvalsh(A @ A.T)[-1], rel=1e-9)
+    assert abs(r.lambda_min) <= 1e-9
+    assert r.delta == max(r.lambda_max - 1.0, 1.0 - r.lambda_min)
+
+
+def test_norm_bounds_match_norm_oracle(monkeypatch):
     # the upper triangle of G is deliberately off, so a bound that reads it
     # instead of the lower triangle (which eigvalsh reads) is far from the
-    # oracle
+    # oracle; whole tables and blocks with prefixes of every length are
+    # checked, every row of them bounded
     rng = np.random.default_rng(11)
     u = np.finfo(float).eps / 2
+    monkeypatch.setattr(ripcheck, "_LEAD", 0)
     for n, K in ((9, 1), (9, 2), (12, 4), (16, 6)):
         A = rng.standard_normal((n + 3, n)) / math.sqrt(n + 3)
         G = A.T @ A + np.triu(rng.uniform(0.2, 0.5, (n, n)), 1)
-        subsets = np.array([np.sort(rng.choice(n, K, replace=False))
-                            for _ in range(50)])
-        bounds = ripcheck._norm_bounds(np.abs(G - np.eye(n)), subsets.T)
         guard = ripcheck._GUARD_C * K * u
-        for S, b in zip(subsets, bounds):
-            G_S = G[np.ix_(S, S)]
-            M = np.tril(G_S) + np.tril(G_S, -1).T - np.eye(K)
-            oracle = min(np.linalg.norm(M, np.inf), np.linalg.norm(M, "fro"))
-            assert abs(b - oracle) <= (K + 3) * u * (1 + oracle)
-            w = np.linalg.eigvalsh(G_S)
-            assert b + guard * (1 + b) >= max(w[-1] - 1.0, 1.0 - w[0])
+        for limit in (ripcheck._ENTRY_LIMIT, 0, 2 * n, 200, 1000):
+            monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
+            for prefix, tails, squares in ripcheck._bounded_blocks(
+                    G, K, math.comb(n, K)):
+                for S, b in zip(_rows(prefix, tails), np.sqrt(squares)):
+                    G_S = G[np.ix_(S, S)]
+                    M = np.tril(G_S) + np.tril(G_S, -1).T - np.eye(K)
+                    oracle = np.linalg.norm(M, "fro")
+                    assert abs(b - oracle) <= (K + 3) * u * (1 + oracle)
+                    w = np.linalg.eigvalsh(G_S)
+                    assert b + guard * (1 + b) >= max(w[-1] - 1.0, 1.0 - w[0])
 
 
 def test_exact_ric_budget_and_validation():
