@@ -6,10 +6,11 @@ x; equivalently the worst deviation of any K-column Gram spectrum from 1.
 Computing it is NP-hard in general, and the guarantees this package checks
 are statements about the exact constant, so :func:`exact_ric` enumerates
 every K-subset under a hard budget and refuses (loudly) beyond it. Each
-subset's deviation is bounded above by a Frobenius norm built on its tail's,
-and only subsets whose bound can still reach the largest deviation found so
-far are eigensolved; the result is the same, bit for bit, as eigensolving
-all of them. No approximation is ever silently substituted.
+subset's deviation is bounded above by the trace bound of Wolkowicz and
+Styan on a Frobenius norm built on its tail's, and only subsets whose bound
+can still reach the largest deviation found so far are eigensolved; the
+result is the same, bit for bit, as eigensolving all of them. No
+approximation is ever silently substituted.
 
 The headline sufficient condition for exact support recovery of a K-sparse
 signal from y = A x + v with ||v|| <= eps is
@@ -40,9 +41,13 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 #: Most entries (rows times columns) in a subset table or a batch of Grams.
 _ENTRY_LIMIT = 500_000
 
+#: Enumerations of at most this many subsets are eigensolved whole, without
+#: bounds: bounding so few costs more than it saves.
+_UNBOUNDED = 64
+
 #: Subsets eigensolved first in each block, those with the largest bounds, to
 #: set the deviation the other subsets' bounds must reach.
-_LEAD = 64
+_LEAD = 16
 
 #: The rounding guard of the pruning rule, in units of K * u (see exact_ric).
 _GUARD_C = 64
@@ -164,17 +169,26 @@ def _table_squares(P, table):
 
 
 def _bounded_blocks(G, K, count):
-    """Yield (prefix, tails, squares): the K-subsets (*prefix, *tail) of
-    range(n) in lexicographic order and their ||M_S - I||_F**2. Within
-    ``_ENTRY_LIMIT``, one cached block; beyond it, one per prefix of the
-    shortest length L whose tails, the (K - L)-subsets of range(L, n), fit:
-    built uncached, so memory stays bounded whatever K is."""
+    """Yield (prefix, tails, bounds): the K-subsets (*prefix, *tail) of
+    range(n) in lexicographic order and their bounds b_S (see exact_ric).
+    Within ``_ENTRY_LIMIT``, one cached block (bounds +inf up to
+    ``_UNBOUNDED`` rows); beyond it, one per prefix of the shortest length L
+    whose tails, the (K - L)-subsets of range(L, n), fit: built uncached, so
+    memory stays bounded whatever K is."""
     n = len(G)
+    if count <= _UNBOUNDED and count * K <= _ENTRY_LIMIT:  # all eigensolved
+        yield np.empty(0, dtype=np.intp), _cached_subsets(n, K), np.full(count, np.inf)
+        return
+    offset, spread = np.abs(G.diagonal() - 1.0).max(), math.sqrt((K - 1) / K)
+
+    def bounds(squares):  # at K = 1, F_S is delta_S itself, and may be +inf
+        b = np.sqrt(squares)
+        return np.minimum(b, offset + spread * b, out=b) if K > 1 else b
+
     if count * K <= _ENTRY_LIMIT:
         table = _cached_subsets(n, K)
-        squares = (np.full(count, np.inf) if count <= _LEAD  # all eigensolved
-                   else _table_squares(_pair_squares(G), table))
-        yield np.empty(0, dtype=np.intp), table, squares
+        squares = _table_squares(_pair_squares(G), table)
+        yield np.empty(0, dtype=np.intp), table, bounds(squares)
         return
     P = np.triu(_pair_squares(G))  # a prefix's row sums read below the diagonal
     L = 1
@@ -192,34 +206,43 @@ def _bounded_blocks(G, K, count):
         for column in tails.T:
             squares += col.take(column)
         squares += lower_squares[start:]
-        yield prefix, tails, squares
+        yield prefix, tails, bounds(squares)
 
 
 def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     """Exact order-K RIC of A by exhaustive subset enumeration.
 
-    Every K-subset S is enumerated and its deviation delta_S = ||M_S - I||_2
-    bounded above by b_S = ||M_S - I||_F, where M_S is the lower triangle of
-    G_S mirrored, as ``eigvalsh`` reads it. b_S**2 adds up over pairs of
-    elements, so a subset (f, *tail) adds K terms of ``_pair_squares`` row f
-    to its tail's (``_bounded_blocks``). Per block, the ``_LEAD`` largest
-    bounds are eigensolved first (batched LAPACK ``eigvalsh`` calls on at
-    most ``_ENTRY_LIMIT`` Gram entries each), which sets the incumbent: the
+    Every K-subset S is enumerated and its deviation delta_S = ||E_S||_2
+    bounded above, where E_S = M_S - I and M_S is the lower triangle of G_S
+    mirrored, as ``eigvalsh`` reads it. The trace bound of Wolkowicz and
+    Styan ("Bounds for eigenvalues using traces", Linear Algebra Appl. 29,
+    1980), |lambda(E)| <= |tr E| / K + s ||E - (tr E / K) I||_F with
+    s = sqrt((K - 1) / K), is at most o + s F_S, where F_S = ||E_S||_F and
+    o = max_i |G_ii - 1| over all columns. So b_S = min(F_S, o + s F_S), about
+    s F_S with unit-norm columns: delta_S itself at K = 2. F_S**2 adds up
+    over pairs of elements, so a subset (f, *tail) adds K terms of
+    ``_pair_squares`` row f to its tail's (``_bounded_blocks``). An
+    enumeration of at most ``_UNBOUNDED`` subsets is eigensolved whole,
+    unbounded. Otherwise, per block, the ``_LEAD`` largest bounds are
+    eigensolved first (batched LAPACK ``eigvalsh`` calls on at most
+    ``_ENTRY_LIMIT`` Gram entries each), which sets the incumbent: the
     largest delta found so far, carried across blocks. The other subsets are
     eigensolved only if b_S + g_S >= incumbent, with the rounding guard
     g_S = c K u (1 + b_S), c = ``_GUARD_C`` = 64 and u = 2**-53. Each subset
     is eigensolved at most once.
 
     The guard makes the pruning exact for the computed values, not just the
-    true ones. A term of b_S**2 costs at most three roundings (a subtraction
+    true ones. A term of F_S**2 costs at most three roundings (a subtraction
     and a square on the diagonal, a square off it; doubling is exact), and
     passes through at most K additions, or K + L - 1 < 2K in a block with a
-    prefix of length L. The terms are non-negative, so b_S**2 is off by less
-    than (2K + 2) u b_S**2, and b_S by (K + 2) u b_S. The symmetric
-    eigensolver is backward stable: its eigenvalues of G_S are off by at most
-    p(K) u ||G_S||_2 <= p(K) u (1 + delta_S), with p a modest function of K
-    (about K in practice), and forming delta_S adds one more rounding. So a
-    computed delta_S exceeds b_S by less than (p(K) + K + 4) u (1 + b_S),
+    prefix of length L. The terms are non-negative, so F_S**2 is off by less
+    than (2K + 2) u F_S**2, and F_S by (K + 2) u F_S. The offset costs one
+    rounding (G_ii - 1); s (a quotient and a square root), s F_S and the sum
+    cost three more, so b_S is off by less than (K + 6) u b_S. The symmetric
+    eigensolver is backward stable: its eigenvalues of G_S are off by at
+    most p(K) u ||G_S||_2 <= p(K) u (1 + delta_S), with p a modest function
+    of K (about K in practice), and forming delta_S adds one more rounding.
+    So a computed delta_S exceeds b_S by less than (p(K) + K + 8) u (1 + b_S),
     which c K u (1 + b_S) covers for p(K) up to about 60 K. A pruned
     subset's computed delta is therefore below a delta that was computed, so
     it can be neither the maximum nor tied with it, and the result is
@@ -232,7 +255,8 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     Args:
         A: the sensing matrix.
         K: subset order, 1 <= K <= A.shape[1].
-        budget: refuse enumerations beyond this many subsets.
+        budget: refuse enumerations beyond this many subsets. It counts
+            subsets, not work: an eigensolve costs O(K**3).
 
     Raises:
         ValueError: K out of range, ``budget`` below 1, or A^T A overflows
@@ -258,15 +282,15 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     best_lo = best_hi = None
     solved = 0
     batch = max(1, _ENTRY_LIMIT // (K * K))  # Grams gathered at once
-    for prefix, tails, squares in _bounded_blocks(G, K, count):
-        bound = np.sqrt(squares)
+    lead = _LEAD if count > _UNBOUNDED else count
+    for prefix, tails, bound in _bounded_blocks(G, K, count):
         reach = bound + guard * (1.0 + bound)
         todo = reach >= best_delta
         rows = todo.nonzero()[0]
         if not rows.size:
             continue
-        if rows.size > _LEAD:
-            rows = rows[np.argpartition(bound[rows], -_LEAD)[-_LEAD:]]
+        if rows.size > lead:
+            rows = rows[np.argpartition(bound[rows], -lead)[-lead:]]
         deltas = np.full(len(tails), -np.inf)
         lo, hi = np.empty((2, len(tails)))
         while rows.size:

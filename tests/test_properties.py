@@ -99,15 +99,22 @@ def test_final_residual_orthogonal_to_selected_columns(run):
 
 @st.composite
 def _ric_cases(draw):
-    """(A, K): Gaussian draws and tie-heavy ones (identity, repeated columns,
-    equal-norm diagonals, the sharpness counterexample)."""
-    kind = draw(st.sampled_from(
-        ["gaussian", "identity", "repeated", "diagonal", "sharpness"]))
+    """(A, K): Gaussian draws, with raw, unit-norm or equal-norm columns, and
+    tie-heavy ones (identity, repeated columns, equal-norm diagonals, the
+    sharpness counterexample). With unit-norm columns the pruning bound is
+    about sqrt((K - 1) / K) ||M_S - I||_F, which at K = 2 is delta_S itself,
+    so there only the rounding guard keeps the pruning exact."""
+    kind = draw(st.sampled_from(["gaussian", "unit", "equal", "identity",
+                                 "repeated", "diagonal", "sharpness"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 10))
-    if kind == "gaussian":
+    if kind in ("gaussian", "unit", "equal"):
         m = draw(st.integers(1, 10))
         A = rng.standard_normal((m, n)) / math.sqrt(m)
+        if kind != "gaussian":
+            A /= np.linalg.norm(A, axis=0)
+        if kind == "equal":
+            A *= draw(st.sampled_from([0.5, 0.9, math.sqrt(1.5), 2.0]))
     elif kind == "identity":
         A = np.eye(n)
     elif kind == "repeated":
@@ -132,13 +139,15 @@ def test_exact_ric_bit_identical_to_unpruned(case, draw, lead):
     A, K = case
     delta, witness, lo, hi = ric_unpruned(A, K)
     reports = [exact_ric(A, K)]
-    # streamed with a small leading block, so that later blocks are pruned in
-    # part or in full: first with an entry limit that just holds the tails of
-    # the first elements (one block per first element), then with a limit
-    # below it, which streams by prefixes of length 2 or more once K >= 2
+    # every enumeration bounded, with a small leading block, so that subsets
+    # and later blocks are pruned in part or in full: one whole block, then
+    # streamed with an entry limit that just holds the tails of the first
+    # elements (one block per first element), then with a limit below it,
+    # which streams by prefixes of length 2 or more once K >= 2
     tails = math.comb(A.shape[1] - 1, K - 1) * (K - 1)
-    for limit in (tails, draw % max(tails, 1)):
-        with mock.patch.multiple(ripcheck, _ENTRY_LIMIT=limit, _LEAD=lead):
+    for limit in (ripcheck._ENTRY_LIMIT, tails, draw % max(tails, 1)):
+        with mock.patch.multiple(ripcheck, _ENTRY_LIMIT=limit, _LEAD=lead,
+                                 _UNBOUNDED=0):
             reports.append(exact_ric(A, K))
     for r in reports:
         assert r.delta == delta

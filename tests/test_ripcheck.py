@@ -107,8 +107,11 @@ def test_exact_ric_order_one_witness_matches_unpruned(monkeypatch):
 def test_exact_ric_rounding_guard_keeps_permuted_ties(monkeypatch):
     # columns (0, 1) and (3, 2) have the same Gram up to a permutation; their
     # computed deltas tie while their computed bounds can differ, and a delta
-    # can exceed its own computed bound by an ulp. With a leading block of one
-    # subset, only the rounding guard keeps the first of them.
+    # can exceed its own computed bound by an ulp. With unit-norm columns at
+    # K = 2 the bound is delta_S up to rounding, so with every enumeration
+    # bounded and a leading block of one subset, only the rounding guard
+    # keeps the first of them.
+    monkeypatch.setattr(ripcheck, "_UNBOUNDED", 0)
     monkeypatch.setattr(ripcheck, "_LEAD", 1)
     for seed in range(20):
         B = np.random.default_rng(seed).standard_normal((3, 2))
@@ -120,6 +123,22 @@ def test_exact_ric_rounding_guard_keeps_permuted_ties(monkeypatch):
         r = exact_ric(A, 2)
         assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
         assert np.array_equal(r.witness_subset, witness)
+
+
+def test_exact_ric_rounding_guard_keeps_rank_one_ties(monkeypatch):
+    # one unit-norm column repeated: every G_S is the all-ones matrix, whose
+    # deviation K - 1 equals the bound sqrt((K - 1) / K) ||G_S - I||_F, so
+    # every subset ties and only the rounding guard keeps the first of them
+    monkeypatch.setattr(ripcheck, "_UNBOUNDED", 0)
+    monkeypatch.setattr(ripcheck, "_LEAD", 1)
+    for seed in range(20):
+        a = np.random.default_rng(seed).standard_normal((8, 1))
+        A = np.tile(a / np.linalg.norm(a), (1, 7))
+        for K in (3, 4):
+            delta, witness, lo, hi = ric_unpruned(A, K)
+            r = exact_ric(A, K)
+            assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
+            assert np.array_equal(r.witness_subset, witness)
 
 
 def test_exact_ric_equal_norm_diagonal_ties_everywhere(monkeypatch):
@@ -201,29 +220,73 @@ def test_high_order_exact_ric_runs_without_recursion():
     assert r.delta == max(r.lambda_max - 1.0, 1.0 - r.lambda_min)
 
 
+def _block_bounds(monkeypatch, G, K):
+    """(b, F) over every row S of the blocks of C(n, K), whole and streamed
+    by prefixes of every length: b is the bound exact_ric prunes on, F the
+    Frobenius norm of M_S - I, M_S the lower triangle of G_S mirrored as
+    eigvalsh reads it. Checks that b is at most F and that b plus the guard
+    reaches the eigvalsh deviation."""
+    n = len(G)
+    u = np.finfo(float).eps / 2
+    guard = ripcheck._GUARD_C * K * u
+    pairs = []
+    for limit in (ripcheck._ENTRY_LIMIT, 0, 2 * n, 200, 1000):
+        with monkeypatch.context() as mp:
+            mp.setattr(ripcheck, "_UNBOUNDED", 0)
+            mp.setattr(ripcheck, "_ENTRY_LIMIT", limit)
+            blocks = list(ripcheck._bounded_blocks(G, K, math.comb(n, K)))
+        for prefix, tails, bounds in blocks:
+            for S, b in zip(_rows(prefix, tails), bounds):
+                G_S = G[np.ix_(S, S)]
+                M = np.tril(G_S) + np.tril(G_S, -1).T - np.eye(K)
+                F = np.linalg.norm(M, "fro")
+                assert b <= F + (K + 3) * u * (1 + F)
+                w = np.linalg.eigvalsh(G_S)
+                assert b + guard * (1 + b) >= max(w[-1] - 1.0, 1.0 - w[0])
+                pairs.append((b, F))
+    return np.array(pairs).T
+
+
 def test_norm_bounds_match_norm_oracle(monkeypatch):
     # the upper triangle of G is deliberately off, so a bound that reads it
     # instead of the lower triangle (which eigvalsh reads) is far from the
-    # oracle; whole tables and blocks with prefixes of every length are
-    # checked, every row of them bounded
+    # oracle. Unnormalized columns put offset = max |G_ii - 1| above
+    # (1 - spread) F on every row, so the bound is F; unit-norm columns make
+    # offset a few u and the bound spread F, which at K = 2 is delta_S and
+    # leaves only the guard to cover rounding; at K = 1 the bound is F.
     rng = np.random.default_rng(11)
     u = np.finfo(float).eps / 2
-    monkeypatch.setattr(ripcheck, "_LEAD", 0)
     for n, K in ((9, 1), (9, 2), (12, 4), (16, 6)):
         A = rng.standard_normal((n + 3, n)) / math.sqrt(n + 3)
-        G = A.T @ A + np.triu(rng.uniform(0.2, 0.5, (n, n)), 1)
-        guard = ripcheck._GUARD_C * K * u
-        for limit in (ripcheck._ENTRY_LIMIT, 0, 2 * n, 200, 1000):
-            monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
-            for prefix, tails, squares in ripcheck._bounded_blocks(
-                    G, K, math.comb(n, K)):
-                for S, b in zip(_rows(prefix, tails), np.sqrt(squares)):
-                    G_S = G[np.ix_(S, S)]
-                    M = np.tril(G_S) + np.tril(G_S, -1).T - np.eye(K)
-                    oracle = np.linalg.norm(M, "fro")
-                    assert abs(b - oracle) <= (K + 3) * u * (1 + oracle)
-                    w = np.linalg.eigvalsh(G_S)
-                    assert b + guard * (1 + b) >= max(w[-1] - 1.0, 1.0 - w[0])
+        junk = np.triu(rng.uniform(0.2, 0.5, (n, n)), 1)
+        b, F = _block_bounds(monkeypatch, A.T @ A + junk, K)
+        assert np.all(np.abs(b - F) <= (K + 3) * u * (1 + F))
+        A /= np.linalg.norm(A, axis=0)
+        G = A.T @ A + junk
+        offset = np.abs(G.diagonal() - 1.0).max()
+        assert offset <= 8 * u
+        b, F = _block_bounds(monkeypatch, G, K)
+        expected = np.minimum(F, offset + math.sqrt((K - 1) / K) * F)
+        assert np.all(np.abs(b - expected) <= (K + 6) * u * (1 + F))
+
+
+def test_exact_ric_eigensolves_few_on_a_tall_unit_norm_design():
+    # C(32, 5) is streamed one block per first element; the Frobenius bound
+    # alone, with a leading block of 64 per block, eigensolved 2,318 Grams
+    r = exact_ric(gaussian_sensing_matrix(128, 32, seed=0), 5)
+    assert r.subsets_eigensolved <= 2318 // 3
+
+
+def test_short_enumerations_are_eigensolved_whole():
+    # up to 64 subsets are eigensolved without bounds (lemma_sweep's calls on
+    # 18, 28 and 56 subsets among them); 65 are bounded
+    for m, n, K in ((12, 18, 1), (8, 8, 2), (8, 8, 3), (12, 64, 1)):
+        A = gaussian_sensing_matrix(m, n, seed=1, normalize_columns=False)
+        r = exact_ric(A, K)
+        assert r.subsets_examined <= ripcheck._UNBOUNDED
+        assert r.subsets_eigensolved == r.subsets_examined
+    A = gaussian_sensing_matrix(12, 65, seed=1, normalize_columns=False)
+    assert exact_ric(A, 1).subsets_eigensolved < 65
 
 
 def test_exact_ric_budget_and_validation():
