@@ -5,7 +5,9 @@ Every experiment is a pure function of (config, master_seed). Trial t draws
 its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical across
 parallelism levels. All trials of a run may execute on one process pool,
-shared by every cell; results are reduced in trial order.
+shared by every cell. The pool receives the largest trials first (by m*n,
+then K) so that its workers finish together; results are reduced in trial
+order.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -383,12 +385,22 @@ def _run_trial(task):
 
 
 def _map_trials(tasks, parallelism):
+    """Outcomes of ``tasks`` in task order. A pool receives the largest
+    trials (by m*n, then K) first, in small chunks, so no worker is left
+    alone with the costliest cell at the end."""
     workers = min(parallelism, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_trial(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
+    sizes = [(t.m * t.n, t.k) for t in tasks]
+    # sorted() is stable under reverse=True too: equal sizes keep task order
+    order = sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True)
+    chunk = max(1, len(tasks) // (workers * 16))
+    outcomes = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_trial, tasks, chunksize=chunk))
+        done = pool.map(_run_trial, [tasks[i] for i in order], chunksize=chunk)
+        for i, outcome in zip(order, done):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def _run_cells(config, mode):
@@ -507,8 +519,15 @@ def phase_table(config):
 
     Condition checking is performed where the enumeration budget allows it
     (conditions columns are empty elsewhere). Output is a pure function of
-    (config, master_seed), byte-identical across parallelism settings.
+    (config, master_seed), byte-identical across parallelism settings. A
+    noiseless cell runs K iterations, so it needs K <= min(m, n).
     """
+    for m, n, k, eps in config.cells():
+        if eps == 0.0 and k > min(m, n):
+            raise ValueError(
+                f"cell (m={m}, n={n}, K={k}, epsilon={eps}) needs K <= min(m, n) "
+                "for its K-iteration run"
+            )
     return [
         _aggregate_cell(cell, outcomes, tasks[0].check_conditions)
         for cell, tasks, outcomes in _run_cells(config, "phase")

@@ -130,8 +130,14 @@ def omp_run(A, y, rule, true_support=None):
     Q = np.zeros((m, budget), order="F")
     R = np.zeros((budget, budget))
     qty = np.zeros(budget)
-    r = y.copy()
-    rnorm = float(np.linalg.norm(r))
+    r = y
+    # Norms are sqrt(v . v), numpy's own formula for a 1-D norm, so the bits
+    # match np.linalg.norm without its per-call overhead.
+    rnorm = math.sqrt(float(r @ r))
+    # The rank test compares the smallest and largest |R_ii|, the new rho
+    # included; R's diagonal is the accepted rhos, so their extremes suffice.
+    rho_min = math.inf
+    rho_max = 0.0
 
     k = 0
     while True:
@@ -141,7 +147,8 @@ def omp_run(A, y, rule, true_support=None):
         if k == budget:
             stopped_by = STOPPED_BUDGET
             break
-        corr = np.abs(A.T @ r)
+        corr = A.T @ r
+        np.abs(corr, out=corr)
         # the refit makes selected correlations zero anyway; masking guards
         # against float noise and bars reselection even when all remaining
         # correlations are exactly zero
@@ -150,21 +157,23 @@ def omp_run(A, y, rule, true_support=None):
         winning = float(corr[j])
 
         col = A[:, j]
-        w = Q[:, :k].T @ col
-        u = col - Q[:, :k] @ w
-        w2 = Q[:, :k].T @ u  # one reorthogonalization pass
-        u = u - Q[:, :k] @ w2
-        rho = float(np.linalg.norm(u))
-        diag = np.append(np.abs(np.diag(R[:k, :k])), rho)
-        if rho == 0.0 or diag.min() <= DEFAULT_RANK_TOL * diag.max():
+        Qk = Q[:, :k]
+        w = Qk.T @ col
+        u = col - Qk @ w
+        w2 = Qk.T @ u  # one reorthogonalization pass
+        u -= Qk @ w2
+        rho = math.sqrt(float(u @ u))
+        lo, hi = min(rho_min, rho), max(rho_max, rho)
+        if rho == 0.0 or lo <= DEFAULT_RANK_TOL * hi:
             stopped_by = STOPPED_RANK_FAILURE
             break
+        rho_min, rho_max = lo, hi
         Q[:, k] = u / rho
         R[:k, k] = w + w2
         R[k, k] = rho
         qty[k] = float(Q[:, k] @ y)
         r = y - Q[:, : k + 1] @ qty[: k + 1]
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(float(r @ r))
 
         chosen.append(j)
         selected[j] = True

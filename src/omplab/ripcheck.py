@@ -141,9 +141,12 @@ def _subsets(n, k):
 
 def _pair_squares(G):
     """P[i, j] = |G_ji - I_ji|**2, doubled off the diagonal, for i <= j: the
-    terms of ||M_S - I||_F**2, M_S the lower triangle of G_S mirrored."""
-    P = 2.0 * np.square(G.T, order="C")
-    np.fill_diagonal(P, np.square(G.diagonal() - 1.0))
+    terms of ||M_S - I||_F**2, M_S the lower triangle of G_S mirrored. A
+    Gram entry above about 1e154 squares to +inf, a bound that prunes
+    nothing, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        P = 2.0 * np.square(G.T, order="C")
+        np.fill_diagonal(P, np.square(G.diagonal() - 1.0))
     return P
 
 

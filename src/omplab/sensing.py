@@ -173,17 +173,21 @@ def gaussian_sensing_matrix(m, n, seed, normalize_columns=True):
     With 1/m variance the raw columns concentrate near unit norm, which keeps
     restricted-isometry constants in a useful range at desk scale. With
     ``normalize_columns`` every column is rescaled to exact unit length.
+
+    The draw is scaled in place in C order, where the column norms' summation
+    order is fixed; one transposing copy makes the Fortran-ordered result.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     rng = philox_generator(seed)
-    A = rng.standard_normal((m, n)) / math.sqrt(m)
+    A = rng.standard_normal((m, n))
+    A /= math.sqrt(m)
     if normalize_columns:
         norms = np.linalg.norm(A, axis=0)
         if np.any(norms == 0.0):
             raise ArithmeticError("drew a zero column; reseed")
-        A = A / norms
-    return as_matrix(A)
+        A /= norms
+    return np.asfortranarray(A)
 
 
 def lemma1_example_instance(delta):

@@ -5,16 +5,23 @@ eigenvalue extremes come from inertia-count bisection (Sturm style, via LDL
 pivot signs) instead of LAPACK's eigensolver; the RIC oracle loops subsets
 and builds each Gram entry by an explicit column dot product; the solver
 oracle refits from scratch with lstsq every iteration instead of updating a
-factorization. The one exception is ``ric_unpruned``, a bit-identity
-reference rather than an independent route: it is the exhaustive RIC loop
-without eigensolve pruning.
+factorization. Two exceptions are bit-identity references rather than
+independent routes: ``ric_unpruned`` is the exhaustive RIC loop without
+eigensolve pruning, and ``omp_run_numpy_loop`` is the solver loop written with
+numpy's norm and an explicit rank test on the diagonal of R.
 """
 
 import itertools
 
 import numpy as np
 
-from omplab.linalg import as_matrix
+from omplab.linalg import DEFAULT_RANK_TOL, as_matrix, as_vector
+from omplab.omp import (
+    STOP_MAX_ITERATIONS,
+    OmpIterationRecord,
+    OmpResult,
+)
+from omplab.sensing import SparseSignal
 
 
 class _ZeroPivot(Exception):
@@ -139,6 +146,79 @@ def omp_reference(A, y, max_iter=None, eps=None):
         if eps is not None and norms[-1] <= eps:
             break
     return sel, sol, norms
+
+
+def omp_run_numpy_loop(A, y, rule, true_support=None):
+    """``omp_run`` with np.linalg.norm for every norm and the rank test read
+    off np.diag(R) each iteration; the package loop must match it bit for
+    bit (same trace, same estimate, same stop cause)."""
+    A = as_matrix(A)
+    y = as_vector(y, "y")
+    m, n = A.shape
+    budget = min(m, n)
+    if rule.kind == STOP_MAX_ITERATIONS and rule.k > budget:
+        raise ValueError("max_iterations exceeds min(rows, cols)")
+    truth = None
+    if true_support is not None:
+        truth = set(int(i) for i in np.asarray(true_support).reshape(-1))
+    chosen = []
+    records = []
+    selected = np.zeros(n, dtype=bool)
+    Q = np.zeros((m, budget), order="F")
+    R = np.zeros((budget, budget))
+    qty = np.zeros(budget)
+    r = y.copy()
+    rnorm = float(np.linalg.norm(r))
+    k = 0
+    while True:
+        if rule.met(k, rnorm):
+            stopped_by = "rule_met"
+            break
+        if k == budget:
+            stopped_by = "budget_exhausted"
+            break
+        corr = np.abs(A.T @ r)
+        corr[selected] = -1.0
+        j = int(np.argmax(corr))
+        winning = float(corr[j])
+        col = A[:, j]
+        w = Q[:, :k].T @ col
+        u = col - Q[:, :k] @ w
+        w2 = Q[:, :k].T @ u
+        u = u - Q[:, :k] @ w2
+        rho = float(np.linalg.norm(u))
+        diag = np.append(np.abs(np.diag(R[:k, :k])), rho)
+        if rho == 0.0 or diag.min() <= DEFAULT_RANK_TOL * diag.max():
+            stopped_by = "rank_failure"
+            break
+        Q[:, k] = u / rho
+        R[:k, k] = w + w2
+        R[k, k] = rho
+        qty[k] = float(Q[:, k] @ y)
+        r = y - Q[:, : k + 1] @ qty[: k + 1]
+        rnorm = float(np.linalg.norm(r))
+        chosen.append(j)
+        selected[j] = True
+        k += 1
+        records.append(OmpIterationRecord(
+            iteration=k, selected_index=j, correlation=winning,
+            residual_norm=rnorm,
+            in_true_support=None if truth is None else (j in truth),
+        ))
+    if k:
+        beta = np.linalg.solve(R[:k, :k], qty[:k])
+        order = np.argsort(chosen)
+        support = np.asarray(chosen, dtype=np.intp)[order]
+        values = np.asarray(beta)[order]
+        nonzero = values != 0.0
+        estimate = SparseSignal(
+            dimension=n, support=support[nonzero], values=values[nonzero]
+        )
+    else:
+        support = np.zeros(0, dtype=np.intp)
+        estimate = SparseSignal(dimension=n, support=[], values=[])
+    return OmpResult(recovered_support=support, estimate=estimate,
+                     trace=tuple(records), stopped_by=stopped_by)
 
 
 def best_support_exhaustive(A, y, k):

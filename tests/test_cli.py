@@ -188,6 +188,29 @@ def test_cli_non_finite_config_exit_code(workspace, capsys):
         assert not out.exists()
 
 
+def test_cli_phase_rejects_noiseless_cell_with_k_above_min_mn(
+    workspace, capsys, monkeypatch
+):
+    # a noiseless cell runs K iterations, which needs K <= min(m, n); the run
+    # is refused before any trial, naming the cell
+    ran = []
+    monkeypatch.setattr(experiments, "_run_trial", ran.append)
+    cfg = workspace["dir"] / "deep.cfg"
+    cfg.write_text("m = 8\nn = 30\nk = 2, 12\nepsilon = 0.05, 0\ntrials = 2\n")
+    out = workspace["dir"] / "out.csv"
+    assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cell (m=8, n=30, K=12, epsilon=0.0)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert ran == []
+    # noisy cells stop on the residual, so the same K is accepted there
+    monkeypatch.undo()
+    cfg.write_text("m = 8\nn = 30\nk = 12\nepsilon = 0.05\ntrials = 2\n")
+    assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_cli_nan_eps_exit_code(workspace, capsys):
     A, x, y = (str(workspace[key]) for key in ("A", "x", "y"))
     for eps in ("nan", "inf"):

@@ -148,12 +148,63 @@ def test_theorem1_lemma1_family_nonvacuous():
         assert row.exact_support_rate == 1.0
 
 
+def _mixed_size_config(**overrides):
+    """Cells that differ in m*n and in K, so largest-first dispatch reorders
+    the trials across cells."""
+    return _small_config(
+        m_values=(10, 16), n_values=(14, 24), k_values=(1, 3), trials=4,
+        **overrides,
+    )
+
+
 def test_phase_table_and_determinism_across_parallelism():
-    cfg = _small_config(trials=8)
+    for cfg in (_small_config(trials=8), _mixed_size_config()):
+        serial = rows_csv_text(phase_table(cfg))
+        parallel = rows_csv_text(phase_table(replace(cfg, parallelism=2)))
+        assert serial == parallel
+        assert serial.splitlines()[0] == EXPERIMENT_CSV_HEADER
+
+
+def test_pool_receives_largest_trials_first(monkeypatch):
+    received = []
+
+    class SerialPool:
+        """Stands in for the process pool: records the task order and chunk
+        size, runs in-process."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            received.append((list(tasks), chunksize))
+            return map(fn, received[-1][0])
+
+    cfg = _mixed_size_config()
     serial = rows_csv_text(phase_table(cfg))
-    parallel = rows_csv_text(phase_table(replace(cfg, parallelism=2)))
-    assert serial == parallel
-    assert serial.splitlines()[0] == EXPERIMENT_CSV_HEADER
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    assert rows_csv_text(phase_table(replace(cfg, parallelism=2))) == serial
+    [(tasks, chunksize)] = received
+    assert chunksize == len(tasks) // 32
+    # largest m*n first, then largest K; equal sizes keep trial order
+    expected = [
+        (m * n, k, (cfg.master_seed ^ splitmix64(ci * cfg.trials + j)) & MASK64)
+        for ci, (m, n, k, _) in enumerate(cfg.cells())
+        for j in range(cfg.trials)
+    ]
+    expected.sort(key=lambda e: e[:2], reverse=True)
+    assert [(t.m * t.n, t.k, t.trial_seed) for t in tasks] == expected
+    assert expected[0][:2] == (16 * 24, 3) and expected[-1][:2] == (10 * 14, 1)
+    rows = [line.split(",")[:4] for line in serial.splitlines()[1:]]
+    assert [tuple(map(float, r)) for r in rows] == [
+        tuple(map(float, c)) for c in cfg.cells()
+    ]
 
 
 def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):

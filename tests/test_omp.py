@@ -11,6 +11,7 @@ from omplab import (
     generate_measurement,
     lemma1_example_instance,
     min_magnitude_bound,
+    omp_result_json,
     omp_run,
     projection_residual,
     random_sparse_signal,
@@ -20,7 +21,7 @@ from omplab import (
     trace_csv_text,
 )
 
-from _oracles import best_support_exhaustive, omp_reference
+from _oracles import best_support_exhaustive, omp_reference, omp_run_numpy_loop
 
 
 def _conditioned_instance(seed, m=64, n=16, K=2, eps=0.05):
@@ -100,6 +101,31 @@ def test_matches_reference_implementation():
         ref = np.zeros(30)
         ref[sel] = sol
         assert np.allclose(dense, ref, atol=1e-9)
+
+
+def test_loop_matches_numpy_loop_bit_for_bit():
+    """Trace CSV and result JSON equal the numpy-norm loop's byte for byte,
+    across residual stops, budget exhaustion and rank failures."""
+    rng = np.random.default_rng(13)
+    causes = set()
+    for trial in range(60):
+        m = int(rng.integers(3, 40))
+        n = int(rng.integers(2, 60))
+        A = np.array(gaussian_sensing_matrix(m, n, seed=500 + trial))
+        if n >= 3 and trial % 3 == 0:
+            A[:, n - 1] = A[:, 0]  # a duplicated column
+        K = int(rng.integers(1, min(m, n) + 1))
+        x = random_sparse_signal(n, K, 0.5, 4.0, seed=600 + trial)
+        y = A @ x.to_dense() + 0.01 * rng.standard_normal(m)
+        truth = x.support if trial % 2 else None
+        rules = [StopRule.residual_at_most(eps) for eps in (0.0, 0.01, 0.5)]
+        for rule in rules + [StopRule.max_iterations(K)]:
+            got = omp_run(A, y, rule, true_support=truth)
+            want = omp_run_numpy_loop(A, y, rule, true_support=truth)
+            assert trace_csv_text(got) == trace_csv_text(want)
+            assert omp_result_json(got) == omp_result_json(want)
+            causes.add(got.stopped_by)
+    assert causes == {"rule_met", "budget_exhausted", "rank_failure"}
 
 
 def test_residual_rule_matches_reference():

@@ -313,6 +313,19 @@ def test_exact_ric_rejects_overflowing_gram():
             exact_ric(M, K)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_exact_ric_huge_finite_gram_matches_unpruned(order):
+    # Gram entries near 1e160 square past the float maximum, so the pruning
+    # bound is +inf and prunes nothing; the warning filter fails the test on
+    # any overflow report
+    A = np.array(gaussian_sensing_matrix(12, 70, seed=3))
+    A[:, 3] *= 1e80
+    delta, witness, lo, hi = ric_unpruned(A, order)
+    r = exact_ric(A, order)
+    assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
+    assert np.array_equal(r.witness_subset, witness)
+
+
 def test_ric_monotone_in_order():
     for seed in range(6):
         A = gaussian_sensing_matrix(12, 14, seed=seed)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from omplab import (
     load_problem_instance,
     noise_vector,
     parse_signal,
+    philox_generator,
     random_sparse_signal,
     save_problem_instance,
     splitmix64,
@@ -94,6 +97,22 @@ def test_gaussian_matrix_determinism():
     assert np.array_equal(A, B)
     C = gaussian_sensing_matrix(8, 13, seed=22)
     assert not np.array_equal(A, C)
+
+
+@pytest.mark.parametrize("shape", [(12, 70), (128, 14), (9, 1), (1, 5), (40, 40)])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_gaussian_matrix_matches_two_step_draw(shape, normalize):
+    """Scaling and normalizing the draw in place equals doing it with a new
+    array per step, byte for byte, and the result is Fortran-ordered."""
+    m, n = shape
+    seed = 1000 + m * n
+    expected = philox_generator(seed).standard_normal((m, n)) / math.sqrt(m)
+    if normalize:
+        expected = expected / np.linalg.norm(expected, axis=0)
+    expected = np.asfortranarray(expected)
+    A = gaussian_sensing_matrix(m, n, seed, normalize_columns=normalize)
+    assert A.flags.f_contiguous
+    assert A.tobytes() == expected.tobytes()
 
 
 def test_gaussian_matrix_sample_statistics():
