@@ -32,10 +32,10 @@ from .omp import GuaranteeViolation, StopRule, omp_run, write_trace_csv
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
     CapacityError,
+    _lemma1_sides,
     exact_ric,
     min_magnitude_bound,
     sharp_ric_bound,
-    verify_lemma1,
 )
 from .sensing import (
     MASK64,
@@ -719,9 +719,9 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
     ||A_S^T w||^2 <= (1 + delta_k) ||w||^2; a random coefficient vector
     checks the projected-energy sandwich (1 - delta) ||u||^2 <=
     ||P A_{S2 minus S1} u||^2 <= (1 + delta) ||u||^2; and every proper subset
-    of the support feeds the selection inequality whenever the order-(K+1)
-    RIC is below 1 (it makes no claim otherwise; such instances are counted
-    as skipped). Any violation serializes the instance and raises.
+    of the support feeds one batched check of the selection inequality when
+    the order-(K+1) RIC is below 1 (else it claims nothing; the instance
+    counts as skipped). Any violation serializes the instance and raises.
     """
     if instances < 1:
         raise ValueError("instances must be positive")
@@ -772,36 +772,35 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
 
         # projected energy sandwich; alternate S1 inside and outside support
         if i % 2 == 0 and K >= 2:
-            s1 = signal.support[: K // 2]
+            s1, rest = signal.support[: K // 2], signal.support[K // 2 :]
             union_order = K
         else:
-            comp = np.setdiff1d(np.arange(A.shape[1]), signal.support)
-            s1 = comp[:1]
+            off = np.ones(A.shape[1], dtype=bool)
+            off[signal.support] = False
+            s1, rest = off.nonzero()[0][:1], signal.support
             union_order = K + 1
-        rest = np.setdiff1d(signal.support, s1)
-        if rest.size:
-            u = rng.standard_normal(rest.size)
-            z = projection_residual(A[:, s1], A[:, rest] @ u)
-            energy = float(z @ z)
-            d_union = deltas[union_order - 1]
-            uu = float(u @ u)
-            low_margin = energy - (1.0 - d_union) * uu
-            high_margin = (1.0 + d_union) * uu - energy
-            margin4 = min(low_margin, high_margin)
-            margins[4] = min(margins[4], margin4)
-            if margin4 < -1e-9:
-                violations.append((i, "lemma4", margin4))
+        u = rng.standard_normal(rest.size)
+        z = projection_residual(A[:, s1], A[:, rest] @ u)
+        energy = float(z @ z)
+        d_union = deltas[union_order - 1]
+        uu = float(u @ u)
+        low_margin = energy - (1.0 - d_union) * uu
+        high_margin = (1.0 + d_union) * uu - energy
+        margin4 = min(low_margin, high_margin)
+        margins[4] = min(margins[4], margin4)
+        if margin4 < -1e-9:
+            violations.append((i, "lemma4", margin4))
 
-        # selection inequality over every proper subset of the support
+        # selection inequality, one row per proper subset of the support
         if deltas[K] < 1.0:
-            for size in range(0, K):
-                for S in itertools.combinations(signal.support.tolist(), size):
-                    check = verify_lemma1(A, signal, S, delta_k1=deltas[K])
-                    lemma1_checks += 1
-                    margin = check.lhs - check.rhs
-                    margins[1] = min(margins[1], margin)
-                    if not check.holds:
-                        violations.append((i, "lemma1", margin))
+            in_S = np.array([[j in S for j in range(K)] for size in range(K)
+                             for S in itertools.combinations(range(K), size)])
+            lhs, rhs, holds = _lemma1_sides(A, signal.support, signal.values,
+                                            deltas[K], in_S)
+            margin = (lhs - rhs).tolist()
+            lemma1_checks += len(margin)
+            margins[1] = min(margins[1], *margin)
+            violations += [(i, "lemma1", d) for d, ok in zip(margin, holds) if not ok]
         else:
             lemma1_skipped += 1
 

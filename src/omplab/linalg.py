@@ -91,21 +91,23 @@ def least_squares(A_S, y):
 
 def _least_squares(A_S, y):
     """:func:`least_squares` on an ``A_S`` and ``y`` already validated by
-    ``as_matrix`` and ``as_vector``."""
-    m, k = A_S.shape
-    if m != y.size:
-        raise ValueError(f"shape mismatch: matrix has {m} rows, y has {y.size}")
+    ``as_matrix`` and ``as_vector``, or on stacks of them, (c, m, k) and
+    (c, m): c minimizers, bit for bit as if each were solved alone."""
+    m, k = A_S.shape[-2:]
+    if m != y.shape[-1]:
+        raise ValueError(f"shape mismatch: matrix has {m} rows, y has {y.shape[-1]}")
     if k == 0:
-        return np.zeros(0)
+        return np.zeros(y.shape[:-1] + (0,))
     if k > m:
         raise ValueError(f"system has more columns ({k}) than rows ({m})")
     Q, R = np.linalg.qr(A_S)
-    diag = np.abs(np.diag(R))
-    largest = float(diag.max())
-    worst = int(np.argmin(diag))
-    if largest == 0.0 or diag[worst] <= DEFAULT_RANK_TOL * largest:
-        raise SingularSystemError(worst, diag[worst], largest)
-    return np.linalg.solve(R, Q.T @ y)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).reshape(-1, k)
+    largest = diag.max(axis=1)
+    bad = (largest == 0.0) | (diag.min(axis=1) <= DEFAULT_RANK_TOL * largest)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularSystemError(np.argmin(diag[i]), diag[i].min(), largest[i])
+    return np.linalg.solve(R, Q.swapaxes(-1, -2) @ y[..., None])[..., 0]
 
 
 def projection_residual(A_S, y):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_epsilon, as_matrix, projection_residual
+from .linalg import _least_squares, as_epsilon, as_matrix
 
 #: Hard ceiling on the number of subsets exact_ric will enumerate.
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -174,14 +174,10 @@ def _table_squares(P, table):
 def _bounded_blocks(G, K, count):
     """Yield (prefix, tails, bounds): the K-subsets (*prefix, *tail) of
     range(n) in lexicographic order and their bounds b_S (see exact_ric).
-    Within ``_ENTRY_LIMIT``, one cached block (bounds +inf up to
-    ``_UNBOUNDED`` rows); beyond it, one per prefix of the shortest length L
-    whose tails, the (K - L)-subsets of range(L, n), fit: built uncached, so
-    memory stays bounded whatever K is."""
+    Within ``_ENTRY_LIMIT``, one cached block; beyond it, one per prefix of
+    the shortest length L whose tails, the (K - L)-subsets of range(L, n),
+    fit: built uncached, so memory stays bounded whatever K is."""
     n = len(G)
-    if count <= _UNBOUNDED and count * K <= _ENTRY_LIMIT:  # all eigensolved
-        yield np.empty(0, dtype=np.intp), _cached_subsets(n, K), np.full(count, np.inf)
-        return
     offset, spread = np.abs(G.diagonal() - 1.0).max(), math.sqrt((K - 1) / K)
 
     def bounds(squares):  # at K = 1, F_S is delta_S itself, and may be +inf
@@ -226,10 +222,10 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     over pairs of elements, so a subset (f, *tail) adds K terms of
     ``_pair_squares`` row f to its tail's (``_bounded_blocks``). An
     enumeration of at most ``_UNBOUNDED`` subsets is eigensolved whole,
-    unbounded. Otherwise, per block, the ``_LEAD`` largest bounds are
-    eigensolved first (batched LAPACK ``eigvalsh`` calls on at most
-    ``_ENTRY_LIMIT`` Gram entries each), which sets the incumbent: the
-    largest delta found so far, carried across blocks. The other subsets are
+    unbounded, in one call. Otherwise, per block, the ``_LEAD`` largest bounds
+    are eigensolved first (batched LAPACK ``eigvalsh`` calls on at most
+    ``_ENTRY_LIMIT`` Gram entries each), which sets the incumbent: the largest
+    delta found so far, carried across blocks. The other subsets are
     eigensolved only if b_S + g_S >= incumbent, with the rounding guard
     g_S = c K u (1 + b_S), c = ``_GUARD_C`` = 64 and u = 2**-53. Each subset
     is eigensolved at most once.
@@ -279,21 +275,26 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
         G = A.T @ A
     if not np.isfinite(G).all():
         raise ValueError("A^T A overflows: the Gram matrix has non-finite entries")
+    if count <= _UNBOUNDED:  # one gather of one Gram or < 64 * 63**2 entries
+        table = _cached_subsets(n, K)
+        w = np.linalg.eigvalsh(G[table[:, :, None], table[:, None, :]])
+        deltas = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+        i = int(np.argmax(deltas))  # the smallest row of the largest delta
+        return RicReport(int(K), float(deltas[i]), table[i].copy(), float(w[i, 0]),
+                         float(w[i, -1]), count, count)
     guard = _GUARD_C * K * np.finfo(float).eps / 2
     best_delta = -math.inf
-    best_subset = None
-    best_lo = best_hi = None
+    best_subset = best_lo = best_hi = None
     solved = 0
     batch = max(1, _ENTRY_LIMIT // (K * K))  # Grams gathered at once
-    lead = _LEAD if count > _UNBOUNDED else count
     for prefix, tails, bound in _bounded_blocks(G, K, count):
         reach = bound + guard * (1.0 + bound)
         todo = reach >= best_delta
         rows = todo.nonzero()[0]
         if not rows.size:
             continue
-        if rows.size > lead:
-            rows = rows[np.argpartition(bound[rows], -lead)[-lead:]]
+        if rows.size > _LEAD:
+            rows = rows[np.argpartition(bound[rows], -_LEAD)[-_LEAD:]]
         deltas = np.full(len(tails), -np.inf)
         lo, hi = np.empty((2, len(tails)))
         while rows.size:
@@ -391,8 +392,8 @@ def verify_lemma1(A, signal, S, delta_k1=None):
             >=  (1 - sqrt(r + 1) * delta_{K+1}) * || x_{Omega\\S} || / sqrt(r)
 
     where r = |Omega| - |S| and delta_{K+1} is the exact RIC at order
-    |Omega| + 1 (computed here unless supplied by the caller). The check is
-    numerical only; no tightness claim is made.
+    |Omega| + 1 (computed here unless the caller supplies it, finite and
+    non-negative). The check is numerical only; no tightness claim is made.
 
     Returns:
         Lemma1Check(lhs, rhs, holds) with holds = (lhs >= rhs - 1e-10).
@@ -412,26 +413,39 @@ def verify_lemma1(A, signal, S, delta_k1=None):
         raise ValueError("S must be a subset of the signal support")
     if S.size >= omega.size:
         raise ValueError("S must be a proper subset of the support")
-    rest_mask = np.ones(omega.size, dtype=bool)
-    rest_mask[pos] = False
-    rest = omega[rest_mask]
-    x_rest = signal.values[rest_mask]
     if delta_k1 is None:
         if omega.size + 1 > A.shape[1]:
             raise ValueError("need |support|+1 <= columns to compute the RIC")
         delta_k1 = exact_ric(A, omega.size + 1).delta
-    A_rest = A[:, rest]
-    p = projection_residual(A[:, S], A_rest @ x_rest)
-    lhs_in = float(np.abs(A_rest.T @ p).max())
-    lhs_out = float(np.abs(np.delete(A, omega, axis=1).T @ p).max(initial=0.0))
-    lhs = lhs_in - lhs_out
-    r = omega.size - S.size
-    rhs = (
-        (1.0 - math.sqrt(r + 1.0) * delta_k1)
-        * float(np.linalg.norm(x_rest))
-        / math.sqrt(r)
-    )
-    return Lemma1Check(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-10))
+    elif not (0 <= delta_k1 < math.inf):
+        raise ValueError("delta_k1 must be non-negative and finite")
+    in_S = (np.arange(omega.size) == pos[:, None]).any(axis=0, keepdims=True)
+    lhs, rhs, holds = _lemma1_sides(A, omega, signal.values, delta_k1, in_S)
+    return Lemma1Check(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
+
+
+def _lemma1_sides(A, omega, x, delta_k1, in_S):
+    """lhs, rhs and holds of :func:`verify_lemma1` for each row S of the
+    (c, K) mask ``in_S`` of the support ``omega`` (sorted, values ``x``) of a
+    validated A, each bit for bit as if checked alone. Each size of S is one
+    stack of QR solves, in ascending order, so a rank-deficient A_S raises
+    for the first such row when rows come sorted by size."""
+    rest = ~in_S
+    x_rest = x * rest
+    A_omega = A[:, omega]
+    P = (A_omega @ x_rest[:, :, None])[:, :, 0]  # row j: z, then P z
+    sizes = in_S.sum(axis=1)
+    for s in np.unique(sizes[sizes > 0]):
+        rows = sizes == s
+        A_S = A_omega[:, in_S[rows].nonzero()[1].reshape(-1, s)].transpose(1, 0, 2)
+        P[rows] -= (A_S @ _least_squares(A_S, P[rows])[:, :, None])[:, :, 0]
+    C = np.abs(A.T @ P[:, :, None])[:, :, 0]
+    lhs = C[:, omega].max(axis=1, where=rest, initial=0.0)
+    lhs -= np.delete(C, omega, axis=1).max(axis=1, initial=0.0)
+    r = rest.sum(axis=1)
+    x_norm = np.sqrt(np.square(x_rest).sum(axis=1))
+    rhs = (1.0 - np.sqrt(r + 1.0) * delta_k1) * x_norm / np.sqrt(r)
+    return lhs, rhs, lhs >= rhs - 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from omplab import (
 )
 from omplab.experiments import EXPERIMENT_CSV_HEADER
 from omplab.omp import STOP_RESIDUAL
-from omplab.ripcheck import Lemma1Check
 from omplab.sensing import MASK64, load_problem_instance
 
 
@@ -392,10 +391,30 @@ def test_lemma_sweep_report():
         lemma_sweep(1, 0)
 
 
-def test_lemma_sweep_violation_serializes_instance(monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        experiments, "verify_lemma1", lambda *a, **k: Lemma1Check(-1.0, 0.0, False)
+def test_lemma_sweep_golden():
+    # pinned from the per-subset implementation (one verify_lemma1 call per
+    # subset, every RIC enumeration bounded); the batched one must match it
+    assert repr(lemma_sweep(1, 150)) == (
+        "LemmaSweepReport(instances=150, lemma1_checks=510, lemma1_skipped=0, "
+        "min_margin_lemma1=0.0, min_margin_lemma2=0.0, "
+        "min_margin_lemma3=0.10783272438031133, "
+        "min_margin_lemma4=-1.1102230246251565e-16, violations=0)"
     )
+    assert repr(lemma_sweep(3, 150)) == (
+        "LemmaSweepReport(instances=150, lemma1_checks=510, lemma1_skipped=0, "
+        "min_margin_lemma1=0.0, min_margin_lemma2=0.0, "
+        "min_margin_lemma3=0.043299797091066274, "
+        "min_margin_lemma4=-4.440892098500626e-16, violations=0)"
+    )
+
+
+def test_lemma_sweep_violation_serializes_instance(monkeypatch, tmp_path):
+    def one_failing_row(A, omega, x, delta_k1, in_S):
+        lhs, rhs = np.zeros(len(in_S)), np.zeros(len(in_S))
+        lhs[-1] = -1.0
+        return lhs, rhs, lhs >= rhs - 1e-10
+
+    monkeypatch.setattr(experiments, "_lemma1_sides", one_failing_row)
     with pytest.raises(GuaranteeViolation, match="instance_0"):
         lemma_sweep(7, 5, failure_dir=tmp_path)
     assert [d.name for d in tmp_path.iterdir()] == ["instance_0"]

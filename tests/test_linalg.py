@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from omplab import linalg
 from omplab import (
     SingularSystemError,
     as_epsilon,
@@ -56,6 +57,30 @@ def test_least_squares_rank_error_carries_index():
     with pytest.raises(SingularSystemError) as err:
         least_squares(A, np.ones(3))
     assert err.value.diagonal_index == 1
+
+
+def test_stacked_least_squares_solves_each_system_alone():
+    # a stack of systems gives each system's minimizer bit for bit, and a
+    # rank-deficient stack raises for its first rank-deficient system
+    rng = np.random.default_rng(13)
+    for m, k in ((1, 1), (5, 1), (12, 3), (40, 4)):
+        A = rng.standard_normal((6, m, k))
+        y = rng.standard_normal((6, m))
+        stacked = linalg._least_squares(A, y)
+        assert stacked.shape == (6, k)
+        for i in range(6):
+            assert np.array_equal(stacked[i], least_squares(A[i], y[i]))
+    A = rng.standard_normal((5, 8, 3))
+    A[2, :, 2] = A[2, :, 0]
+    A[4, :, 1] = 3.0 * A[4, :, 0]
+    with pytest.raises(SingularSystemError) as stacked:
+        linalg._least_squares(A, np.ones((5, 8)))
+    with pytest.raises(SingularSystemError) as alone:
+        least_squares(A[2], np.ones(8))
+    fields = ("diagonal_index", "diagonal_value", "largest_diagonal")
+    assert [getattr(stacked.value, f) for f in fields] == [
+        getattr(alone.value, f) for f in fields]
+    assert linalg._least_squares(np.ones((3, 4, 0)), np.ones((3, 4))).shape == (3, 0)
 
 
 def test_least_squares_shape_errors():

@@ -1,6 +1,7 @@
 """Property tests for omp_run on random Gaussian problems under either rule,
 for exact_ric against the unpruned reference on tie-heavy matrices, and for
-verify_lemma1 against an explicit oracle.
+verify_lemma1 and the batched selection-inequality kernel behind it against
+an explicit oracle.
 
 Hypothesis runs derandomized and without an example database, so the suite
 stays deterministic. It still caches the constants it reads from source
@@ -12,12 +13,15 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omplab import (
+    SingularSystemError,
     SparseSignal,
     StopRule,
+    as_matrix,
     exact_ric,
     omp_run,
     ripcheck,
@@ -218,3 +222,62 @@ def test_verify_lemma1_matches_oracle(case):
             assert abs(check.lhs - lhs) <= 1e-9 * scale
             assert abs(check.rhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
             assert check.holds == (check.lhs >= check.rhs - 1e-10)
+
+
+def _proper_subsets(K):
+    """The proper subsets of range(K) by size, each size in combinations
+    order, and their (c, K) membership mask."""
+    subsets = [S for size in range(K) for S in itertools.combinations(range(K), size)]
+    return subsets, np.array([[j in S for j in range(K)] for S in subsets])
+
+
+@_SETTINGS
+@given(_lemma1_cases())
+def test_lemma1_kernel_matches_oracle_on_every_subset(case):
+    # one kernel call on all 2**K - 1 proper subsets; full-column supports,
+    # with no off-support column, are among the cases
+    A, signal, delta_k1 = case
+    if delta_k1 is None:
+        delta_k1 = exact_ric(A, signal.sparsity + 1).delta
+    omega = signal.support
+    subsets, in_S = _proper_subsets(len(omega))
+    lhs, rhs, holds = ripcheck._lemma1_sides(as_matrix(A), omega, signal.values,
+                                             delta_k1, in_S)
+    assert lhs.shape == rhs.shape == holds.shape == (len(subsets),)
+    scale = np.linalg.norm(A) ** 2 * np.linalg.norm(signal.values)
+    for row, S in enumerate(subsets):
+        chosen = omega[list(S)].tolist()
+        want_lhs, want_rhs = _lemma1_oracle(A, signal, chosen, delta_k1)
+        assert abs(lhs[row] - want_lhs) <= 1e-9 * scale
+        assert abs(rhs[row] - want_rhs) <= 1e-12 * max(1.0, abs(want_rhs))
+        assert holds[row] == (lhs[row] >= rhs[row] - 1e-10)
+        # a row does not depend on the rows beside it
+        check = verify_lemma1(A, signal, chosen, delta_k1=delta_k1)
+        assert (check.lhs, check.rhs, check.holds) == (lhs[row], rhs[row], holds[row])
+
+
+@_SETTINGS
+@given(_lemma1_cases())
+def test_lemma1_repeated_support_column_is_singular(case):
+    # the first two support columns made equal, and the last two too at
+    # K = 4: the first subset holding the first pair is the first rank
+    # deficient one, and both entry points raise for it alike
+    A, signal, delta_k1 = case
+    assume(signal.sparsity >= 3)
+    A = A.copy()
+    first, second = signal.support[:2]
+    A[:, second] = A[:, first]
+    if signal.sparsity == 4:
+        A[:, signal.support[3]] = 2.0 * A[:, signal.support[2]]
+    delta_k1 = 0.1 if delta_k1 is None else delta_k1
+    with pytest.raises(SingularSystemError) as single:
+        verify_lemma1(A, signal, [first, second], delta_k1=delta_k1)
+    with pytest.raises(SingularSystemError) as batched:
+        ripcheck._lemma1_sides(as_matrix(A), signal.support, signal.values,
+                               delta_k1, _proper_subsets(signal.sparsity)[1])
+    for err in (single.value, batched.value):
+        assert err.diagonal_value <= 1e-10 * err.largest_diagonal
+    assert (single.value.diagonal_index, single.value.diagonal_value,
+            single.value.largest_diagonal) == (
+        batched.value.diagonal_index, batched.value.diagonal_value,
+        batched.value.largest_diagonal)

@@ -75,9 +75,11 @@ def test_exact_ric_tie_break_lexicographic():
 
 def test_exact_ric_streamed_matches_cached(monkeypatch):
     # the identity makes every subset tie, across block boundaries too; entry
-    # limits of 0, 10 and 110 stream C(12, 3) by prefixes of length 3, 2 and 1
+    # limits of 0, 10 and 110 stream C(12, 3) by prefixes of length 3, 2 and 1.
+    # C(6, 2) is short enough to be eigensolved whole unless bounding is forced.
     cases = [(gaussian_sensing_matrix(8, 12, seed=7), 3), (np.eye(6), 2)]
     cached = [exact_ric(A, K) for A, K in cases]
+    monkeypatch.setattr(ripcheck, "_UNBOUNDED", 0)
     for limit in (0, 10, 110):
         monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
         for (A, K), ref in zip(cases, cached):
@@ -278,8 +280,9 @@ def test_exact_ric_eigensolves_few_on_a_tall_unit_norm_design():
 
 
 def test_short_enumerations_are_eigensolved_whole():
-    # up to 64 subsets are eigensolved without bounds (lemma_sweep's calls on
-    # 18, 28 and 56 subsets among them); 65 are bounded
+    # up to 64 subsets are gathered and eigensolved in one call, without
+    # bounds (lemma_sweep's calls on 18, 28 and 56 subsets among them); 65
+    # are bounded and pruned
     for m, n, K in ((12, 18, 1), (8, 8, 2), (8, 8, 3), (12, 64, 1)):
         A = gaussian_sensing_matrix(m, n, seed=1, normalize_columns=False)
         r = exact_ric(A, K)
@@ -287,6 +290,34 @@ def test_short_enumerations_are_eigensolved_whole():
         assert r.subsets_eigensolved == r.subsets_examined
     A = gaussian_sensing_matrix(12, 65, seed=1, normalize_columns=False)
     assert exact_ric(A, 1).subsets_eigensolved < 65
+
+
+def _whole_enumerations():
+    """(A, K) with C(n, K) <= 64, so exact_ric eigensolves them whole: order
+    1 on the lemma_sweep shapes, the identity (every subset ties) at orders
+    1-3, the worked example at orders 1-3, and K = n (one subset)."""
+    for m, n in ((12, 18), (64, 16), (128, 14), (8, 8)):
+        for seed in range(3):
+            yield gaussian_sensing_matrix(m, n, seed=seed), 1
+    for K in (1, 2, 3):
+        yield np.eye(8), K
+        for delta in (0.1, 0.2, 0.3, 0.4, 0.5):
+            yield lemma1_example_instance(delta)[0], K
+    for m, n in ((7, 5), (3, 6), (12, 12)):
+        yield gaussian_sensing_matrix(m, n, seed=4, normalize_columns=False), n
+
+
+def test_whole_enumerations_match_unpruned():
+    for A, K in _whole_enumerations():
+        count = math.comb(A.shape[1], K)
+        assert count <= ripcheck._UNBOUNDED
+        delta, witness, lo, hi = ric_unpruned(A, K)
+        r = exact_ric(A, K)
+        assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
+        assert np.array_equal(r.witness_subset, witness)
+        assert r.subsets_examined == r.subsets_eigensolved == count
+        if np.array_equal(A, np.eye(8)):  # every subset ties
+            assert np.array_equal(r.witness_subset, np.arange(K))
 
 
 def test_exact_ric_budget_and_validation():
@@ -428,6 +459,17 @@ def test_verify_lemma1_validation():
         verify_lemma1(A, x, [2])  # not inside the support
     with pytest.raises(ValueError):
         verify_lemma1(A, x, [0, 1])  # not a proper subset
+
+
+@pytest.mark.parametrize("delta_k1", [math.nan, math.inf, -math.inf, -0.1, -1e-300])
+def test_verify_lemma1_rejects_invalid_delta(delta_k1):
+    # a NaN delta would give rhs = nan and holds = False: a violation
+    # verdict on no evidence
+    A, x, S = lemma1_example_instance(0.2)
+    with pytest.raises(ValueError, match="delta_k1 must be non-negative and finite"):
+        verify_lemma1(A, x, S, delta_k1=delta_k1)
+    verify_lemma1(A, x, S, delta_k1=0.0)  # zero is a valid delta
+    assert verify_lemma1(A, x, S, delta_k1=0.2).holds
 
 
 def test_correlation_energy_bound_lemma3():
