@@ -4,10 +4,13 @@ and the sharpness probe.
 Every experiment is a pure function of (config, master_seed). Trial t draws
 its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical across
-parallelism levels. All trials of a run may execute on one process pool,
-shared by every cell. The pool receives the largest trials first (by m*n,
-then K) so that its workers finish together; results are reduced in trial
-order.
+parallelism levels. A run executes in work units: the trials that check the
+RIC condition, grouped by (n, K + 1) across cells, draw their matrices and
+compute their exact RICs in one batched call per unit; the other trials run
+one at a time in chunks. A serial run executes the units in-process; above
+parallelism 1 one process pool, shared by every cell, receives the same
+units, the largest first (by m*n, then K), so that its workers finish
+together. Results are reduced in trial order.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -23,7 +26,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,6 +37,9 @@ from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
     CapacityError,
     _lemma1_sides,
+    _exact_rics,
+    _gram_rics,
+    _grams,
     exact_ric,
     min_magnitude_bound,
     sharp_ric_bound,
@@ -251,10 +258,13 @@ def _csv_cell(value):
     return str(value)
 
 
+# ExperimentRow's field order is the CSV column order.
+_row_values = attrgetter(*(f.name for f in fields(ExperimentRow)))
+
+
 def rows_csv_text(rows):
-    # ExperimentRow's field order is the CSV column order.
     lines = [EXPERIMENT_CSV_HEADER]
-    lines += (",".join(_csv_cell(v) for v in astuple(r)) for r in rows)
+    lines += (",".join(_csv_cell(v) for v in _row_values(r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -338,17 +348,20 @@ def _build_trial(task, mm_bound):
     return signal, noise
 
 
-def _simulate(task):
+def _simulate(task, A=None, delta=None):
     """Run one trial: (outcome, instance, result, delta).
 
-    ``instance`` and ``result`` are None for a theorem1 trial skipped for
-    failing the RIC precondition; ``delta`` is None when no RIC was computed.
+    ``A`` and ``delta`` are the trial's matrix and its exact RIC when already
+    computed, else drawn and computed here. ``instance`` and ``result`` are
+    None for a theorem1 trial skipped for failing the RIC precondition;
+    ``delta`` is None when no RIC was computed.
     """
-    A = _draw_matrix(task)
-    delta = None
+    if A is None:
+        A = _draw_matrix(task)
     ric_ok = None
     if task.check_conditions:
-        delta = exact_ric(A, task.k + 1, budget=task.config.subset_budget).delta
+        if delta is None:
+            delta = exact_ric(A, task.k + 1, budget=task.config.subset_budget).delta
         ric_ok = delta < sharp_ric_bound(task.k)
     if task.mode == "theorem1" and not ric_ok:
         skipped = _TrialOutcome(
@@ -379,26 +392,60 @@ def _simulate(task):
     return outcome, instance, result, delta
 
 
-def _run_trial(task):
-    """Pool entry point: only the outcome travels back from a worker."""
-    return _simulate(task)[0]
+#: Most bound entries, trials times C(n, K + 1), in one unit's batched RIC.
+#: Larger units run no faster and hold more memory.
+_UNIT_ENTRIES = 2**14
+
+
+def _run_unit(tasks):
+    """Outcomes of one work unit (see _work_units); a pool worker returns
+    only these. RIC-checked trials, which share (n, K + 1), draw their
+    matrices and compute the exact RICs in one batch; other trials draw and
+    solve one at a time."""
+    if not tasks[0].check_conditions:
+        return [_simulate(task)[0] for task in tasks]
+    matrices = [_draw_matrix(task) for task in tasks]
+    reports = _exact_rics(matrices, tasks[0].k + 1, tasks[0].config.subset_budget)
+    return [_simulate(task, A, report.delta)[0]
+            for task, A, report in zip(tasks, matrices, reports)]
+
+
+def _work_units(tasks, workers):
+    """Task index lists, largest first: trials sorted by (m*n, K), the sort
+    stable, so equal sizes keep trial order, and units ordered by their
+    first trial. The RIC-checked trials of one (n, K + 1), across cells, are
+    cut into units of at most ``_UNIT_ENTRIES`` bound entries (one trial at
+    least); the other trials into chunks of len(tasks) // (16 * workers), so
+    no worker is left alone with the costliest cell at the end."""
+    sizes = [(t.m * t.n, t.k) for t in tasks]
+    order = sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True)
+    groups = {}  # (n, K) of RIC-checked trials, or None: positions in order
+    for p, i in enumerate(order):
+        task = tasks[i]
+        groups.setdefault((task.n, task.k) if task.check_conditions else None, []).append(p)
+    chunk = max(1, len(tasks) // (workers * 16))
+    units = []
+    for key, members in groups.items():
+        size = chunk if key is None else max(1, _UNIT_ENTRIES // math.comb(key[0], key[1] + 1))
+        units += (members[s : s + size] for s in range(0, len(members), size))
+    units.sort()
+    return [[order[p] for p in unit] for unit in units]
 
 
 def _map_trials(tasks, parallelism):
-    """Outcomes of ``tasks`` in task order. A pool receives the largest
-    trials (by m*n, then K) first, in small chunks, so no worker is left
-    alone with the costliest cell at the end."""
+    """Outcomes of ``tasks`` in task order, run as the work units of
+    _work_units: in-process, or on a pool that receives the largest first."""
     workers = min(parallelism, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_run_trial(t) for t in tasks]
-    sizes = [(t.m * t.n, t.k) for t in tasks]
-    # sorted() is stable under reverse=True too: equal sizes keep task order
-    order = sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True)
-    chunk = max(1, len(tasks) // (workers * 16))
+    units = _work_units(tasks, workers)
+    batches = [[tasks[i] for i in unit] for unit in units]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_unit, batches))
+    else:
+        done = map(_run_unit, batches)
     outcomes = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(_run_trial, [tasks[i] for i in order], chunksize=chunk)
-        for i, outcome in zip(order, done):
+    for unit, unit_outcomes in zip(units, done):
+        for i, outcome in zip(unit, unit_outcomes):
             outcomes[i] = outcome
     return outcomes
 
@@ -751,7 +798,8 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
                 n, K, 1.0, 10.0, _derived_seed(trial_seed, _SIGNAL_TAG)
             )
 
-        deltas = [exact_ric(A, order).delta for order in range(1, K + 2)]
+        G = _grams([as_matrix(A)])
+        deltas = [_gram_rics(G, order)[0].delta for order in range(1, K + 2)]
 
         # monotonicity of the RIC in the order
         for lower, upper in zip(deltas, deltas[1:]):

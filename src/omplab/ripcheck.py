@@ -52,6 +52,8 @@ _LEAD = 16
 #: The rounding guard of the pruning rule, in units of K * u (see exact_ric).
 _GUARD_C = 64
 
+_U = np.finfo(float).eps / 2  # the unit roundoff u
+
 
 class CapacityError(Exception):
     """Exhaustive enumeration would exceed the subset budget."""
@@ -120,6 +122,15 @@ def _cached_subsets(n, K):
     return full
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_tails(n, K):
+    """_tail_rows(n, K), read-only, for the tables of _cached_subsets."""
+    tails = _tail_rows(n, K)
+    for rows in tails:
+        rows.flags.writeable = False
+    return tails
+
+
 def _subsets(n, k):
     """All k-subsets of range(n) as a (C(n, k), k) array in Fortran layout,
     rows in lexicographic order, built in place level by level. Level j, the
@@ -139,54 +150,80 @@ def _subsets(n, k):
     return table
 
 
+def _tail_rows(n, k):
+    """For each level j = 2..k of _subsets(n, k), the row of level j - 1
+    that is the tail of each of its rows. The rows (f, *tail) of one f are a
+    run of c = C(n - f - 1, j - 1) rows whose tails are the last c rows of
+    level j - 1, so the index steps by 1 within a run and jumps between
+    runs; it is built as the running sum of those steps."""
+    tails = []
+    for j in range(2, k + 1):
+        c = np.array([math.comb(n - f - 1, j - 1) for f in range(k - j, n - j + 1)])
+        start = np.cumsum(c) - c  # where each run begins
+        first = math.comb(n - k + j - 1, j - 1) - c - start  # minus its start
+        steps = np.ones(start[-1] + c[-1], dtype=np.intp)
+        steps[0] = 0  # the first run's tails are all of level j - 1
+        steps[start[1:]] += np.diff(first)
+        tails.append(np.cumsum(steps, out=steps))
+    return tuple(tails)
+
+
 def _pair_squares(G):
-    """P[i, j] = |G_ji - I_ji|**2, doubled off the diagonal, for i <= j: the
-    terms of ||M_S - I||_F**2, M_S the lower triangle of G_S mirrored. A
-    Gram entry above about 1e154 squares to +inf, a bound that prunes
-    nothing, so the overflow is not reported."""
+    """P[..., i, j] = |G_ji - I_ji|**2, doubled off the diagonal, for i <= j,
+    of each Gram of the stack G: the terms of ||M_S - I||_F**2, M_S the lower
+    triangle of G_S mirrored. A Gram entry above about 1e154 squares to +inf,
+    a bound that prunes nothing, so the overflow is not reported."""
     with np.errstate(over="ignore"):
-        P = 2.0 * np.square(G.T, order="C")
-        np.fill_diagonal(P, np.square(G.diagonal() - 1.0))
+        P = np.square(np.swapaxes(G, -1, -2), order="C")
+        P *= 2.0
+        diagonal = P.reshape(P.shape[:-2] + (-1,))[..., :: G.shape[-1] + 1]
+        diagonal[...] = np.square(G.diagonal(axis1=-2, axis2=-1) - 1.0)
     return P
 
 
-def _table_squares(P, table):
-    """||M_S - I||_F**2 of each row S of ``table`` (see _subsets), level by
-    level: a row (f, *tail) adds P[f, f] and P[f, tail], then its tail's
-    squared norm, so a term passes through at most k additions."""
-    n, k = len(P), table.shape[1]
+def _table_squares(P, table, tails):
+    """||M_S - I||_F**2 of each row S of ``table`` (see _subsets), per matrix
+    of the stack P, level by level: a row (f, *tail) adds P[f, f] and
+    P[f, tail], then its tail's squared norm, found by ``tails`` (see
+    _tail_rows), so a term passes through at most k additions."""
+    n, k = P.shape[-1], table.shape[1]
     if k == 0:
-        return np.zeros(1)
-    flat = P.ravel()
-    squares = P.diagonal()[k - 1 :]
-    for j in range(2, k + 1):
+        return np.zeros(P.shape[:-2] + (1,))
+    flat = P.reshape(P.shape[:-2] + (n * n,))
+    squares = P.diagonal(axis1=-2, axis2=-1)[..., k - 1 :]
+    for j, tail in zip(range(2, k + 1), tails):
         level = table[: math.comb(n - k + j, j), k - j :]
         row = level[:, 0] * n
-        new = flat.take(row + level[:, 0])
+        new = flat.take(row + level[:, 0], axis=-1)
         for column in level[:, 1:].T:
-            new += flat.take(row + column)
-        new += np.concatenate([squares[len(squares) - math.comb(n - f - 1, j - 1) :]
-                               for f in range(k - j, n - j + 1)])
+            new += flat.take(row + column, axis=-1)
+        new += squares.take(tail, axis=-1)
         squares = new
     return squares
 
 
 def _bounded_blocks(G, K, count):
     """Yield (prefix, tails, bounds): the K-subsets (*prefix, *tail) of
-    range(n) in lexicographic order and their bounds b_S (see exact_ric).
-    Within ``_ENTRY_LIMIT``, one cached block; beyond it, one per prefix of
-    the shortest length L whose tails, the (K - L)-subsets of range(L, n),
-    fit: built uncached, so memory stays bounded whatever K is."""
-    n = len(G)
-    offset, spread = np.abs(G.diagonal() - 1.0).max(), math.sqrt((K - 1) / K)
+    range(n) in lexicographic order and their bounds b_S (see exact_ric),
+    per matrix of the stack G (one row of bounds per Gram). Within
+    ``_ENTRY_LIMIT``, one cached block; beyond it, for a single Gram G, one
+    per prefix of the shortest length L whose tails, the (K - L)-subsets of
+    range(L, n), fit: built uncached, so memory stays bounded whatever K is."""
+    n = G.shape[-1]
+    offset = np.abs(G.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1, keepdims=True)
+    spread = math.sqrt((K - 1) / K)
 
     def bounds(squares):  # at K = 1, F_S is delta_S itself, and may be +inf
-        b = np.sqrt(squares)
-        return np.minimum(b, offset + spread * b, out=b) if K > 1 else b
+        if K == 1:
+            return np.sqrt(squares)
+        b = np.sqrt(squares, out=squares)
+        trace = spread * b
+        trace += offset
+        return np.minimum(b, trace, out=b)
 
     if count * K <= _ENTRY_LIMIT:
         table = _cached_subsets(n, K)
-        squares = _table_squares(_pair_squares(G), table)
+        squares = _table_squares(_pair_squares(G), table, _cached_tails(n, K))
         yield np.empty(0, dtype=np.intp), table, bounds(squares)
         return
     P = np.triu(_pair_squares(G))  # a prefix's row sums read below the diagonal
@@ -194,7 +231,7 @@ def _bounded_blocks(G, K, count):
     while math.comb(n - L, K - L) * (K - L) > _ENTRY_LIMIT:
         L += 1
     lower = _subsets(n - L, K - L)
-    lower_squares = _table_squares(P[L:, L:], lower)
+    lower_squares = _table_squares(P[L:, L:], lower, _tail_rows(n - L, K - L))
     lower += L
     for prefix in itertools.combinations(range(n - K + L), L):
         start = len(lower) - math.comb(n - prefix[-1] - 1, K - L)
@@ -206,6 +243,19 @@ def _bounded_blocks(G, K, count):
             squares += col.take(column)
         squares += lower_squares[start:]
         yield prefix, tails, bounds(squares)
+
+
+def _eigvals(G, t, sub):
+    """Eigenvalues of G[t[i]] restricted to the subset sub[i], for each i, in
+    batched LAPACK ``eigvalsh`` calls on at most ``_ENTRY_LIMIT`` Gram entries
+    (or one Gram) each."""
+    batch = max(1, _ENTRY_LIMIT // sub.shape[1] ** 2)
+    w = []
+    for s in range(0, len(sub), batch):
+        rows, cols = sub[s : s + batch, :, None], sub[s : s + batch, None, :]
+        grams = G[0][rows, cols] if len(G) == 1 else G[t[s : s + batch, None, None], rows, cols]
+        w.append(np.linalg.eigvalsh(grams))
+    return w[0] if len(w) == 1 else np.concatenate(w)
 
 
 def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
@@ -262,67 +312,122 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
             (A is finite but its Gram matrix is not).
         CapacityError: C(n, K) exceeds ``budget``.
     """
-    A = as_matrix(A)
-    n = A.shape[1]
-    if not (1 <= K <= n):
-        raise ValueError(f"order must lie in [1, {n}], got {K}")
-    if budget < 1:
-        raise ValueError(f"subset budget must be positive, got {budget}")
-    count = math.comb(n, K)
-    if count > budget:
-        raise CapacityError(n, K, count, budget)
+    return _exact_rics([A], K, budget)[0]
+
+
+def _exact_rics(matrices, K, budget=DEFAULT_SUBSET_BUDGET):
+    """``exact_ric(A, K, budget)`` of each of ``matrices``, which share their
+    column count n, as one batched computation (see _gram_rics), after
+    exact_ric's checks of each matrix in turn. The caller bounds the work
+    held at once: the stack's bounds take len(matrices) * C(n, K) entries."""
+    matrices = [as_matrix(A) for A in matrices]
+    for A in matrices:
+        n = A.shape[1]
+        if not (1 <= K <= n):
+            raise ValueError(f"order must lie in [1, {n}], got {K}")
+        if budget < 1:
+            raise ValueError(f"subset budget must be positive, got {budget}")
+        count = math.comb(n, K)
+        if count > budget:
+            raise CapacityError(n, K, count, budget)
+    return _gram_rics(_grams(matrices), K)
+
+
+def _grams(matrices):
+    """The stack of the Grams A^T A of validated matrices that share their
+    column count, refused if one overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = A.T @ A
+        G = [A.T @ A for A in matrices]
+    G = G[0][None] if len(G) == 1 else np.stack(G)
     if not np.isfinite(G).all():
         raise ValueError("A^T A overflows: the Gram matrix has non-finite entries")
-    if count <= _UNBOUNDED:  # one gather of one Gram or < 64 * 63**2 entries
-        table = _cached_subsets(n, K)
-        w = np.linalg.eigvalsh(G[table[:, :, None], table[:, None, :]])
-        deltas = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
-        i = int(np.argmax(deltas))  # the smallest row of the largest delta
-        return RicReport(int(K), float(deltas[i]), table[i].copy(), float(w[i, 0]),
-                         float(w[i, -1]), count, count)
-    guard = _GUARD_C * K * np.finfo(float).eps / 2
-    best_delta = -math.inf
-    best_subset = best_lo = best_hi = None
-    solved = 0
-    batch = max(1, _ENTRY_LIMIT // (K * K))  # Grams gathered at once
-    for prefix, tails, bound in _bounded_blocks(G, K, count):
-        reach = bound + guard * (1.0 + bound)
-        todo = reach >= best_delta
-        rows = todo.nonzero()[0]
-        if not rows.size:
-            continue
-        if rows.size > _LEAD:
-            rows = rows[np.argpartition(bound[rows], -_LEAD)[-_LEAD:]]
-        deltas = np.full(len(tails), -np.inf)
-        lo, hi = np.empty((2, len(tails)))
-        while rows.size:
-            rows = rows[:batch]
-            sub = np.empty((rows.size, K), dtype=np.intp)
+    return G
+
+
+def _gram_rics(G, K):
+    """The RicReport of exact_ric at order K for each Gram of the stack G
+    (T, n, n), from finite Grams, 1 <= K <= n: enumerations of at most
+    ``_UNBOUNDED`` subsets eigensolved whole, streamed ones one Gram at a
+    time, and the others bounded together (``_bounded_ric``)."""
+    count = math.comb(G.shape[-1], K)
+    if count <= _UNBOUNDED:  # one Gram or < 64 * 63**2 entries per matrix
+        table = _cached_subsets(G.shape[-1], K)
+        per = max(1, _ENTRY_LIMIT // (count * K * K))  # matrices per eigvalsh call
+        w = [np.linalg.eigvalsh(G[s : s + per, table[:, :, None], table[:, None, :]])
+             for s in range(0, len(G), per)]
+        w = w[0] if len(w) == 1 else np.concatenate(w)
+        deltas = np.maximum(w[..., -1] - 1.0, 1.0 - w[..., 0])
+        rows = deltas.argmax(axis=1)  # the smallest row of the largest delta
+        return [RicReport(int(K), float(deltas[t, i]), table[i].copy(), float(w[t, i, 0]),
+                          float(w[t, i, -1]), count, count) for t, i in enumerate(rows)]
+    if count * K > _ENTRY_LIMIT:
+        return [_bounded_ric(g[None], K, count, _bounded_blocks(g, K, count))[0] for g in G]
+    return _bounded_ric(G, K, count, _bounded_blocks(G, K, count))
+
+
+def _bounded_ric(G, K, count, blocks):
+    """RicReports of the stack G from its bounded ``blocks`` (see exact_ric):
+    one block for a stack, or the blocks of one streamed Gram. Each round
+    eigensolves, per Gram, the first rows of its block that can still reach
+    its incumbent (the ``_LEAD`` largest bounds first), all Grams in one
+    batch, so every Gram eigensolves the subsets it would alone."""
+    T = len(G)
+    guard = _GUARD_C * K * _U
+    batch = max(1, _ENTRY_LIMIT // (K * K))  # subsets per Gram and round
+    best = np.full(T, -np.inf)
+    best_subset, best_lo, best_hi = [None] * T, [None] * T, [None] * T
+    solved = np.zeros(T, dtype=int)
+    for block, (prefix, tails, bound) in enumerate(blocks):
+        bound = bound.reshape(T, -1)
+        reach = bound + 1.0  # bound + guard * (1 + bound)
+        reach *= guard
+        reach += bound
+        todo = reach >= best[:, None]
+        rows = bound.shape[1]
+        flat = todo.reshape(-1)  # pair (t, r) is entry f = t * rows + r
+        starts = np.arange(0, T * rows, rows)
+        if not block and rows > _LEAD:  # no incumbent yet: every row is todo
+            f = np.argpartition(bound, -_LEAD, axis=1)[:, -_LEAD:][:, :batch]
+            f = (f + starts[:, None]).ravel()
+        else:
+            f = flat.nonzero()[0]
+            if not f.size:
+                continue
+            if block and f.size > _LEAD:  # a later block of one streamed Gram
+                f = f[np.argpartition(bound[0][f], -_LEAD)[-_LEAD:]][:batch]
+            else:
+                f = _first_rows(f, rows, batch)
+        deltas = np.full((T, rows), -np.inf)
+        # a solved pair's bound and reach are never read again, so they keep
+        # its eigenvalue extremes: no more (T, rows) arrays per block
+        lo, hi = bound.reshape(-1), reach.reshape(-1)
+        while f.size:
+            t, r = np.divmod(f, rows)
+            sub = np.empty((f.size, K), dtype=np.intp)
             sub[:, : prefix.size] = prefix
-            sub[:, prefix.size :] = tails[rows]
-            w = np.linalg.eigvalsh(G[sub[:, :, None], sub[:, None, :]])
-            lo[rows], hi[rows] = w[:, 0], w[:, -1]
-            deltas[rows] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
-            solved += rows.size
-            todo[rows] = False
-            todo &= reach >= max(best_delta, deltas.max())
-            rows = todo.nonzero()[0]
-        i = int(np.argmax(deltas))
-        if deltas[i] > best_delta:
-            best_delta = float(deltas[i])
-            best_subset = np.concatenate((prefix, tails[i]))
-            best_lo, best_hi = float(lo[i]), float(hi[i])
-    return RicReport(
-        order=int(K),
-        delta=best_delta,
-        witness_subset=best_subset,
-        lambda_min=best_lo,
-        lambda_max=best_hi,
-        subsets_examined=count,
-        subsets_eigensolved=solved,
-    )
+            sub[:, prefix.size :] = tails[r]
+            w = _eigvals(G, t, sub)
+            lo[f], hi[f] = w[:, 0], w[:, -1]
+            deltas.reshape(-1)[f] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+            solved += np.bincount(t, minlength=T)
+            flat[f] = False
+            todo &= reach >= np.maximum(best, deltas.max(axis=1))[:, None]
+            f = _first_rows(flat.nonzero()[0], rows, batch)
+        top = deltas.argmax(axis=1)  # the smallest row of each largest delta
+        for t in (deltas.max(axis=1) > best).nonzero()[0]:
+            best[t] = deltas[t, top[t]]
+            best_subset[t] = np.concatenate((prefix, tails[top[t]]))
+            best_lo[t], best_hi[t] = lo[starts[t] + top[t]], hi[starts[t] + top[t]]
+    return [RicReport(int(K), float(best[t]), best_subset[t], float(best_lo[t]),
+                      float(best_hi[t]), count, int(solved[t])) for t in range(T)]
+
+
+def _first_rows(f, rows, batch):
+    """The first ``batch`` of the sorted entries f = t * rows + r of each t."""
+    if f.size > batch:
+        t = f // rows
+        f = f[np.arange(f.size) - np.searchsorted(t, t) < batch]
+    return f
 
 
 def sharp_ric_bound(K):

@@ -194,7 +194,7 @@ def test_cli_phase_rejects_noiseless_cell_with_k_above_min_mn(
     # a noiseless cell runs K iterations, which needs K <= min(m, n); the run
     # is refused before any trial, naming the cell
     ran = []
-    monkeypatch.setattr(experiments, "_run_trial", ran.append)
+    monkeypatch.setattr(experiments, "_run_unit", ran.append)
     cfg = workspace["dir"] / "deep.cfg"
     cfg.write_text("m = 8\nn = 30\nk = 2, 12\nepsilon = 0.05, 0\ntrials = 2\n")
     out = workspace["dir"] / "out.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 
 from omplab import experiments
 from omplab import (
+    DEFAULT_SUBSET_BUDGET,
     CapacityError,
     ExperimentConfig,
     GuaranteeViolation,
@@ -168,8 +170,8 @@ def test_pool_receives_largest_trials_first(monkeypatch):
     received = []
 
     class SerialPool:
-        """Stands in for the process pool: records the task order and chunk
-        size, runs in-process."""
+        """Stands in for the process pool: records the units it is handed
+        and their chunk size, runs in-process."""
 
         def __init__(self, max_workers):
             pass
@@ -180,37 +182,102 @@ def test_pool_receives_largest_trials_first(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            received.append((list(tasks), chunksize))
+        def map(self, fn, units, chunksize=1):
+            received.append((list(units), chunksize))
             return map(fn, received[-1][0])
 
-    cfg = _mixed_size_config()
+    # five trials per cell and a budget of 2,000 subsets: the n = 24, K = 3
+    # cells check no RIC, and the 20 RIC-checked trials of (n, K + 1) =
+    # (14, 4) need two units of at most 2**14 // C(14, 4) = 16 trials
+    cfg = replace(_mixed_size_config(subset_budget=2000), trials=5)
     serial = rows_csv_text(phase_table(cfg))
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     assert rows_csv_text(phase_table(replace(cfg, parallelism=2))) == serial
-    [(tasks, chunksize)] = received
-    assert chunksize == len(tasks) // 32
-    # largest m*n first, then largest K; equal sizes keep trial order
-    expected = [
-        (m * n, k, (cfg.master_seed ^ splitmix64(ci * cfg.trials + j)) & MASK64)
-        for ci, (m, n, k, _) in enumerate(cfg.cells())
-        for j in range(cfg.trials)
-    ]
-    expected.sort(key=lambda e: e[:2], reverse=True)
-    assert [(t.m * t.n, t.k, t.trial_seed) for t in tasks] == expected
-    assert expected[0][:2] == (16 * 24, 3) and expected[-1][:2] == (10 * 14, 1)
+    [(units, chunksize)] = received
+    assert chunksize == 1
+    index = {
+        (cfg.master_seed ^ splitmix64(t)) & MASK64: t
+        for t in range(cfg.trials * len(cfg.cells()))
+    }
+    # every trial runs once; inside a unit and across the units' first
+    # trials, largest m*n first, then largest K, and equal sizes in trial order
+    assert sorted(index[t.trial_seed] for unit in units for t in unit) == sorted(index.values())
+
+    def key(task):
+        return (-task.m * task.n, -task.k, index[task.trial_seed])
+
+    for unit in units:
+        assert [key(t) for t in unit] == sorted(key(t) for t in unit)
+    assert [key(u[0]) for u in units] == sorted(key(u[0]) for u in units)
+    assert key(units[0][0])[:2] == (-16 * 24, -3)
+    # RIC-checked units share (n, K) within 2**14 bound entries; the others
+    # are chunks of len(tasks) // 32 trials
+    shapes = []
+    for unit in units:
+        n, k = unit[0].n, unit[0].k
+        if unit[0].check_conditions:
+            assert all((t.n, t.k, t.check_conditions) == (n, k, True) for t in unit)
+            assert len(unit) * math.comb(n, k + 1) <= 2**14
+            shapes.append((n, k, len(unit)))
+        else:
+            assert not any(t.check_conditions for t in unit)
+            assert len(unit) == len(index) // 32
+    assert sorted(shapes) == [(14, 1, 20), (14, 3, 4), (14, 3, 16), (24, 1, 20)]
     rows = [line.split(",")[:4] for line in serial.splitlines()[1:]]
     assert [tuple(map(float, r)) for r in rows] == [
         tuple(map(float, c)) for c in cfg.cells()
     ]
 
 
+def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
+    # sha256 of both CSVs, recorded before trial RICs were batched; units of
+    # one trial each (the unbatched shape) and pools of 2 and 3 give the same
+    cfg = _mixed_size_config()
+    golden = {
+        theorem1_validation: "0cb0fbbfcd45ade1e9c0973904bda85894175ce321a3164aadfdc2188496e04d",
+        phase_table: "e5e28dd2e9d0c0524ad7325e190bb0281ba3a9b1ced619d85f4177cdb0799194",
+    }
+    for run, digest in golden.items():
+        texts = [rows_csv_text(run(replace(cfg, parallelism=p))) for p in (1, 2, 3)]
+        with monkeypatch.context() as mp:
+            mp.setattr(experiments, "_UNIT_ENTRIES", 1)
+            texts.append(rows_csv_text(run(cfg)))
+        assert {hashlib.sha256(text.encode()).hexdigest() for text in texts} == {digest}
+
+
+def test_trials_without_ric_draw_and_solve_one_at_a_time(monkeypatch):
+    # a spy on the draw and the solver: a trial that checks no RIC holds one
+    # matrix at a time, as before batching; RIC-checked trials draw their
+    # unit's matrices first
+    events = []
+    real_draw, real_omp = experiments.gaussian_sensing_matrix, experiments.omp_run
+
+    def draw(m, n, seed, **kwargs):
+        events.append("draw")
+        return real_draw(m, n, seed, **kwargs)
+
+    def solve(*args, **kwargs):
+        events.append("solve")
+        return real_omp(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "gaussian_sensing_matrix", draw)
+    monkeypatch.setattr(experiments, "omp_run", solve)
+    cfg = _mixed_size_config(subset_budget=1)  # no cell can check its RIC
+    phase_table(cfg)
+    assert events == ["draw", "solve"] * (cfg.trials * len(cfg.cells()))
+    events.clear()
+    phase_table(replace(cfg, subset_budget=DEFAULT_SUBSET_BUDGET))
+    assert ("draw", "draw") in zip(events, events[1:])
+    assert events.count("draw") == events.count("solve") == cfg.trials * len(cfg.cells())
+
+
 def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
     sizes = []
 
     class SerialPool:
-        """Stands in for the process pool: records its size, runs in-process."""
+        """Stands in for the process pool: records its size, runs the work
+        units in-process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -221,8 +288,8 @@ def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, units, chunksize=1):
+            return map(fn, units)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     cfg = _small_config(trials=6)  # two cells of six trials each
@@ -238,7 +305,8 @@ def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
 
 def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
     class SerialPool:
-        """Stands in for the process pool and runs the tasks in-process."""
+        """Stands in for the process pool and runs the work units
+        in-process."""
 
         def __init__(self, max_workers):
             pass
@@ -249,8 +317,8 @@ def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, units, chunksize=1):
+            return map(fn, units)
 
     real_omp_run = experiments.omp_run
 

@@ -1,13 +1,15 @@
 """Property tests for omp_run on random Gaussian problems under either rule,
-for exact_ric against the unpruned reference on tie-heavy matrices, and for
-verify_lemma1 and the batched selection-inequality kernel behind it against
-an explicit oracle.
+for exact_ric and its batched form against the unpruned reference on
+tie-heavy matrices, and for verify_lemma1 and the batched
+selection-inequality kernel behind it against an explicit oracle.
 
 Hypothesis runs derandomized and without an example database, so the suite
 stays deterministic. It still caches the constants it reads from source
 files under ``.hypothesis/``, which git ignores.
 """
 
+import contextlib
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -18,11 +20,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omplab import (
+    RicReport,
     SingularSystemError,
     SparseSignal,
     StopRule,
     as_matrix,
     exact_ric,
+    lemma1_example_instance,
     omp_run,
     ripcheck,
     sharp_ric_bound,
@@ -160,6 +164,57 @@ def test_exact_ric_bit_identical_to_unpruned(case, draw, lead):
         assert r.lambda_max == hi
         assert r.subsets_examined == math.comb(A.shape[1], K)
         assert 1 <= r.subsets_eigensolved <= r.subsets_examined
+
+
+@st.composite
+def _ric_stacks(draw):
+    """(matrices, K): 1 to 6 matrices with n columns, each drawn on its own:
+    unnormalized or unit-norm Gaussians (the offset max |G_ii - 1| matters
+    for the former), the identity, repeated columns, the worked example (at
+    n = 3), or a column scaled by 1e80, whose bound at K = 1 is +inf."""
+    n = draw(st.integers(1, 10))
+    K = draw(st.integers(1, min(n, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["raw", "unit", "identity", "repeated", "huge"] + (["worked"] if n == 3 else [])
+    matrices = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        m = draw(st.integers(1, 10))
+        A = rng.standard_normal((m, n)) / math.sqrt(m)
+        if kind == "unit":
+            A /= np.linalg.norm(A, axis=0)
+        elif kind == "identity":
+            A = np.eye(n)
+        elif kind == "repeated":
+            A = A[:, rng.integers(0, draw(st.integers(1, n)), size=n)]
+        elif kind == "huge":
+            A[:, rng.integers(n)] *= 1e80
+        elif kind == "worked":
+            A = lemma1_example_instance(draw(st.sampled_from([0.1, 0.3, 0.5])))[0]
+        matrices.append(A)
+    return matrices, K
+
+
+@_SETTINGS
+@given(_ric_stacks(), st.sampled_from(["as is", "bounded", "cut"]), st.integers(1, 8))
+def test_batched_rics_match_unpruned_and_single_calls(stack, mode, lead):
+    # "as is" eigensolves counts up to 64 whole; "bounded" bounds every count
+    # with a small leading block; "cut" also caps eigvalsh calls at C(n, K)
+    # // K Grams, so a round's Grams of several matrices span several calls
+    matrices, K = stack
+    count = math.comb(matrices[0].shape[1], K)
+    patches = {} if mode == "as is" else {"_UNBOUNDED": 0, "_LEAD": lead}
+    if mode == "cut":
+        patches["_ENTRY_LIMIT"] = count * K
+    with mock.patch.multiple(ripcheck, **patches) if patches else contextlib.nullcontext():
+        batched = ripcheck._exact_rics(matrices, K)
+        singles = [exact_ric(A, K) for A in matrices]
+    assert len(batched) == len(matrices)
+    for A, b, s in zip(matrices, batched, singles):
+        delta, witness, lo, hi = ric_unpruned(A, K)
+        assert (b.delta, b.lambda_min, b.lambda_max) == (delta, lo, hi)
+        assert np.array_equal(b.witness_subset, witness)
+        for field in dataclasses.fields(RicReport):
+            assert np.array_equal(getattr(b, field.name), getattr(s, field.name))
 
 
 @st.composite

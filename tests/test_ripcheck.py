@@ -320,6 +320,32 @@ def test_whole_enumerations_match_unpruned():
             assert np.array_equal(r.witness_subset, np.arange(K))
 
 
+def test_batched_rounds_cut_per_gram(monkeypatch):
+    # every enumeration bounded, and eigvalsh calls capped at C(n, K) // K
+    # Grams, which is also what one Gram may take per round: a round must
+    # take the first rows of each Gram, not the first rows of the stack, or a
+    # Gram whose rows are split across rounds prunes more than it would alone
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        n = int(rng.integers(4, 11))
+        K = int(rng.integers(2, min(n, 4) + 1))
+        stack = []
+        for _ in range(int(rng.integers(2, 7))):
+            m = int(rng.integers(1, 11))
+            A = rng.standard_normal((m, n)) / math.sqrt(m)
+            stack.append(A / np.linalg.norm(A, axis=0) if rng.random() < 0.5 else A)
+        with monkeypatch.context() as mp:
+            mp.setattr(ripcheck, "_UNBOUNDED", 0)
+            mp.setattr(ripcheck, "_LEAD", int(rng.integers(1, 9)))
+            mp.setattr(ripcheck, "_ENTRY_LIMIT", math.comb(n, K) * K)
+            batched = ripcheck._exact_rics(stack, K)
+            singles = [exact_ric(A, K) for A in stack]
+        for b, s in zip(batched, singles):
+            assert (b.delta, b.lambda_min, b.lambda_max) == (s.delta, s.lambda_min, s.lambda_max)
+            assert np.array_equal(b.witness_subset, s.witness_subset)
+            assert b.subsets_eigensolved == s.subsets_eigensolved
+
+
 def test_exact_ric_budget_and_validation():
     A = gaussian_sensing_matrix(8, 20, seed=1)
     with pytest.raises(CapacityError) as err:
