@@ -92,9 +92,9 @@ def _cmd_phase(args):
 
 
 def _cmd_sharpness(args):
-    # --budget and --seed steered a former search and no longer affect the
-    # result; they stay validated so existing command lines keep exit codes.
-    if args.budget < 1:
+    # --budget and --seed steered a former search and change nothing; a given
+    # --budget stays validated so existing command lines keep exit codes.
+    if args.budget is not None and args.budget < 1:
         raise ValueError("--budget must be positive")
     found = sharpness_probe(args.k, args.t)
     if found is None:
@@ -173,8 +173,8 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     unused = "accepted for compatibility; does not affect the result"
-    p.add_argument("--budget", type=int, required=True, help=unused)
-    p.add_argument("--seed", type=int, required=True, help=unused)
+    p.add_argument("--budget", type=int, help=unused)
+    p.add_argument("--seed", type=int, help=unused)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sharpness)
 

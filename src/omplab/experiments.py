@@ -10,7 +10,9 @@ compute their exact RICs in one batched call per unit; the other trials run
 one at a time in chunks. A serial run executes the units in-process; above
 parallelism 1 one process pool, shared by every cell, receives the same
 units, the largest first (by m*n, then K), so that its workers finish
-together. Results are reduced in trial order.
+together. Results are reduced in trial order. Harness trials validate at
+the public entry points and trust their own draws: a trial forms
+y = A x + v itself, and a unit's matrices go straight to the RIC kernel.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -36,22 +38,23 @@ from .omp import GuaranteeViolation, StopRule, omp_run, write_trace_csv
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
     CapacityError,
-    _lemma1_sides,
-    _exact_rics,
     _gram_rics,
     _grams,
+    _lemma1_sides,
+    _magnitude_floor,
     exact_ric,
-    min_magnitude_bound,
     sharp_ric_bound,
 )
 from .sensing import (
     MASK64,
     NoiseSpec,
+    ProblemInstance,
     SparseSignal,
     gaussian_sensing_matrix,
     generate_measurement,
     lemma1_example_instance,
     load_problem_instance,
+    noise_vector,
     philox_generator,
     random_sparse_signal,
     save_problem_instance,
@@ -302,6 +305,11 @@ class _TrialOutcome:
     rank_failure: bool
 
 
+#: The outcome of a theorem1 trial skipped for failing the RIC condition.
+_SKIPPED = _TrialOutcome(held=False, attempted=False, success=False, iterations=0,
+                         rank_failure=False)
+
+
 def _draw_matrix(task):
     seed = _derived_seed(task.trial_seed, _MATRIX_TAG)
     config = task.config
@@ -314,14 +322,6 @@ def _draw_matrix(task):
     return gaussian_sensing_matrix(task.m, task.n, seed, normalize_columns=normalize)
 
 
-def _min_mag_floor(task, mm_bound):
-    config = task.config
-    if config.min_mag_policy == "fixed":
-        return config.min_mag_fixed
-    floor = config.margin_factor * (2.0 * task.epsilon if mm_bound is None else mm_bound)
-    return floor if floor > 0.0 else 1.0
-
-
 def _stop_rule(task):
     # Noiseless cells reduce to the K-iteration guarantee; a residual
     # threshold of exactly zero is never reached in floating point.
@@ -330,65 +330,61 @@ def _stop_rule(task):
     return StopRule.max_iterations(task.k)
 
 
-def _build_trial(task, mm_bound):
-    min_mag = _min_mag_floor(task, mm_bound)
+def _build_trial(task, A, floor):
+    """The trial's signal, sphere noise v and measurement y = A x + v. The
+    signal's magnitude floor is min_mag_fixed, or margin_factor times
+    ``floor`` (the guarantee's, or its RIC-0 value 2 eps where the RIC
+    condition is not known to hold), and 1 where that is 0."""
+    config = task.config
+    if config.min_mag_policy == "fixed":
+        floor = config.min_mag_fixed
+    else:
+        floor = floor * config.margin_factor if floor > 0.0 else 1.0
     signal = random_sparse_signal(
         task.n,
         task.k,
-        min_mag,
-        task.config.dynamic_range,
+        floor,
+        config.dynamic_range,
         _derived_seed(task.trial_seed, _SIGNAL_TAG),
-        sign_pattern=task.config.sign_pattern,
+        sign_pattern=config.sign_pattern,
     )
     noise = NoiseSpec(
         kind="l2_sphere",
         epsilon=task.epsilon,
         seed=_derived_seed(task.trial_seed, _NOISE_TAG),
     )
-    return signal, noise
+    v = noise_vector(noise, A.shape[0])
+    return signal, v, A @ signal.to_dense() + v
 
 
-def _simulate(task, A=None, delta=None):
-    """Run one trial: (outcome, instance, result, delta).
+def _simulate(task, A, delta=None, record=False):
+    """Run one trial on its drawn matrix A: (outcome, instance, result, delta).
 
-    ``A`` and ``delta`` are the trial's matrix and its exact RIC when already
-    computed, else drawn and computed here. ``instance`` and ``result`` are
-    None for a theorem1 trial skipped for failing the RIC precondition;
-    ``delta`` is None when no RIC was computed.
+    ``delta`` is A's exact RIC when already computed, else computed here if
+    the trial checks the conditions; it stays None when no RIC was computed.
+    ``instance``, the trial as a ProblemInstance, is built only to
+    ``record`` a failure. It and ``result`` are None for a theorem1 trial
+    skipped for failing the RIC condition.
     """
-    if A is None:
-        A = _draw_matrix(task)
-    ric_ok = None
+    ric_ok, floor = False, math.inf  # no RIC, no guarantee
     if task.check_conditions:
         if delta is None:
             delta = exact_ric(A, task.k + 1, budget=task.config.subset_budget).delta
         ric_ok = delta < sharp_ric_bound(task.k)
+        floor = _magnitude_floor(delta, task.k, task.epsilon)
     if task.mode == "theorem1" and not ric_ok:
-        skipped = _TrialOutcome(
-            held=False, attempted=False, success=False, iterations=0,
-            rank_failure=False,
-        )
-        return skipped, None, None, delta
-    mm_bound = None
-    if ric_ok:
-        mm_bound = min_magnitude_bound(delta, task.k, task.epsilon)
-    signal, noise = _build_trial(task, mm_bound)
-    held = bool(ric_ok) and mm_bound is not None and (
-        signal.min_magnitude() > mm_bound
-    )
-    instance = generate_measurement(A, signal, noise)
-    result = omp_run(
-        A, instance.measurement, _stop_rule(task), true_support=signal.support
-    )
+        return _SKIPPED, None, None, delta
+    signal, v, y = _build_trial(task, A, floor if ric_ok else 2.0 * task.epsilon)
+    result = omp_run(A, y, _stop_rule(task), true_support=signal.support)
     exact = bool(np.array_equal(result.recovered_support, signal.support))
-    success = exact and (task.mode == "phase" or result.iterations == task.k)
     outcome = _TrialOutcome(
-        held=held,
+        held=signal.min_magnitude() > floor,
         attempted=True,
-        success=success,
+        success=exact and (task.mode == "phase" or result.iterations == task.k),
         iterations=result.iterations,
         rank_failure=result.stopped_by == "rank_failure",
     )
+    instance = ProblemInstance(A, signal, v, y) if record else None
     return outcome, instance, result, delta
 
 
@@ -400,12 +396,12 @@ _UNIT_ENTRIES = 2**14
 def _run_unit(tasks):
     """Outcomes of one work unit (see _work_units); a pool worker returns
     only these. RIC-checked trials, which share (n, K + 1), draw their
-    matrices and compute the exact RICs in one batch; other trials draw and
-    solve one at a time."""
+    matrices and compute the exact RICs in one batch, trusted: the callers
+    check the order and budget first; other trials draw and solve alone."""
     if not tasks[0].check_conditions:
-        return [_simulate(task)[0] for task in tasks]
+        return [_simulate(task, _draw_matrix(task))[0] for task in tasks]
     matrices = [_draw_matrix(task) for task in tasks]
-    reports = _exact_rics(matrices, tasks[0].k + 1, tasks[0].config.subset_budget)
+    reports = _gram_rics(_grams(matrices), tasks[0].k + 1)
     return [_simulate(task, A, report.delta)[0]
             for task, A, report in zip(tasks, matrices, reports)]
 
@@ -540,7 +536,8 @@ def theorem1_validation(config):
     for cell, tasks, outcomes in _run_cells(config, "theorem1"):
         for j, outcome in enumerate(outcomes):
             if outcome.held and not outcome.success:
-                _, instance, result, delta = _simulate(tasks[j])
+                A = _draw_matrix(tasks[j])
+                _, instance, result, delta = _simulate(tasks[j], A, record=True)
                 m, n, k, eps = cell
                 directory = os.path.join(
                     config.failure_dir,
@@ -640,8 +637,9 @@ def sharpness_probe(K, t):
     orthonormal support columns 1..K and an off-support column 0 of squared
     norm 1 + 2/K correlating c/K with each, c = sqrt((t^2 (K+1)^2 - 1) / K),
     the Gram scaled by K/(K+1) and factored by Cholesky. Its spectrum is
-    {1 - t, 1 (K-1 times), 1 + t}, so delta_{K+1} = t, and with x = 1 on the
-    support, column 0 wins the first selection by the factor c > 1.
+    {1 - t, K/(K+1) (K-1 times), 1 + t}, so delta_{K+1} = t, as
+    1/(K+1) < t, and with x = 1 on the support, column 0 wins the first
+    selection by the factor c > 1.
 
     An exact RIC computation and a noiseless K-iteration solver run verify
     the instance; ``None`` means they did not confirm it. At t == 1/sqrt(K+1)

@@ -312,25 +312,16 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
             (A is finite but its Gram matrix is not).
         CapacityError: C(n, K) exceeds ``budget``.
     """
-    return _exact_rics([A], K, budget)[0]
-
-
-def _exact_rics(matrices, K, budget=DEFAULT_SUBSET_BUDGET):
-    """``exact_ric(A, K, budget)`` of each of ``matrices``, which share their
-    column count n, as one batched computation (see _gram_rics), after
-    exact_ric's checks of each matrix in turn. The caller bounds the work
-    held at once: the stack's bounds take len(matrices) * C(n, K) entries."""
-    matrices = [as_matrix(A) for A in matrices]
-    for A in matrices:
-        n = A.shape[1]
-        if not (1 <= K <= n):
-            raise ValueError(f"order must lie in [1, {n}], got {K}")
-        if budget < 1:
-            raise ValueError(f"subset budget must be positive, got {budget}")
-        count = math.comb(n, K)
-        if count > budget:
-            raise CapacityError(n, K, count, budget)
-    return _gram_rics(_grams(matrices), K)
+    A = as_matrix(A)  # the Gram's bits depend on the layout
+    n = A.shape[1]
+    if not (1 <= K <= n):
+        raise ValueError(f"order must lie in [1, {n}], got {K}")
+    if budget < 1:
+        raise ValueError(f"subset budget must be positive, got {budget}")
+    count = math.comb(n, K)
+    if count > budget:
+        raise CapacityError(n, K, count, budget)
+    return _gram_rics(_grams([A]), K)[0]
 
 
 def _grams(matrices):
@@ -453,6 +444,15 @@ def min_magnitude_bound(delta_k1, K, epsilon):
     return 2.0 * epsilon / (1.0 - math.sqrt(K + 1.0) * delta_k1)
 
 
+def _magnitude_floor(delta_k1, K, epsilon):
+    """The floor on min |x_i| at an order-(K+1) RIC delta_k1, where both
+    recovery conditions are decided: min_magnitude_bound below the sharp RIC
+    bound, +inf (no magnitude suffices) at or above it."""
+    if delta_k1 < sharp_ric_bound(K):
+        return min_magnitude_bound(delta_k1, K, epsilon)
+    return math.inf
+
+
 def check_theorem1_conditions(A, signal, epsilon):
     """Evaluate both recovery conditions for (A, x, eps) with exact RIC.
 
@@ -471,12 +471,8 @@ def check_theorem1_conditions(A, signal, epsilon):
     report = exact_ric(A, K + 1)
     bound = sharp_ric_bound(K)
     ric_ok = report.delta < bound
-    if ric_ok:
-        mm_bound = min_magnitude_bound(report.delta, K, epsilon)
-        min_mag_ok = signal.min_magnitude() > mm_bound
-    else:
-        mm_bound = math.inf
-        min_mag_ok = False
+    mm_bound = _magnitude_floor(report.delta, K, epsilon)
+    min_mag_ok = signal.min_magnitude() > mm_bound
     return ConditionVerdict(
         ric_ok=bool(ric_ok),
         ric_bound=bound,
@@ -608,12 +604,8 @@ def comparison_report(K, delta_k1, epsilon):
     cw_ric = chang_wu_ric_bound(K)  # both bound functions reject K < 1
     our_ric = sharp_ric_bound(K)
     cw_mm = chang_wu_min_mag_bound(delta_k1, K, epsilon)  # checks delta, eps
-    if delta_k1 < our_ric:
-        our_mm = min_magnitude_bound(delta_k1, K, epsilon)
-        our_defined = True
-    else:
-        our_mm = math.inf
-        our_defined = False
+    our_mm = _magnitude_floor(delta_k1, K, epsilon)
+    our_defined = delta_k1 < our_ric
     cw_defined = math.isfinite(cw_mm)
     weaker = our_defined and cw_mm >= our_mm
     strictly = our_defined and cw_mm > our_mm

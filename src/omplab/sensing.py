@@ -28,7 +28,7 @@ from .linalg import (
 
 MASK64 = (1 << 64) - 1
 
-NOISE_KINDS = ("none", "l2_ball", "l2_sphere")
+NOISE_KINDS = ("none", "l2_sphere")
 SIGN_PATTERNS = ("random", "positive")
 
 
@@ -94,7 +94,7 @@ class SparseSignal:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise model: 'none', 'l2_ball' (||v|| <= eps) or 'l2_sphere' (||v|| = eps)."""
+    """Noise model: 'none' or 'l2_sphere' (||v|| = eps, uniform direction)."""
 
     kind: str
     epsilon: float = 0.0
@@ -133,11 +133,8 @@ class ProblemInstance:
 
 
 def noise_vector(spec, m):
-    """Draw the noise vector described by ``spec`` for an m-row instance.
-
-    Draw order is fixed: the Gaussian direction first, then (ball only) the
-    radius variate, so streams stay reproducible.
-    """
+    """Draw the noise vector described by ``spec`` for an m-row instance:
+    a Gaussian direction from the spec's seed, scaled to norm eps."""
     if m < 1:
         raise ValueError("m must be positive")
     if spec.kind == "none" or spec.epsilon == 0.0:
@@ -148,10 +145,7 @@ def noise_vector(spec, m):
     while norm == 0.0:  # unreachable in practice, kept for strictness
         g = rng.standard_normal(m)
         norm = float(np.linalg.norm(g))
-    if spec.kind == "l2_sphere":
-        return g * (spec.epsilon / norm)
-    radius = spec.epsilon * float(rng.random()) ** (1.0 / m)
-    return g * (radius / norm)
+    return g * (spec.epsilon / norm)
 
 
 def generate_measurement(A, signal, noise_spec):

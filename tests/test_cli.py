@@ -291,17 +291,17 @@ def test_cli_sharpness_invalid_t(workspace, capsys):
 
 
 def test_cli_sharpness_ignores_budget_and_seed(workspace, capsys):
+    # both flags are optional: a run without them writes the same bytes
     outs = []
-    for budget, seed in (("20000", "2"), ("3", "99")):
-        out = workspace["dir"] / f"failure_{budget}_{seed}"
-        args = ["sharpness", "--k", "3", "--t", "0.8", "--budget", budget,
-                "--seed", seed, "--out", str(out)]
+    for flags in (["--budget", "20000", "--seed", "2"], ["--budget", "3", "--seed", "99"], []):
+        out = workspace["dir"] / f"failure_{len(outs)}"
+        args = ["sharpness", "--k", "3", "--t", "0.8", *flags, "--out", str(out)]
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out)["found"] is True
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(outs[0]) == ["A.mat", "report.json", "trace.csv", "v.vec",
                                "x.sig", "y.vec"]
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_cli_sharpness_validation_exit_codes(workspace, capsys):

@@ -231,19 +231,34 @@ def test_pool_receives_largest_trials_first(monkeypatch):
 
 
 def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
-    # sha256 of both CSVs, recorded before trial RICs were batched; units of
-    # one trial each (the unbatched shape) and pools of 2 and 3 give the same
-    cfg = _mixed_size_config()
-    golden = {
-        theorem1_validation: "0cb0fbbfcd45ade1e9c0973904bda85894175ce321a3164aadfdc2188496e04d",
-        phase_table: "e5e28dd2e9d0c0524ad7325e190bb0281ba3a9b1ced619d85f4177cdb0799194",
-    }
-    for run, digest in golden.items():
-        texts = [rows_csv_text(run(replace(cfg, parallelism=p))) for p in (1, 2, 3)]
-        with monkeypatch.context() as mp:
-            mp.setattr(experiments, "_UNIT_ENTRIES", 1)
-            texts.append(rows_csv_text(run(cfg)))
-        assert {hashlib.sha256(text.encode()).hexdigest() for text in texts} == {digest}
+    # sha256 of both CSVs per config: the mixed-size digests recorded before
+    # trial RICs were batched, the others before harness trials formed their
+    # own measurements; units of one trial each (the unbatched shape) and
+    # pools of 2 and 3 give the same
+    golden = [
+        (_mixed_size_config(),
+         "0cb0fbbfcd45ade1e9c0973904bda85894175ce321a3164aadfdc2188496e04d",
+         "e5e28dd2e9d0c0524ad7325e190bb0281ba3a9b1ced619d85f4177cdb0799194"),
+        (_mixed_size_config(ensemble="gaussian_raw"),
+         "4893dc689d0830cac148855ea73cd526772e2fa5fda0300663502a2e92072426",
+         "680fc91673767938f437315118c9bb945ccd9135663a85ffcc343f8695b114a7"),
+        (_mixed_size_config(min_mag_policy="fixed", sign_pattern="positive"),
+         "ee10c571cc4e1efe768af721cab13c24268ff4cba6392962f5047332f008ac8a",
+         "820e2d39ec9737ff1a4c85a546337ed33d509c1c037ede4861f522c86b1f436e"),
+        # family RICs on both sides of the bound: theorem1 skips the trials
+        # at 0.7, phase runs them on the 2 eps stand-in floor
+        (_small_config(m_values=(3,), n_values=(3,), k_values=(2,), trials=10,
+                       ensemble="lemma1_family", lemma1_deltas=(0.3, 0.5, 0.7)),
+         "4c346b7cce4f74c1e919c893b7a1f8e88718a4ffbacac79573282783b69a59f2",
+         "7dabc200b9c341b38bb7fd4ba3ae4347023536bb6446c6aad6196b84b3c612ae"),
+    ]
+    for cfg, *digests in golden:
+        for run, digest in zip((theorem1_validation, phase_table), digests):
+            texts = [rows_csv_text(run(replace(cfg, parallelism=p))) for p in (1, 2, 3)]
+            with monkeypatch.context() as mp:
+                mp.setattr(experiments, "_UNIT_ENTRIES", 1)
+                texts.append(rows_csv_text(run(cfg)))
+            assert {hashlib.sha256(text.encode()).hexdigest() for text in texts} == {digest}
 
 
 def test_trials_without_ric_draw_and_solve_one_at_a_time(monkeypatch):
@@ -328,7 +343,17 @@ def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
             return replace(result, recovered_support=result.recovered_support[:0])
         return result
 
+    # trials trust their own draws: only the replayed failure becomes a
+    # ProblemInstance, for its record
+    instances = []
+    real_instance = experiments.ProblemInstance
+
+    def instance(*args):
+        instances.append(args)
+        return real_instance(*args)
+
     monkeypatch.setattr(experiments, "omp_run", drop_support_in_noisy_cells)
+    monkeypatch.setattr(experiments, "ProblemInstance", instance)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
 
@@ -344,14 +369,22 @@ def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
 
     for par in (1, 2):
         failure_dir = tmp_path / f"p{par}"
+        instances.clear()
         with pytest.raises(GuaranteeViolation, match=expected):
             theorem1_validation(
                 replace(cfg, parallelism=par, failure_dir=str(failure_dir))
             )
+        assert len(instances) == 1
         assert [d.name for d in failure_dir.iterdir()] == [expected]
         report = json.loads((failure_dir / expected / "report.json").read_text())
         assert report["delta"] < report["ric_bound"]
         assert report["recovered_support"] == []
+        # every file of the record, name and bytes, as first recorded
+        digest = hashlib.sha256()
+        for path in sorted((failure_dir / expected).iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == "a1abc83b4e8ca8c128d660f6a1d1acf28bcc1285896e60f772d9cf4d9e67cceb"
+
 
 def test_theorem1_determinism_across_parallelism():
     cfg = _small_config(trials=8)

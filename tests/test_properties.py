@@ -206,7 +206,7 @@ def test_batched_rics_match_unpruned_and_single_calls(stack, mode, lead):
     if mode == "cut":
         patches["_ENTRY_LIMIT"] = count * K
     with mock.patch.multiple(ripcheck, **patches) if patches else contextlib.nullcontext():
-        batched = ripcheck._exact_rics(matrices, K)
+        batched = ripcheck._gram_rics(ripcheck._grams([as_matrix(A) for A in matrices]), K)
         singles = [exact_ric(A, K) for A in matrices]
     assert len(batched) == len(matrices)
     for A, b, s in zip(matrices, batched, singles):

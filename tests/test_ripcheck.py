@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from omplab import ripcheck
 from omplab import (
     CapacityError,
     SparseSignal,
+    as_matrix,
     chang_wu_min_mag_bound,
     chang_wu_ric_bound,
     check_theorem1_conditions,
@@ -338,7 +341,7 @@ def test_batched_rounds_cut_per_gram(monkeypatch):
             mp.setattr(ripcheck, "_UNBOUNDED", 0)
             mp.setattr(ripcheck, "_LEAD", int(rng.integers(1, 9)))
             mp.setattr(ripcheck, "_ENTRY_LIMIT", math.comb(n, K) * K)
-            batched = ripcheck._exact_rics(stack, K)
+            batched = ripcheck._gram_rics(ripcheck._grams([as_matrix(A) for A in stack]), K)
             singles = [exact_ric(A, K) for A in stack]
         for b, s in zip(batched, singles):
             assert (b.delta, b.lambda_min, b.lambda_max) == (s.delta, s.lambda_min, s.lambda_max)
@@ -434,6 +437,30 @@ def test_check_conditions_lemma1_below_bound():
     assert v.ric_ok
     assert v.min_mag_bound == pytest.approx(expected, rel=1e-12)
     assert v.min_mag_ok and v.overall
+
+
+@pytest.mark.parametrize("K, digest", [
+    (2, "c4a54429c90c6532800bed25ec9732ae77a0cfc26ebc41427156293bcef40227"),
+    (3, "525e19bfd8c4e4da49f9b18d602de156892253edaf1fc1254e712e014dd6729f"),
+])
+def test_verdicts_at_the_threshold_keep_their_bytes(monkeypatch, K, digest):
+    # condition_verdict_json and comparison_report at delta = the sharp bound,
+    # one ulp below it and 0, for eps = 0 and eps > 0, as first recorded; the
+    # RIC is stubbed so delta sits exactly there
+    sharp = sharp_ric_bound(K)
+    x = SparseSignal(dimension=K + 2, support=range(K), values=[1.5, -2.0, 3.0][:K])
+    texts = []
+    for delta in (sharp, math.nextafter(sharp, 0.0), 0.0):
+        report = ripcheck.RicReport(K + 1, delta, np.arange(K + 1), 1 - delta, 1 + delta, 1, 1)
+        monkeypatch.setattr(ripcheck, "exact_ric", lambda A, order: report)
+        for eps in (0.0, 0.05):
+            verdict = check_theorem1_conditions(np.eye(K + 2), x, eps)
+            comparison = comparison_report(K, delta, eps)
+            assert (verdict.min_mag_bound == math.inf) == (delta == sharp)
+            assert comparison.sharp_min_mag == verdict.min_mag_bound
+            texts.append(condition_verdict_json(verdict))
+            texts.append(json.dumps(asdict(comparison)))
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
 
 
 def test_verify_lemma1_worked_example():
