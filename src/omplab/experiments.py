@@ -11,8 +11,14 @@ one at a time in chunks. A serial run executes the units in-process; above
 parallelism 1 one process pool, shared by every cell, receives the same
 units, the largest first (by m*n, then K), so that its workers finish
 together. Results are reduced in trial order. Harness trials validate at
-the public entry points and trust their own draws: a trial forms
-y = A x + v itself, and a unit's matrices go straight to the RIC kernel.
+the public entry points and trust their own draws: the config refuses what a
+draw would (an unknown sign pattern, a fixed floor whose magnitude range
+overflows) before any trial runs, a trial forms y = A x + v itself and is
+handed its RIC, and a unit's matrices go straight to the RIC kernel. Only a
+theorem1 failure, replayed for its record, computes its RIC alone and
+becomes a ProblemInstance. ``FailureInstance`` is the one counterexample
+verdict: apart from the exact tie at t = 1/sqrt(K+1), ``sharpness_probe``
+returns None exactly when it refuses.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -33,7 +39,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .linalg import as_epsilon, as_matrix, projection_residual
+from .linalg import as_epsilon, projection_residual
 from .omp import GuaranteeViolation, StopRule, omp_run, write_trace_csv
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
@@ -47,6 +53,7 @@ from .ripcheck import (
 )
 from .sensing import (
     MASK64,
+    SIGN_PATTERNS,
     NoiseSpec,
     ProblemInstance,
     SparseSignal,
@@ -127,6 +134,10 @@ class ExperimentConfig:
             raise ValueError("min_mag_fixed must be positive and finite")
         if not (1 <= self.dynamic_range < math.inf):
             raise ValueError("dynamic_range must be finite and at least 1")
+        if self.min_mag_policy == "fixed" and math.isinf(self.min_mag_fixed * self.dynamic_range):
+            raise ValueError("min_mag_fixed * dynamic_range must be finite")
+        if self.sign_pattern not in SIGN_PATTERNS:
+            raise ValueError(f"sign_pattern must be one of {SIGN_PATTERNS}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}")
         if self.parallelism < 1:
@@ -357,24 +368,19 @@ def _build_trial(task, A, floor):
     return signal, v, A @ signal.to_dense() + v
 
 
-def _simulate(task, A, delta=None, record=False):
-    """Run one trial on its drawn matrix A: (outcome, instance, result, delta).
-
-    ``delta`` is A's exact RIC when already computed, else computed here if
-    the trial checks the conditions; it stays None when no RIC was computed.
-    ``instance``, the trial as a ProblemInstance, is built only to
-    ``record`` a failure. It and ``result`` are None for a theorem1 trial
-    skipped for failing the RIC condition.
-    """
-    ric_ok, floor = False, math.inf  # no RIC, no guarantee
-    if task.check_conditions:
-        if delta is None:
-            delta = exact_ric(A, task.k + 1, budget=task.config.subset_budget).delta
+def _simulate(task, A, delta):
+    """Run one trial on its drawn matrix A; returns (outcome, (signal, v, y),
+    result). ``delta`` is A's exact order-(K+1) RIC, or None when the trial
+    checks no RIC (and so has no guarantee). The draw and the result are
+    None for a theorem1 trial skipped for failing the RIC condition."""
+    ric_ok, floor = False, math.inf
+    if delta is not None:
         ric_ok = delta < sharp_ric_bound(task.k)
         floor = _magnitude_floor(delta, task.k, task.epsilon)
     if task.mode == "theorem1" and not ric_ok:
-        return _SKIPPED, None, None, delta
-    signal, v, y = _build_trial(task, A, floor if ric_ok else 2.0 * task.epsilon)
+        return _SKIPPED, None, None
+    draw = _build_trial(task, A, floor if ric_ok else 2.0 * task.epsilon)
+    signal, _, y = draw
     result = omp_run(A, y, _stop_rule(task), true_support=signal.support)
     exact = bool(np.array_equal(result.recovered_support, signal.support))
     outcome = _TrialOutcome(
@@ -384,8 +390,7 @@ def _simulate(task, A, delta=None, record=False):
         iterations=result.iterations,
         rank_failure=result.stopped_by == "rank_failure",
     )
-    instance = ProblemInstance(A, signal, v, y) if record else None
-    return outcome, instance, result, delta
+    return outcome, draw, result
 
 
 #: Most bound entries, trials times C(n, K + 1), in one unit's batched RIC.
@@ -399,7 +404,7 @@ def _run_unit(tasks):
     matrices and compute the exact RICs in one batch, trusted: the callers
     check the order and budget first; other trials draw and solve alone."""
     if not tasks[0].check_conditions:
-        return [_simulate(task, _draw_matrix(task))[0] for task in tasks]
+        return [_simulate(task, _draw_matrix(task), None)[0] for task in tasks]
     matrices = [_draw_matrix(task) for task in tasks]
     reports = _gram_rics(_grams(matrices), tasks[0].k + 1)
     return [_simulate(task, A, report.delta)[0]
@@ -450,13 +455,12 @@ def _run_cells(config, mode):
     """Run every trial of the run in one ``_map_trials`` call; returns
     ``(cell, tasks, outcomes)`` per cell in cell order. Trial j of cell ci has
     global index t = ci * trials + j. Theorem1 trials always check the
-    conditions; phase trials only where the subset budget allows."""
+    conditions; phase trials only where the order-(K+1) enumeration has
+    subsets (K < n) and fits the subset budget."""
     cells = config.cells()
     tasks = []
     for ci, (m, n, k, eps) in enumerate(cells):
-        check = mode == "theorem1" or (
-            math.comb(n, k + 1) <= config.subset_budget and k + 1 <= n
-        )
+        check = mode == "theorem1" or 0 < math.comb(n, k + 1) <= config.subset_budget
         for j in range(config.trials):
             t = ci * config.trials + j
             trial_seed = (config.master_seed ^ splitmix64(t)) & MASK64
@@ -536,9 +540,11 @@ def theorem1_validation(config):
     for cell, tasks, outcomes in _run_cells(config, "theorem1"):
         for j, outcome in enumerate(outcomes):
             if outcome.held and not outcome.success:
-                A = _draw_matrix(tasks[j])
-                _, instance, result, delta = _simulate(tasks[j], A, record=True)
                 m, n, k, eps = cell
+                A = _draw_matrix(tasks[j])
+                delta = exact_ric(A, k + 1, budget=config.subset_budget).delta
+                _, draw, result = _simulate(tasks[j], A, delta)
+                instance = ProblemInstance(A, *draw)
                 directory = os.path.join(
                     config.failure_dir,
                     f"cell_m{m}_n{n}_K{k}_eps{eps}_trial{j}",
@@ -595,7 +601,9 @@ class FailureInstance:
 
     The trace must show a noiseless K-iteration run recovering something
     other than the signal support, and the verified RIC may not sit below
-    the sharp bound (such an instance would contradict the guarantee).
+    the sharp bound (such an instance would contradict the guarantee). This
+    is the package's one counterexample verdict: the probe and the loader
+    both construct through it.
     """
 
     matrix: np.ndarray
@@ -605,11 +613,12 @@ class FailureInstance:
     omp_trace: object
 
     def __post_init__(self):
-        problem = _counterexample_problem(
-            self.verified_delta, self.sharp_bound, self.signal, self.omp_trace
-        )
-        if problem is not None:
-            raise ValueError(problem)
+        if self.verified_delta < self.sharp_bound - 1e-10:
+            raise ValueError(
+                "verified delta sits below the sharp bound; not a valid counterexample"
+            )
+        if np.array_equal(self.omp_trace.recovered_support, self.signal.support):
+            raise ValueError("trace recovers the true support; not a failure")
 
 
 def _k_step_run(A, signal):
@@ -618,16 +627,6 @@ def _k_step_run(A, signal):
     y = A @ signal.to_dense()
     rule = StopRule.max_iterations(signal.sparsity)
     return omp_run(A, y, rule, true_support=signal.support)
-
-
-def _counterexample_problem(delta, sharp, signal, result):
-    """Why a verified RIC ``delta`` and a K-step run ``result`` do not make a
-    counterexample for ``signal``; None when they do."""
-    if delta < sharp - 1e-10:
-        return "verified delta sits below the sharp bound; not a valid counterexample"
-    if np.array_equal(result.recovered_support, signal.support):
-        return "trace recovers the true support; not a failure"
-    return None
 
 
 def sharpness_probe(K, t):
@@ -642,10 +641,11 @@ def sharpness_probe(K, t):
     selection by the factor c > 1.
 
     An exact RIC computation and a noiseless K-iteration solver run verify
-    the instance; ``None`` means they did not confirm it. At t == 1/sqrt(K+1)
-    c = 1, so the first selection is an exact tie that rounding decides and
-    no instance is claimed; a few ulps above the bound rounding can still
-    break the tie toward the support, and verification rejects the instance.
+    the instance: ``None`` means FailureInstance, the one counterexample
+    verdict, rejected them. At t == 1/sqrt(K+1) c = 1, so the first
+    selection is an exact tie that rounding decides and no instance is
+    claimed; a few ulps above the bound rounding can still break the tie
+    toward the support (at K = 4, for one), and FailureInstance rejects it.
     """
     K = int(K)
     if not (2 <= K <= MAX_SHARPNESS_K):
@@ -659,23 +659,16 @@ def sharpness_probe(K, t):
     G = np.eye(K + 1)
     G[0, 0] = 1.0 + 2.0 / K
     G[0, 1:] = G[1:, 0] = c / K
-    A = as_matrix(np.linalg.cholesky(G * (K / (K + 1.0))).T)
+    A = np.linalg.cholesky(G * (K / (K + 1.0))).T
     signal = SparseSignal(
         dimension=K + 1, support=np.arange(1, K + 1), values=np.ones(K)
     )
     delta = exact_ric(A, K + 1).delta
-    if abs(delta - t) > 1e-6:
-        return None
     result = _k_step_run(A, signal)
-    if _counterexample_problem(delta, sharp, signal, result) is not None:
+    try:
+        return FailureInstance(A, signal, delta, sharp, result)
+    except ValueError:
         return None
-    return FailureInstance(
-        matrix=A,
-        signal=signal,
-        verified_delta=delta,
-        sharp_bound=sharp,
-        omp_trace=result,
-    )
 
 
 def save_failure_instance(directory, fi):
@@ -783,20 +776,16 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
             A, signal, _ = lemma1_example_instance(
                 LEMMA1_DELTAS[i % len(LEMMA1_DELTAS)]
             )
-        elif kind == "identity":
-            A = as_matrix(np.eye(n))
-            signal = random_sparse_signal(
-                n, K, 1.0, 10.0, _derived_seed(trial_seed, _SIGNAL_TAG)
-            )
         else:
-            A = gaussian_sensing_matrix(
-                m, n, _derived_seed(trial_seed, _MATRIX_TAG)
-            )
+            if kind == "identity":
+                A = np.eye(n, order="F")
+            else:
+                A = gaussian_sensing_matrix(m, n, _derived_seed(trial_seed, _MATRIX_TAG))
             signal = random_sparse_signal(
                 n, K, 1.0, 10.0, _derived_seed(trial_seed, _SIGNAL_TAG)
             )
 
-        G = _grams([as_matrix(A)])
+        G = _grams([A])
         deltas = [_gram_rics(G, order)[0].delta for order in range(1, K + 2)]
 
         # monotonicity of the RIC in the order

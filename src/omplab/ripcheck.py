@@ -456,8 +456,10 @@ def _magnitude_floor(delta_k1, K, epsilon):
 def check_theorem1_conditions(A, signal, epsilon):
     """Evaluate both recovery conditions for (A, x, eps) with exact RIC.
 
-    Strict inequalities, zero tolerance. Returns a ConditionVerdict; an RIC
-    enumeration beyond the default subset budget propagates as CapacityError.
+    Strict inequalities, zero tolerance. Returns a ConditionVerdict. The
+    order K + 1 is checked by exact_ric alone: a support of every column
+    raises its ValueError, and an enumeration beyond the default subset
+    budget propagates as CapacityError.
     """
     A = as_matrix(A)
     if A.shape[1] != signal.dimension:
@@ -465,8 +467,6 @@ def check_theorem1_conditions(A, signal, epsilon):
     K = signal.sparsity
     if K < 1:
         raise ValueError("signal must have nonempty support")
-    if K + 1 > A.shape[1]:
-        raise ValueError("need at least K+1 columns to check order K+1")
     as_epsilon(epsilon)
     report = exact_ric(A, K + 1)
     bound = sharp_ric_bound(K)
@@ -493,8 +493,9 @@ def verify_lemma1(A, signal, S, delta_k1=None):
             >=  (1 - sqrt(r + 1) * delta_{K+1}) * || x_{Omega\\S} || / sqrt(r)
 
     where r = |Omega| - |S| and delta_{K+1} is the exact RIC at order
-    |Omega| + 1 (computed here unless the caller supplies it, finite and
-    non-negative). The check is numerical only; no tightness claim is made.
+    |Omega| + 1 (computed here, where exact_ric checks that order, unless the
+    caller supplies it, finite and non-negative). The check is numerical
+    only; no tightness claim is made.
 
     Returns:
         Lemma1Check(lhs, rhs, holds) with holds = (lhs >= rhs - 1e-10).
@@ -515,8 +516,6 @@ def verify_lemma1(A, signal, S, delta_k1=None):
     if S.size >= omega.size:
         raise ValueError("S must be a proper subset of the support")
     if delta_k1 is None:
-        if omega.size + 1 > A.shape[1]:
-            raise ValueError("need |support|+1 <= columns to compute the RIC")
         delta_k1 = exact_ric(A, omega.size + 1).delta
     elif not (0 <= delta_k1 < math.inf):
         raise ValueError("delta_k1 must be non-negative and finite")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -136,6 +137,80 @@ def test_cli_check(workspace, capsys):
     assert set(payload) >= {"ric_ok", "min_mag_ok", "overall"}
 
 
+def test_cli_check_needs_a_column_beyond_the_support(tmp_path, capsys):
+    A = tmp_path / "A.mat"
+    x = tmp_path / "x.sig"
+    write_matrix(A, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    write_signal(x, SparseSignal(dimension=3, support=[0, 1, 2], values=[1.0] * 3))
+    assert main(["check", "--matrix", str(A), "--signal", str(x), "--eps", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "order must lie in [1, 3], got 4" in err  # exact_ric's order check
+    assert "Traceback" not in err
+
+
+def _tree_digest(directory):
+    """sha256 of every file of ``directory``, names and bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+GOLDEN_CLI_DIGESTS = {
+    "ric2": "bbee2a9c6dda32a9b71888ca4d0493156aa51157c257b111daa6d343091e5ec7",
+    "ric3": "0bd1f87501c19bc431f53a433d182679d6f2e970867dd7d80bc404acf628f336",
+    "check": "e8501da7e08b68a0f15bcc8a80091a4c48d0e5b54f87082e195413dced6aecb2",
+    "check_tall0": "a745ecd12ac549aa4b50a12aac5287be4d5c078183b9517b243ddce5c1281cc9",
+    "check_tall": "53e8b63c16bae6ab46d097612054feb154069ee6c247a3ae000b104073787de3",
+    "omp": "38b1b5f14bf9ecbfdf6588fda07a198136b19fa4f76d59fbdb5b3d6a8616a123",
+    "trace": "9f1e4f3bdec0c76bceab29876eb1135d6fbc487b89d0f31c600cb06b9fc713e2",
+    "sharpness2": "01dd86a174ea06ab51b0881ca489752de71f97fd680ca390c85585097b63c49a",
+    "sharpness2_dir": "cdbb6844f8ff72c5d6781894efd027d360df8c522f8275a5ea6d00940aa4e5db",
+    "sharpness3": "a974818555aa108d7aa06630834f82190697706e13fc5007f6a9c6a4edc6c921",
+    "sharpness3_dir": "1931578c5b7a5941308bc43d25fe1a4d496140b7e8906fb7135bc20a29725c55",
+    "sharpness5": "95ceb0b72ba90196c1b5eaaf8c6e534a616840de7916119f01e95c1053961eac",
+    "sharpness5_dir": "d9b25a4840d9f49ded0048d6f439fb58ace7f12d6f5a0d21b0d499f2049e480a",
+    "sharpness4_tie": "f3da236acc0dee07862701106be812bacd06ce6e6a53cac705fe95474313e0f7",
+}
+
+
+def test_cli_outputs_keep_their_bytes(workspace, capsys):
+    # sha256 of each output as first recorded: the ric and check JSON, the
+    # omp --trace stdout and trace CSV, and the sharpness directories
+    A, x, y = (str(workspace[key]) for key in ("A", "x", "y"))
+    tall, spike = workspace["dir"] / "tall.mat", workspace["dir"] / "spike.sig"
+    write_matrix(tall, gaussian_sensing_matrix(48, 10, seed=5))  # RIC condition holds
+    write_signal(spike, random_sparse_signal(10, 1, 1.0, 5.0, seed=6))
+    trace = workspace["dir"] / "trace.csv"
+    digests = {}
+    for name, argv in (
+        ("ric2", ["ric", "--matrix", A, "--order", "2"]),
+        ("ric3", ["ric", "--matrix", A, "--order", "3"]),
+        ("check", ["check", "--matrix", A, "--signal", x, "--eps", "0.05"]),
+        ("check_tall0", ["check", "--matrix", str(tall), "--signal", str(spike),
+                         "--eps", "0"]),
+        ("check_tall", ["check", "--matrix", str(tall), "--signal", str(spike),
+                        "--eps", "0.05"]),
+        ("omp", ["omp", "--matrix", A, "--measurement", y, "--eps", "0.05",
+                 "--trace", str(trace)]),
+    ):
+        assert main(argv) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    digests["trace"] = hashlib.sha256(trace.read_bytes()).hexdigest()
+    for k, t in (("2", "0.7"), ("3", "0.9"), ("5", "0.5")):
+        out = workspace["dir"] / f"sharpness_{k}"
+        assert main(["sharpness", "--k", k, "--t", t, "--out", str(out)]) == 0
+        text = capsys.readouterr().out.replace(str(out), "OUT")
+        digests[f"sharpness{k}"] = hashlib.sha256(text.encode()).hexdigest()
+        digests[f"sharpness{k}_dir"] = _tree_digest(out)
+    # one ulp above 1/sqrt(5): rounding breaks the tie toward the support
+    out = workspace["dir"] / "sharpness_tie"
+    assert main(["sharpness", "--k", "4", "--t", "0.447213595499958", "--out", str(out)]) == 0
+    digests["sharpness4_tie"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert not out.exists()
+    assert digests == GOLDEN_CLI_DIGESTS
+
+
 def test_cli_validate_and_phase_determinism(workspace, capsys):
     cfg = workspace["dir"] / "exp.cfg"
     cfg.write_text(
@@ -186,6 +261,20 @@ def test_cli_non_finite_config_exit_code(workspace, capsys):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_bad_sign_pattern_exit_code(workspace, capsys, monkeypatch):
+    # refused by the config, before any trial could skip on its RIC
+    ran = []
+    monkeypatch.setattr(experiments, "_run_unit", ran.append)
+    cfg = workspace["dir"] / "sign.cfg"
+    cfg.write_text("m = 3\nn = 6\nk = 2\nepsilon = 0\ntrials = 5\nsign_pattern = bogus\n")
+    out = workspace["dir"] / "out.csv"
+    for command in ("validate-theorem1", "phase"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sign_pattern must be one of" in capsys.readouterr().err
+    assert not out.exists()
+    assert ran == []
 
 
 def test_cli_phase_rejects_noiseless_cell_with_k_above_min_mn(

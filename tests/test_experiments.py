@@ -108,6 +108,20 @@ def test_config_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError):
             _small_config(subset_budget=bad)
+    # values the signal draw would reject, refused before any trial runs
+    with pytest.raises(ValueError, match="sign_pattern must be one of"):
+        _small_config(sign_pattern="bogus")
+    with pytest.raises(ValueError, match=r"min_mag_fixed \* dynamic_range must be finite"):
+        _small_config(min_mag_policy="fixed", min_mag_fixed=1e308)
+    _small_config(min_mag_fixed=1e308)  # unused under the theorem_bound policy
+
+
+def test_theorem1_validation_refuses_k_equal_n_before_any_trial(monkeypatch):
+    ran = []
+    monkeypatch.setattr(experiments, "_run_unit", ran.append)
+    with pytest.raises(ValueError, match=r"cell \(m=12, n=14, K=14\) needs K\+1 <= n"):
+        theorem1_validation(_small_config(k_values=(1, 14)))
+    assert ran == []
 
 
 def test_theorem1_validation_counts():
@@ -410,6 +424,17 @@ def test_phase_table_over_budget_cells_report_rate_only():
     assert 0.0 <= rows[0].exact_support_rate <= 1.0
 
 
+def test_phase_table_checks_no_conditions_where_k_equals_n(monkeypatch):
+    # no order-(K+1) RIC exists at K = n: that cell reports the rate only,
+    # and its trials never reach the RIC kernel
+    grams = []
+    real_grams = experiments._grams
+    monkeypatch.setattr(experiments, "_grams", lambda Ms: grams.append(Ms) or real_grams(Ms))
+    rows = phase_table(_small_config(k_values=(1, 14), epsilon_values=(0.05,)))
+    assert [r.conditions_held_count is None for r in rows] == [False, True]
+    assert sum(len(Ms) for Ms in grams) == 6  # the K = 1 cell's trials
+
+
 def test_csv_rendering_blanks():
     cfg = _small_config(trials=4)
     text = rows_csv_text(theorem1_validation(cfg))
@@ -458,6 +483,24 @@ def test_sharpness_probe_exact_tie_returns_none():
     # would decide, so no instance is claimed.
     for K in range(2, 9):
         assert sharpness_probe(K, sharp_ric_bound(K)) is None
+
+
+def test_failure_instance_rejects_what_is_not_a_counterexample():
+    fi = sharpness_probe(2, 0.9)
+    with pytest.raises(ValueError, match="below the sharp bound"):
+        replace(fi, verified_delta=fi.sharp_bound - 1e-9)
+    recovers = replace(fi.omp_trace, recovered_support=fi.signal.support)
+    with pytest.raises(ValueError, match="recovers the true support"):
+        replace(fi, omp_trace=recovers)
+
+
+def test_sharpness_probe_rejects_a_tie_broken_toward_the_support():
+    # one ulp above the bound the first selection is all but tied; at K = 4
+    # (the smallest such K) rounding hands it to the support, so the K-step
+    # run recovers the support and no counterexample is claimed
+    for K, found in ((2, True), (3, True), (4, False)):
+        t = math.nextafter(sharp_ric_bound(K), 1.0)
+        assert (sharpness_probe(K, t) is not None) == found, K
 
 
 def test_sharpness_probe_validation(monkeypatch):

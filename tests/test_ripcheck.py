@@ -439,6 +439,16 @@ def test_check_conditions_lemma1_below_bound():
     assert v.min_mag_ok and v.overall
 
 
+def test_order_checks_need_a_column_beyond_the_support():
+    # |support| + 1 > n: there is no order-(K+1) RIC, and exact_ric says so
+    x = SparseSignal(dimension=3, support=[0, 1, 2], values=[1.0, 1.0, 1.0])
+    order = r"order must lie in \[1, 3\], got 4"
+    with pytest.raises(ValueError, match=order):
+        check_theorem1_conditions(np.eye(3), x, 0.0)
+    with pytest.raises(ValueError, match=order):
+        verify_lemma1(np.eye(3), x, [0])
+
+
 @pytest.mark.parametrize("K, digest", [
     (2, "c4a54429c90c6532800bed25ec9732ae77a0cfc26ebc41427156293bcef40227"),
     (3, "525e19bfd8c4e4da49f9b18d602de156892253edaf1fc1254e712e014dd6729f"),
