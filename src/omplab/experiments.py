@@ -39,7 +39,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .linalg import as_epsilon, projection_residual
+from .linalg import SingularSystemError, _least_squares, as_epsilon
 from .omp import GuaranteeViolation, StopRule, omp_run, write_trace_csv
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
@@ -96,6 +96,11 @@ class ExperimentConfig:
       cells) is replaced by a unit floor, since the guarantee then imposes
       no constraint.
     * ``fixed``: always ``min_mag_fixed``.
+
+    A floor whose magnitude range (times ``dynamic_range``) overflows is
+    refused here, before any trial runs: ``min_mag_fixed``, or under
+    ``theorem_bound`` the smallest floor, ``margin_factor * 2 eps``, of
+    any epsilon.
     """
 
     m_values: tuple
@@ -146,6 +151,10 @@ class ExperimentConfig:
             raise ValueError("subset_budget must be positive")
         for eps in self.epsilon_values:
             as_epsilon(eps)
+            # a trial's floor is at least margin_factor * 2 eps (see _build_trial)
+            if self.min_mag_policy == "theorem_bound" and math.isinf(
+                    2.0 * eps * self.margin_factor * self.dynamic_range):
+                raise ValueError("margin_factor * 2 * epsilon * dynamic_range must be finite")
         for m, n, k, _ in self.cells():
             if m < 1 or n < 1 or k < 1:
                 raise ValueError("m, n and K must all be positive")
@@ -757,89 +766,53 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
     ||A_S^T w||^2 <= (1 + delta_k) ||w||^2; a random coefficient vector
     checks the projected-energy sandwich (1 - delta) ||u||^2 <=
     ||P A_{S2 minus S1} u||^2 <= (1 + delta) ||u||^2; and every proper subset
-    of the support feeds one batched check of the selection inequality when
-    the order-(K+1) RIC is below 1 (else it claims nothing; the instance
-    counts as skipped). Any violation serializes the instance and raises.
+    of the support feeds the selection inequality when the order-(K+1) RIC is
+    below 1 (else it claims nothing; the instance counts as skipped).
+
+    Each instance draws from its own seeds, but the instances of one
+    ``_SWEEP_SHAPES`` row are checked together (``_sweep_checks``), each
+    value bit for bit as if checked alone, in chunks of at most
+    ``_UNIT_ENTRIES // C(n, K + 1)`` of them (one at least), so memory stays
+    bounded. Results are reduced in instance order: the first instance that
+    violates an inequality is serialized and raises GuaranteeViolation, and
+    the first whose check raises re-raises.
     """
     if instances < 1:
         raise ValueError("instances must be positive")
     margins = {1: math.inf, 2: math.inf, 3: math.inf, 4: math.inf}
     lemma1_checks = 0
     lemma1_skipped = 0
-    violations = []
-
+    shapes = len(_SWEEP_SHAPES)
+    subsets = {K: np.array([[j in S for j in range(K)] for size in range(K)
+                            for S in itertools.combinations(range(K), size)])
+               for _, _, _, K in _SWEEP_SHAPES}  # one row per proper subset
+    results = {}  # of the instances checked but not yet reduced
     for i in range(instances):
-        trial_seed = (int(seed) ^ splitmix64(i)) & MASK64
-        kind, m, n, K = _SWEEP_SHAPES[i % len(_SWEEP_SHAPES)]
-        rng = philox_generator(_derived_seed(trial_seed, 0x77))
-        if kind == "lemma1_family":
-            A, signal, _ = lemma1_example_instance(
-                LEMMA1_DELTAS[i % len(LEMMA1_DELTAS)]
-            )
-        else:
-            if kind == "identity":
-                A = np.eye(n, order="F")
-            else:
-                A = gaussian_sensing_matrix(m, n, _derived_seed(trial_seed, _MATRIX_TAG))
-            signal = random_sparse_signal(
-                n, K, 1.0, 10.0, _derived_seed(trial_seed, _SIGNAL_TAG)
-            )
-
-        G = _grams([A])
-        deltas = [_gram_rics(G, order)[0].delta for order in range(1, K + 2)]
-
+        if i not in results:  # i is its shape's first unchecked instance
+            _, _, n, K = _SWEEP_SHAPES[i % shapes]
+            chunk = range(i, instances, shapes)[: max(1, _UNIT_ENTRIES // math.comb(n, K + 1))]
+            results.update(zip(chunk, _sweep_results(seed, chunk, subsets)))
+        result = results.pop(i)
+        if isinstance(result, Exception):
+            raise result
+        lemma2, margin3, margin4, lemma1, holds = result
         # monotonicity of the RIC in the order
-        for lower, upper in zip(deltas, deltas[1:]):
-            margin = upper - lower
-            margins[2] = min(margins[2], margin)
-            if margin < -1e-10:
-                violations.append((i, "lemma2", margin))
-
-        # correlation energy against a random ambient vector
-        w = rng.standard_normal(m)
-        sub = A[:, signal.support]
-        margin3 = (1.0 + deltas[K - 1]) * float(w @ w) - float(
-            np.linalg.norm(sub.T @ w) ** 2
-        )
+        margins[2] = min(margins[2], *lemma2)
+        violations = [(i, "lemma2", d) for d in lemma2 if d < -1e-10]
         margins[3] = min(margins[3], margin3)
         if margin3 < -1e-9:
             violations.append((i, "lemma3", margin3))
-
-        # projected energy sandwich; alternate S1 inside and outside support
-        if i % 2 == 0 and K >= 2:
-            s1, rest = signal.support[: K // 2], signal.support[K // 2 :]
-            union_order = K
-        else:
-            off = np.ones(A.shape[1], dtype=bool)
-            off[signal.support] = False
-            s1, rest = off.nonzero()[0][:1], signal.support
-            union_order = K + 1
-        u = rng.standard_normal(rest.size)
-        z = projection_residual(A[:, s1], A[:, rest] @ u)
-        energy = float(z @ z)
-        d_union = deltas[union_order - 1]
-        uu = float(u @ u)
-        low_margin = energy - (1.0 - d_union) * uu
-        high_margin = (1.0 + d_union) * uu - energy
-        margin4 = min(low_margin, high_margin)
         margins[4] = min(margins[4], margin4)
         if margin4 < -1e-9:
             violations.append((i, "lemma4", margin4))
-
-        # selection inequality, one row per proper subset of the support
-        if deltas[K] < 1.0:
-            in_S = np.array([[j in S for j in range(K)] for size in range(K)
-                             for S in itertools.combinations(range(K), size)])
-            lhs, rhs, holds = _lemma1_sides(A, signal.support, signal.values,
-                                            deltas[K], in_S)
-            margin = (lhs - rhs).tolist()
-            lemma1_checks += len(margin)
-            margins[1] = min(margins[1], *margin)
-            violations += [(i, "lemma1", d) for d, ok in zip(margin, holds) if not ok]
-        else:
+        if lemma1 is None:
             lemma1_skipped += 1
-
+        else:
+            lemma1_checks += len(lemma1)
+            margins[1] = min(margins[1], *lemma1)
+            violations += [(i, "lemma1", d) for d, ok in zip(lemma1, holds) if not ok]
         if violations:
+            A, signal = _sweep_instance(seed, i)[:2]
             instance = generate_measurement(A, signal, NoiseSpec(kind="none"))
             directory = os.path.join(failure_dir, f"instance_{i}")
             _write_record(directory, instance)
@@ -858,3 +831,89 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
         min_margin_lemma4=margins[4],
         violations=0,
     )
+
+
+def _sweep_instance(seed, i):
+    """Instance i of a lemma sweep: its matrix A, signal, ambient vector w,
+    projected-energy split (S1, rest) and coefficients u. S1 alternates
+    inside and outside the support; w, then u, come from one generator."""
+    trial_seed = (int(seed) ^ splitmix64(i)) & MASK64
+    kind, m, n, K = _SWEEP_SHAPES[i % len(_SWEEP_SHAPES)]
+    if kind == "lemma1_family":
+        A, signal, _ = lemma1_example_instance(LEMMA1_DELTAS[i % len(LEMMA1_DELTAS)])
+    else:
+        if kind == "identity":
+            A = np.eye(n, order="F")
+        else:
+            A = gaussian_sensing_matrix(m, n, _derived_seed(trial_seed, _MATRIX_TAG))
+        signal = random_sparse_signal(n, K, 1.0, 10.0, _derived_seed(trial_seed, _SIGNAL_TAG))
+    if i % 2 == 0 and K >= 2:
+        s1, rest = signal.support[: K // 2], signal.support[K // 2 :]
+    else:
+        off = np.ones(n, dtype=bool)
+        off[signal.support] = False
+        s1, rest = off.nonzero()[0][:1], signal.support
+    rng = philox_generator(_derived_seed(trial_seed, 0x77))
+    w = rng.standard_normal(m)
+    return A, signal, w, s1, rest, rng.standard_normal(rest.size)
+
+
+def _sweep_results(seed, chunk, subsets):
+    """_sweep_checks of ``chunk``, or where a draw or check raises, of each
+    instance alone, the exception of one that raises standing in for its
+    result."""
+    try:
+        return _sweep_checks(seed, chunk, subsets)
+    except (ArithmeticError, ValueError, SingularSystemError) as exc:
+        if len(chunk) == 1:
+            return [exc]
+        return [r for i in chunk for r in _sweep_results(seed, [i], subsets)]
+
+
+def _sweep_checks(seed, chunk, subsets):
+    """Per instance of ``chunk``, indices of one _SWEEP_SHAPES row: its RIC
+    monotonicity margins, correlation-energy and projected-energy margins,
+    and the selection inequality's margins and verdicts per row of
+    ``subsets[K]``, both None where delta_{K+1} >= 1. Each check is one
+    batched call on the matrices stacked in the Fortran order they are drawn
+    in, so that each value is bit for bit its own."""
+    A, signals, w, s1, rest, u = zip(*(_sweep_instance(seed, i) for i in chunk))
+    K, t = signals[0].sparsity, np.arange(len(chunk))[:, None]
+    AT = np.stack([a.T for a in A])  # row j of AT[t] is column j of A[t]
+    A = AT.swapaxes(1, 2)  # the draws, each in Fortran order, held once
+
+    def dots(v):  # v[t] @ v[t] for each t, one BLAS dot each
+        return (v[:, None, :] @ v[:, :, None]).ravel()
+
+    G = _grams(A)
+    deltas = np.array([[r.delta for r in _gram_rics(G, order)] for order in range(1, K + 2)]).T
+    support = np.array([x.support for x in signals])
+
+    # correlation energy against a random ambient vector; as np.linalg.norm ** 2
+    w = np.array(w)
+    norms = np.sqrt(dots((AT[t, support] @ w[:, :, None])[..., 0]))
+    margin3 = (1.0 + deltas[:, K - 1]) * dots(w) - [v**2 for v in norms]
+
+    # projected-energy sandwich, one stacked projection per (|S1|, |rest|)
+    energy, uu = np.empty(len(chunk)), np.empty(len(chunk))
+    splits = [(a.size, b.size) for a, b in zip(s1, rest)]
+    for split in dict.fromkeys(splits):
+        j = [k for k, key in enumerate(splits) if key == split]
+        U = np.array([u[k] for k in j])
+        A_S = AT[t[j], np.array([s1[k] for k in j])].swapaxes(1, 2)
+        y = (AT[t[j], np.array([rest[k] for k in j])].swapaxes(1, 2) @ U[:, :, None])[..., 0]
+        energy[j] = dots(y - (A_S @ _least_squares(A_S, y)[:, :, None])[..., 0])
+        uu[j] = dots(U)
+    d_union = deltas[t[:, 0], [sum(split) - 1 for split in splits]]
+    low, high = energy - (1.0 - d_union) * uu, (1.0 + d_union) * uu - energy
+
+    # selection inequality, one row per proper subset of the support
+    held = deltas[:, K] < 1.0
+    rows = slice(None) if held.all() else held  # a view, not a copy, if it can
+    lhs, rhs, holds = _lemma1_sides(A[rows], support[rows],
+                                    np.array([x.values for x in signals])[rows],
+                                    deltas[rows, K], subsets[K])
+    lemma1 = iter(zip((lhs - rhs).tolist(), holds.tolist()))
+    return [(lemma2, m3, min(lo, hi), *(next(lemma1) if h else (None, None)))
+            for lemma2, m3, lo, hi, h in zip(np.diff(deltas).tolist(), margin3.tolist(),
+                                             low.tolist(), high.tolist(), held)]

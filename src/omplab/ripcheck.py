@@ -520,31 +520,37 @@ def verify_lemma1(A, signal, S, delta_k1=None):
     elif not (0 <= delta_k1 < math.inf):
         raise ValueError("delta_k1 must be non-negative and finite")
     in_S = (np.arange(omega.size) == pos[:, None]).any(axis=0, keepdims=True)
-    lhs, rhs, holds = _lemma1_sides(A, omega, signal.values, delta_k1, in_S)
-    return Lemma1Check(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
+    lhs, rhs, holds = _lemma1_sides(A[None], omega[None], signal.values[None],
+                                    np.array([delta_k1], dtype=float), in_S)
+    return Lemma1Check(lhs=float(lhs[0, 0]), rhs=float(rhs[0, 0]), holds=bool(holds[0, 0]))
 
 
 def _lemma1_sides(A, omega, x, delta_k1, in_S):
-    """lhs, rhs and holds of :func:`verify_lemma1` for each row S of the
-    (c, K) mask ``in_S`` of the support ``omega`` (sorted, values ``x``) of a
-    validated A, each bit for bit as if checked alone. Each size of S is one
-    stack of QR solves, in ascending order, so a rank-deficient A_S raises
-    for the first such row when rows come sorted by size."""
+    """lhs, rhs and holds of :func:`verify_lemma1`, (T, c) arrays, for each
+    row S of the (c, K) mask ``in_S`` of each instance t of a stack: the
+    validated A[t] of a (T, m, n) stack, its support omega[t] (sorted, values
+    x[t]) and its delta_k1[t]. Each entry is bit for bit as if checked alone,
+    given A[t] in Fortran order. Each size of S is one stack of QR solves, in
+    ascending order, so a rank-deficient A_S raises for the first such row
+    of the smallest such size, instances in stack order."""
+    t = np.arange(len(A))[:, None]
     rest = ~in_S
-    x_rest = x * rest
-    A_omega = A[:, omega]
-    P = (A_omega @ x_rest[:, :, None])[:, :, 0]  # row j: z, then P z
+    x_rest = x[:, None, :] * rest
+    AT = A.swapaxes(1, 2)  # row j of AT[t] is column j of A[t]
+    A_omega = AT[t, omega].swapaxes(1, 2)
+    P = (A_omega[:, None] @ x_rest[..., None])[..., 0]  # row (t, j): z, then P z
     sizes = in_S.sum(axis=1)
-    for s in np.unique(sizes[sizes > 0]):
+    for s in sorted(set(sizes.tolist()) - {0}):  # np.unique would import numpy.ma
         rows = sizes == s
-        A_S = A_omega[:, in_S[rows].nonzero()[1].reshape(-1, s)].transpose(1, 0, 2)
-        P[rows] -= (A_S @ _least_squares(A_S, P[rows])[:, :, None])[:, :, 0]
-    C = np.abs(A.T @ P[:, :, None])[:, :, 0]
-    lhs = C[:, omega].max(axis=1, where=rest, initial=0.0)
-    lhs -= np.delete(C, omega, axis=1).max(axis=1, initial=0.0)
+        A_S = AT[t[:, :, None], omega[:, in_S[rows].nonzero()[1].reshape(-1, s)]].swapaxes(2, 3)
+        P[:, rows] -= (A_S @ _least_squares(A_S, P[:, rows])[..., None])[..., 0]
+    C = np.abs(AT[:, None] @ P[..., None])[..., 0]
+    lhs = np.take_along_axis(C, omega[:, None, :], axis=2).max(axis=2, where=rest, initial=0.0)
+    np.put_along_axis(C, omega[:, None, :], 0.0, axis=2)  # C >= 0: max over the rest
+    lhs -= C.max(axis=2)
     r = rest.sum(axis=1)
-    x_norm = np.sqrt(np.square(x_rest).sum(axis=1))
-    rhs = (1.0 - np.sqrt(r + 1.0) * delta_k1) * x_norm / np.sqrt(r)
+    x_norm = np.sqrt(np.square(x_rest).sum(axis=2))
+    rhs = (1.0 - np.sqrt(r + 1.0) * delta_k1[:, None]) * x_norm / np.sqrt(r)
     return lhs, rhs, lhs >= rhs - 1e-10
 
 

@@ -263,6 +263,23 @@ def test_cli_non_finite_config_exit_code(workspace, capsys):
         assert not out.exists()
 
 
+def test_cli_overflowing_theorem_bound_floor_exit_code(workspace, capsys, monkeypatch):
+    # every trial of this grid skips on its RIC, so only the config can
+    # refuse a floor range that overflows; both commands do, before any trial
+    ran = []
+    monkeypatch.setattr(experiments, "_run_unit", ran.append)
+    cfg = workspace["dir"] / "floor.cfg"
+    out = workspace["dir"] / "out.csv"
+    for tail in ("epsilon = 1e307\n", "epsilon = 0.1\nmargin_factor = 1e308\n"):
+        cfg.write_text("m = 3\nn = 6\nk = 2\ntrials = 5\n" + tail)
+        for command in ("validate-theorem1", "phase"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "margin_factor * 2 * epsilon * dynamic_range must be finite" in err
+            assert not out.exists()
+    assert ran == []
+
+
 def test_cli_bad_sign_pattern_exit_code(workspace, capsys, monkeypatch):
     # refused by the config, before any trial could skip on its RIC
     ran = []
@@ -409,6 +426,18 @@ def test_cli_lemmas(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == 0
     assert payload["instances"] == 8
+
+
+def test_cli_lemmas_keep_their_bytes(capsys):
+    # sha256 of the JSON as the one-instance-at-a-time sweep printed it
+    for seed, instances, digest in (
+        (1, 150, "38d28e5019fe3aa604bc0827a4263b862d717cf3f06897a508e71228c33f3e4c"),
+        (3, 150, "a1217b50e33fca5440dda1880a4993436976475e9d9b6386c0f3bb8513c38f6c"),
+        (77, 500, "e6c02e2abd44dcace51165c55234feb9e1814877dd3212f1c998ceb7e55eb26b"),
+    ):
+        assert main(["lemmas", "--seed", str(seed), "--instances", str(instances)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (seed, instances)
 
 
 def test_cli_imports_numpy_only():

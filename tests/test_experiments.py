@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -25,8 +26,10 @@ from omplab import (
     splitmix64,
     theorem1_validation,
     verify_failure_instance,
+    verify_lemma1,
 )
 from omplab.experiments import EXPERIMENT_CSV_HEADER
+from omplab.linalg import projection_residual
 from omplab.omp import STOP_RESIDUAL
 from omplab.sensing import MASK64, load_problem_instance
 
@@ -114,6 +117,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"min_mag_fixed \* dynamic_range must be finite"):
         _small_config(min_mag_policy="fixed", min_mag_fixed=1e308)
     _small_config(min_mag_fixed=1e308)  # unused under the theorem_bound policy
+    # the theorem_bound floor is at least margin_factor * 2 eps
+    message = r"margin_factor \* 2 \* epsilon \* dynamic_range must be finite"
+    for overrides in (dict(epsilon_values=(0.0, 1e307)),
+                      dict(epsilon_values=(0.1,), margin_factor=1e308),
+                      dict(epsilon_values=(1e300,), dynamic_range=1e10)):
+        with pytest.raises(ValueError, match=message):
+            _small_config(**overrides)
+    _small_config(epsilon_values=(0.0,), margin_factor=1e308)  # a unit floor
+    _small_config(min_mag_policy="fixed", epsilon_values=(1e307,))
 
 
 def test_theorem1_validation_refuses_k_equal_n_before_any_trial(monkeypatch):
@@ -552,10 +564,134 @@ def test_lemma_sweep_golden():
     )
 
 
+# lemma_sweep(2, count) as the one-instance-at-a-time loop reported it
+_SWEEP_COUNTS = {
+    1: "LemmaSweepReport(instances=1, lemma1_checks=1, lemma1_skipped=0, "
+       "min_margin_lemma1=0.38696592601398805, min_margin_lemma2=0.7595699795842064, "
+       "min_margin_lemma3=17.63401266325986, min_margin_lemma4=2.8017591278922676, "
+       "violations=0)",
+    4: "LemmaSweepReport(instances=4, lemma1_checks=14, lemma1_skipped=0, "
+       "min_margin_lemma1=0.165685424949238, min_margin_lemma2=0.0, "
+       "min_margin_lemma3=1.1772665512806155, min_margin_lemma4=0.07735049656883264, "
+       "violations=0)",
+    7: "LemmaSweepReport(instances=7, lemma1_checks=21, lemma1_skipped=0, "
+       "min_margin_lemma1=0.0, min_margin_lemma2=0.0, "
+       "min_margin_lemma3=1.1772665512806155, min_margin_lemma4=0.0, violations=0)",
+    151: "LemmaSweepReport(instances=151, lemma1_checks=511, lemma1_skipped=0, "
+         "min_margin_lemma1=0.0, min_margin_lemma2=0.0, "
+         "min_margin_lemma3=0.08006306282747411, "
+         "min_margin_lemma4=-4.440892098500626e-16, violations=0)",
+}
+
+
+@pytest.mark.parametrize("count", sorted(_SWEEP_COUNTS))
+def test_lemma_sweep_counts_off_the_shape_cycle(count):
+    # counts that leave some shapes one instance short of the others
+    assert repr(lemma_sweep(2, count)) == _SWEEP_COUNTS[count]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_lemma_sweep_chunk_cap_leaves_the_report_unchanged(monkeypatch, cap):
+    expected = [lemma_sweep(seed, 23) for seed in (1, 5)]
+    chunks = []
+    checks = experiments._sweep_checks
+
+    def spy(seed, chunk, subsets):
+        chunks.append(list(chunk))
+        return checks(seed, chunk, subsets)
+
+    # the bound-entry cap lowered so the largest shape takes `cap` instances
+    # per chunk; no chunk of any shape may then exceed it
+    largest = max(math.comb(n, K + 1) for _, _, n, K in experiments._SWEEP_SHAPES)
+    monkeypatch.setattr(experiments, "_UNIT_ENTRIES", cap * largest)
+    monkeypatch.setattr(experiments, "_sweep_checks", spy)
+    assert [lemma_sweep(seed, 23) for seed in (1, 5)] == expected
+    shapes = len(experiments._SWEEP_SHAPES)
+    assert max(len(c) for c in chunks if c[0] % shapes == 2) == cap
+    for chunk in chunks:
+        assert len({i % shapes for i in chunk}) == 1
+    assert sorted(i for c in chunks for i in c) == sorted(2 * list(range(23)))
+
+
+def test_sweep_checks_match_one_instance_at_a_time():
+    # the loop the stacked checks replaced, through the public entry points:
+    # every margin and verdict of every instance, bit for bit
+    seed, count = 11, 23
+    shapes = len(experiments._SWEEP_SHAPES)
+    subsets = {K: np.array([[j in S for j in range(K)] for size in range(K)
+                            for S in itertools.combinations(range(K), size)])
+               for K in (1, 2, 3)}
+    for s in range(shapes):
+        chunk = range(s, count, shapes)
+        for i, got in zip(chunk, experiments._sweep_checks(seed, chunk, subsets)):
+            A, signal, w, s1, rest, u = experiments._sweep_instance(seed, i)
+            K = signal.sparsity
+            deltas = [exact_ric(A, order).delta for order in range(1, K + 2)]
+            energy3 = float(np.linalg.norm(A[:, signal.support].T @ w) ** 2)
+            z = projection_residual(A[:, s1], A[:, rest] @ u)
+            d, energy, uu = deltas[len(s1) + len(rest) - 1], float(z @ z), float(u @ u)
+            checks = [verify_lemma1(A, signal, signal.support[list(S)], delta_k1=deltas[K])
+                      for size in range(K) for S in itertools.combinations(range(K), size)]
+            want = (
+                [b - a for a, b in zip(deltas, deltas[1:])],
+                (1.0 + deltas[K - 1]) * float(w @ w) - energy3,
+                min(energy - (1.0 - d) * uu, (1.0 + d) * uu - energy),
+                [c.lhs - c.rhs for c in checks],
+                [c.holds for c in checks],
+            )
+            assert repr(got) == repr(want), i
+
+
+def _fail_instances(monkeypatch, seed, failing):
+    """Patch the selection-inequality kernel: instance i of ``failing``
+    (found by its matrix) fails its last subset, or raises if its value is an
+    exception, in any stack it is checked in."""
+    matrices = {i: experiments._sweep_instance(seed, i)[0] for i in failing}
+    sides = experiments._lemma1_sides
+
+    def patched(A, omega, x, delta_k1, in_S):
+        lhs, rhs, holds = sides(A, omega, x, delta_k1, in_S)
+        for t, a in enumerate(A):
+            for i, how in failing.items():
+                if np.array_equal(a, matrices[i]):
+                    if how is not None:
+                        raise how
+                    lhs[t, -1] = -1.0
+                    holds[t, -1] = False
+        return lhs, rhs, holds
+
+    monkeypatch.setattr(experiments, "_lemma1_sides", patched)
+
+
+def test_lemma_sweep_serializes_the_first_violation_in_instance_order(monkeypatch, tmp_path):
+    # instance 6 (64 x 16) is checked in a chunk before instance 3 (the 3 x 3
+    # worked example) is, but instance 3 comes first
+    _fail_instances(monkeypatch, 7, {3: None, 6: None})
+    with pytest.raises(GuaranteeViolation, match="instance_3") as caught:
+        lemma_sweep(7, 7, failure_dir=tmp_path)
+    assert "[(3, 'lemma1', " in str(caught.value)
+    assert "(6, " not in str(caught.value)
+    assert [d.name for d in tmp_path.iterdir()] == ["instance_3"]
+
+
+def test_lemma_sweep_raises_or_serializes_in_instance_order(monkeypatch, tmp_path):
+    # a raising check stands where its instance does: after an earlier
+    # violation it is never reached, before a later one it is raised
+    _fail_instances(monkeypatch, 7, {3: None, 6: ArithmeticError("instance six")})
+    with pytest.raises(GuaranteeViolation, match="instance_3"):
+        lemma_sweep(7, 7, failure_dir=tmp_path / "a")
+    assert [d.name for d in (tmp_path / "a").iterdir()] == ["instance_3"]
+    _fail_instances(monkeypatch, 7, {3: ArithmeticError("instance three"), 6: None})
+    with pytest.raises(ArithmeticError, match="instance three"):
+        lemma_sweep(7, 7, failure_dir=tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
 def test_lemma_sweep_violation_serializes_instance(monkeypatch, tmp_path):
     def one_failing_row(A, omega, x, delta_k1, in_S):
-        lhs, rhs = np.zeros(len(in_S)), np.zeros(len(in_S))
-        lhs[-1] = -1.0
+        # every stacked instance fails on its last subset
+        lhs, rhs = np.zeros((len(A), len(in_S))), np.zeros((len(A), len(in_S)))
+        lhs[:, -1] = -1.0
         return lhs, rhs, lhs >= rhs - 1e-10
 
     monkeypatch.setattr(experiments, "_lemma1_sides", one_failing_row)

@@ -1,7 +1,8 @@
 """Property tests for omp_run on random Gaussian problems under either rule,
 for exact_ric and its batched form against the unpruned reference on
-tie-heavy matrices, and for verify_lemma1 and the batched
-selection-inequality kernel behind it against an explicit oracle.
+tie-heavy matrices, for verify_lemma1 and the batched
+selection-inequality kernel behind it against an explicit oracle, and for
+that kernel on stacks of instances against each instance alone.
 
 Hypothesis runs derandomized and without an example database, so the suite
 stays deterministic. It still caches the constants it reads from source
@@ -286,6 +287,14 @@ def _proper_subsets(K):
     return subsets, np.array([[j in S for j in range(K)] for S in subsets])
 
 
+def _kernel_row(A, signal, delta_k1, in_S):
+    """lhs, rhs and holds of the selection-inequality kernel on a stack of
+    one instance."""
+    lhs, rhs, holds = ripcheck._lemma1_sides(as_matrix(A)[None], signal.support[None],
+                                             signal.values[None], np.array([delta_k1]), in_S)
+    return lhs[0], rhs[0], holds[0]
+
+
 @_SETTINGS
 @given(_lemma1_cases())
 def test_lemma1_kernel_matches_oracle_on_every_subset(case):
@@ -296,8 +305,7 @@ def test_lemma1_kernel_matches_oracle_on_every_subset(case):
         delta_k1 = exact_ric(A, signal.sparsity + 1).delta
     omega = signal.support
     subsets, in_S = _proper_subsets(len(omega))
-    lhs, rhs, holds = ripcheck._lemma1_sides(as_matrix(A), omega, signal.values,
-                                             delta_k1, in_S)
+    lhs, rhs, holds = _kernel_row(A, signal, delta_k1, in_S)
     assert lhs.shape == rhs.shape == holds.shape == (len(subsets),)
     scale = np.linalg.norm(A) ** 2 * np.linalg.norm(signal.values)
     for row, S in enumerate(subsets):
@@ -328,11 +336,60 @@ def test_lemma1_repeated_support_column_is_singular(case):
     with pytest.raises(SingularSystemError) as single:
         verify_lemma1(A, signal, [first, second], delta_k1=delta_k1)
     with pytest.raises(SingularSystemError) as batched:
-        ripcheck._lemma1_sides(as_matrix(A), signal.support, signal.values,
-                               delta_k1, _proper_subsets(signal.sparsity)[1])
+        _kernel_row(A, signal, delta_k1, _proper_subsets(signal.sparsity)[1])
     for err in (single.value, batched.value):
         assert err.diagonal_value <= 1e-10 * err.largest_diagonal
     assert (single.value.diagonal_index, single.value.diagonal_value,
             single.value.largest_diagonal) == (
         batched.value.diagonal_index, batched.value.diagonal_value,
         batched.value.largest_diagonal)
+
+
+@st.composite
+def _lemma1_stacks(draw):
+    """1-6 instances of one shape (m, n, K), as the lemma sweep stacks them:
+    Gaussian matrices in Fortran order with their own supports, values and
+    RICs; a full-column support leaves no off-support column. With K >= 3,
+    some instances may have their first two support columns made equal."""
+    K = draw(st.integers(1, 4))
+    n = K if draw(st.booleans()) else draw(st.integers(K + 1, 8))
+    m = draw(st.integers(K + 1, 12))
+    T = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = [as_matrix(rng.standard_normal((m, n)) / math.sqrt(m)) for _ in range(T)]
+    omega = np.array([np.sort(rng.choice(n, size=K, replace=False)) for _ in range(T)])
+    values = rng.standard_normal((T, K))
+    deltas = np.array([draw(st.sampled_from([0.0, 0.1, 0.4, 0.9])) for _ in range(T)])
+    singular = [K >= 3 and draw(st.booleans()) for _ in range(T)]
+    for t in np.flatnonzero(singular):
+        A[t][:, omega[t, 1]] = A[t][:, omega[t, 0]]
+    return np.stack([a.T for a in A]).swapaxes(1, 2), omega, values, deltas, singular
+
+
+@_SETTINGS
+@given(_lemma1_stacks())
+def test_stacked_lemma1_kernel_matches_single_instances(stack):
+    # the stack's rows are each instance's own, bit for bit; with repeated
+    # columns, it raises for the first such instance, as that one alone does
+    A, omega, values, deltas, singular = stack
+    in_S = _proper_subsets(omega.shape[1])[1]
+    if any(singular):
+        first = singular.index(True)
+        with pytest.raises(SingularSystemError) as batched:
+            ripcheck._lemma1_sides(A, omega, values, deltas, in_S)
+        with pytest.raises(SingularSystemError) as single:
+            ripcheck._lemma1_sides(A[first : first + 1], omega[first : first + 1],
+                                   values[first : first + 1], deltas[first : first + 1], in_S)
+        assert batched.value.diagonal_value <= 1e-10 * batched.value.largest_diagonal
+        assert (batched.value.diagonal_index, batched.value.diagonal_value,
+                batched.value.largest_diagonal) == (
+            single.value.diagonal_index, single.value.diagonal_value,
+            single.value.largest_diagonal)
+        return
+    lhs, rhs, holds = ripcheck._lemma1_sides(A, omega, values, deltas, in_S)
+    assert lhs.shape == rhs.shape == holds.shape == (len(A), len(in_S))
+    for t in range(len(A)):
+        one = ripcheck._lemma1_sides(A[t : t + 1], omega[t : t + 1], values[t : t + 1],
+                                     deltas[t : t + 1], in_S)
+        for got, want in zip((lhs[t], rhs[t], holds[t]), one):
+            assert got.tobytes() == want[0].tobytes()
