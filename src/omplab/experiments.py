@@ -14,8 +14,9 @@ together. Results are reduced in trial order. Harness trials validate at
 the public entry points and trust their own draws: the config refuses what a
 draw would (an unknown sign pattern, a fixed floor whose magnitude range
 overflows) before any trial runs, a trial forms y = A x + v itself and is
-handed its RIC, and a unit's matrices go straight to the RIC kernel. Only a
-theorem1 failure, replayed for its record, computes its RIC alone and
+handed its RIC: a unit's matrices go straight to a witness subset each,
+which can settle "at or above 1/sqrt(K+1)", and then to the RIC kernel. Only
+a theorem1 failure, replayed for its record, computes its RIC alone and
 becomes a ProblemInstance. ``FailureInstance`` is the one counterexample
 verdict: apart from the exact tie at t = 1/sqrt(K+1), ``sharpness_probe``
 returns None exactly when it refuses.
@@ -48,6 +49,7 @@ from .ripcheck import (
     _grams,
     _lemma1_sides,
     _magnitude_floor,
+    _witness_deltas,
     exact_ric,
     sharp_ric_bound,
 )
@@ -379,9 +381,10 @@ def _build_trial(task, A, floor):
 
 def _simulate(task, A, delta):
     """Run one trial on its drawn matrix A; returns (outcome, (signal, v, y),
-    result). ``delta`` is A's exact order-(K+1) RIC, or None when the trial
-    checks no RIC (and so has no guarantee). The draw and the result are
-    None for a theorem1 trial skipped for failing the RIC condition."""
+    result). ``delta`` is A's order-(K+1) RIC, exact below 1/sqrt(K+1) and
+    a witness subset's delta at or above it, or None when the trial checks
+    no RIC (and so has no guarantee). The draw and the result are None for a
+    theorem1 trial skipped for failing the RIC condition."""
     ric_ok, floor = False, math.inf
     if delta is not None:
         ric_ok = delta < sharp_ric_bound(task.k)
@@ -410,14 +413,21 @@ _UNIT_ENTRIES = 2**14
 def _run_unit(tasks):
     """Outcomes of one work unit (see _work_units); a pool worker returns
     only these. RIC-checked trials, which share (n, K + 1), draw their
-    matrices and compute the exact RICs in one batch, trusted: the callers
-    check the order and budget first; other trials draw and solve alone."""
+    matrices and check their RICs in one batch, trusted: the callers check
+    the order and budget first; other trials draw and solve alone. A trial
+    whose witness delta (_witness_deltas, at most the RIC) reaches
+    1/sqrt(K+1) keeps it; the others get their exact RICs from one kernel
+    call."""
     if not tasks[0].check_conditions:
         return [_simulate(task, _draw_matrix(task), None)[0] for task in tasks]
     matrices = [_draw_matrix(task) for task in tasks]
-    reports = _gram_rics(_grams(matrices), tasks[0].k + 1)
-    return [_simulate(task, A, report.delta)[0]
-            for task, A, report in zip(tasks, matrices, reports)]
+    G, k = _grams(matrices), tasks[0].k
+    deltas = _witness_deltas(G, k + 1)
+    kernel = deltas < sharp_ric_bound(k)  # verdicts no witness settles
+    if kernel.any():
+        deltas[kernel] = [report.delta for report in _gram_rics(G[kernel], k + 1)]
+    return [_simulate(task, A, delta)[0]
+            for task, A, delta in zip(tasks, matrices, deltas.tolist())]
 
 
 def _work_units(tasks, workers):

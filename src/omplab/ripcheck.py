@@ -258,6 +258,30 @@ def _eigvals(G, t, sub):
     return w[0] if len(w) == 1 else np.concatenate(w)
 
 
+def _witness_deltas(G, K):
+    """The computed delta_S of one greedy K-subset S per Gram of the stack G,
+    2 <= K <= n: the pair, then each next column, that adds the most to
+    ||M_S - I||_F**2 (see exact_ric). S is eigensolved sorted, as the kernel
+    does, and the kernel returns the largest computed delta_S, never less.
+    Overflowed terms are +inf and only added: no choice reads a NaN."""
+    T, n = G.shape[:2]
+    t = np.arange(T)
+    P = np.triu(_pair_squares(G))
+    P += np.triu(P, 1).swapaxes(1, 2)  # symmetric, column c's own term at [c, c]
+    gain = P.diagonal(axis1=1, axis2=2).copy()  # what each column adds
+    chosen = np.zeros((T, n), dtype=bool)
+    with np.errstate(over="ignore"):  # sums of terms near 1e308 may overflow too
+        pairs = P + gain[:, :, None] + gain[:, None, :]
+        pairs.reshape(T, -1)[:, :: n + 1] = -np.inf
+        first = np.divmod(pairs.reshape(T, -1).argmax(axis=1), n)  # the pair (i, j)
+        for step in range(K):
+            c = first[step] if step < 2 else np.where(chosen, -np.inf, gain).argmax(axis=1)
+            chosen[t, c] = True
+            gain += P[t, c]
+    w = _eigvals(G, t, chosen.nonzero()[1].reshape(T, K))
+    return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+
+
 def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     """Exact order-K RIC of A by exhaustive subset enumeration.
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omplab import experiments
+from omplab import experiments, ripcheck
 from omplab import (
     DEFAULT_SUBSET_BUDGET,
     CapacityError,
@@ -284,7 +284,60 @@ def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(experiments, "_UNIT_ENTRIES", 1)
                 texts.append(rows_csv_text(run(cfg)))
+            # and with no witness settling a verdict: every Gram to the kernel
+            for entries in (experiments._UNIT_ENTRIES, 1):
+                with monkeypatch.context() as mp:
+                    mp.setattr(experiments, "_UNIT_ENTRIES", entries)
+                    mp.setattr(experiments, "_witness_deltas", _no_witness)
+                    texts.append(rows_csv_text(run(cfg)))
             assert {hashlib.sha256(text.encode()).hexdigest() for text in texts} == {digest}
+
+
+def _no_witness(G, K):
+    return np.full(len(G), -np.inf)
+
+
+def test_kernel_receives_only_grams_the_witness_leaves_open(monkeypatch):
+    # n = 24, K = 3: a trial whose witness reaches 1/sqrt(K + 1) is settled
+    # above the bound without its C(24, 4) = 10,626 subsets; the kernel gets
+    # the others, and still finds some of them above the bound
+    received = []
+    real = experiments._gram_rics
+    monkeypatch.setattr(experiments, "_gram_rics", lambda G, K: received.append(G) or real(G, K))
+    cfg = _small_config(m_values=(16, 120), n_values=(24,), k_values=(3,),
+                        epsilon_values=(0.05,), trials=8)
+    theorem1_validation(cfg)
+    G = np.concatenate(received)
+    bound = sharp_ric_bound(3)
+    assert (ripcheck._witness_deltas(G, 4) < bound).all()
+    deltas = [report.delta for report in real(G, 4)]
+    assert min(deltas) < bound <= max(deltas)
+    assert len(G) < cfg.trials * len(cfg.cells())
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "phase"])
+def test_overflowing_gram_terms_keep_the_kernel_outcomes(monkeypatch, mode):
+    # a column scaled by 1e80 squares its Gram terms to +inf: the witness
+    # scores them with no RuntimeWarning (an error here) and no NaN, and
+    # each trial ends as it does when the kernel decides every verdict
+    real_draw = experiments._draw_matrix
+
+    def draw(task):
+        A = real_draw(task)
+        if task.trial_seed % 2:
+            A[:, task.trial_seed % task.n] *= 1e80
+        return A
+
+    monkeypatch.setattr(experiments, "_draw_matrix", draw)
+    cfg = _small_config()
+    tasks = [experiments._TrialTask(cfg, mode, 12, 14, k, 0.05, seed, True)
+             for k in (1, 2) for seed in range(8)]
+    units = [tasks[:8], tasks[8:]]
+    outcomes = [experiments._run_unit(unit) for unit in units]
+    monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
+    assert outcomes == [experiments._run_unit(unit) for unit in units]
+    # theorem1 skips the scaled trials on their witness; phase runs them
+    assert [o.attempted for o in outcomes[0][1::2]] == [mode == "phase"] * 4
 
 
 def test_trials_without_ric_draw_and_solve_one_at_a_time(monkeypatch):

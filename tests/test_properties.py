@@ -1,6 +1,7 @@
 """Property tests for omp_run on random Gaussian problems under either rule,
 for exact_ric and its batched form against the unpruned reference on
-tie-heavy matrices, for verify_lemma1 and the batched
+tie-heavy matrices, for the harness's witness deltas against the kernel's
+RICs, for verify_lemma1 and the batched
 selection-inequality kernel behind it against an explicit oracle, and for
 that kernel on stacks of instances against each instance alone.
 
@@ -216,6 +217,50 @@ def test_batched_rics_match_unpruned_and_single_calls(stack, mode, lead):
         assert np.array_equal(b.witness_subset, witness)
         for field in dataclasses.fields(RicReport):
             assert np.array_equal(getattr(b, field.name), getattr(s, field.name))
+
+
+@st.composite
+def _witness_stacks(draw):
+    """(G, K): a stack of 1-6 Grams with n columns at order K >= 2, from
+    unit-norm or raw Gaussians, some with a column scaled by 1e80. A Gram may
+    be moved to I + s (G - I), s set so that its exact RIC lands at 0.5 to 2
+    times the bound 1/sqrt(K), so the witness meets both verdicts."""
+    n = draw(st.integers(2, 10))
+    K = draw(st.integers(2, min(n, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grams = []
+    for kind in draw(st.lists(st.sampled_from(["unit", "raw", "huge"]), min_size=1, max_size=6)):
+        m = draw(st.integers(1, 12))
+        A = rng.standard_normal((m, n)) / math.sqrt(m)
+        if kind == "unit":
+            A /= np.linalg.norm(A, axis=0)
+        elif kind == "huge":
+            A[:, rng.integers(n)] *= 1e80
+        G = ripcheck._grams([as_matrix(A)])
+        scale = draw(st.sampled_from([None, 0.5, 0.99, 1.0, 1.01, 2.0]))
+        if scale is not None and kind != "huge":
+            delta = ripcheck._gram_rics(G, K)[0].delta
+            G = np.eye(n) + (scale / math.sqrt(K) / delta) * (G - np.eye(n))
+        grams.append(G[0])
+    return np.stack(grams), K
+
+
+@_SETTINGS
+@given(_witness_stacks())
+def test_witness_is_a_kernel_delta_never_above_the_ric(stack):
+    # the witness delta is the one eigvalsh computes for its sorted subset,
+    # as the kernel would, so it never exceeds the stack's exact RICs
+    G, K = stack
+    with mock.patch.object(ripcheck, "_eigvals", wraps=ripcheck._eigvals) as eigvals:
+        witness = ripcheck._witness_deltas(G, K)
+    (_, t, sub), _ = eigvals.call_args
+    assert np.array_equal(t, np.arange(len(G)))
+    kernel = ripcheck._gram_rics(G, K)
+    for g, S, delta, report in zip(G, sub, witness, kernel):
+        assert S.shape == (K,) and np.all(np.diff(S) > 0)
+        w = np.linalg.eigvalsh(g[np.ix_(S, S)])
+        assert delta == np.maximum(w[-1] - 1.0, 1.0 - w[0])
+        assert delta <= report.delta
 
 
 @st.composite

@@ -386,6 +386,22 @@ def test_exact_ric_huge_finite_gram_matches_unpruned(order):
     assert np.array_equal(r.witness_subset, witness)
 
 
+def test_witness_sums_terms_past_the_float_maximum_quietly(monkeypatch):
+    # Gram entries near 1e154 square to finite terms whose sums overflow:
+    # the witness adds them with no overflow report (an error here), and the
+    # two scaled columns, the only +inf pair, are its first choice
+    A = np.array(gaussian_sensing_matrix(12, 20, seed=3))
+    A[:, [3, 11]] *= 1e77
+    G = ripcheck._grams([as_matrix(A)])
+    assert np.isfinite(ripcheck._pair_squares(G)[0, 3, 3])
+    subsets = []
+    real = ripcheck._eigvals
+    monkeypatch.setattr(ripcheck, "_eigvals", lambda G, t, sub: subsets.append(sub) or real(G, t, sub))
+    witness = ripcheck._witness_deltas(G, 3)
+    assert {3, 11} <= set(subsets[0][0].tolist())
+    assert sharp_ric_bound(2) <= witness[0] <= ric_unpruned(A, 3)[0]
+
+
 def test_ric_monotone_in_order():
     for seed in range(6):
         A = gaussian_sensing_matrix(12, 14, seed=seed)
