@@ -35,7 +35,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -233,8 +233,8 @@ def parse_config(text):
         seen[key] = lineno
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        field, parse = _CONFIG_KEYS[key]
-        kwargs[field] = parse(value)
+        name, parse = _CONFIG_KEYS[key]
+        kwargs[name] = parse(value)
     missing = [k for k in ("m", "n", "k", "epsilon", "trials") if k not in seen]
     if missing:
         raise ValueError(f"config is missing required keys: {missing}")
@@ -618,34 +618,31 @@ MAX_SHARPNESS_K = 1024
 class FailureInstance:
     """A verified counterexample: RIC at or above the sharp bound, greedy miss.
 
-    The trace must show a noiseless K-iteration run recovering something
-    other than the signal support, and the verified RIC may not sit below
-    the sharp bound (such an instance would contradict the guarantee). This
-    is the package's one counterexample verdict: the probe and the loader
-    both construct through it.
+    The verified RIC may not sit below the sharp bound (such an instance
+    would contradict the guarantee), and ``omp_trace``, the noiseless
+    K-iteration run on y = A x that the instance makes itself, must recover
+    something other than the signal support. This is the package's one
+    counterexample verdict: the probe and the loader both construct through
+    it.
     """
 
     matrix: np.ndarray
     signal: SparseSignal
     verified_delta: float
     sharp_bound: float
-    omp_trace: object
+    omp_trace: object = field(init=False)
 
     def __post_init__(self):
         if self.verified_delta < self.sharp_bound - 1e-10:
             raise ValueError(
                 "verified delta sits below the sharp bound; not a valid counterexample"
             )
-        if np.array_equal(self.omp_trace.recovered_support, self.signal.support):
+        y = self.matrix @ self.signal.to_dense()
+        rule = StopRule.max_iterations(self.signal.sparsity)
+        trace = omp_run(self.matrix, y, rule, true_support=self.signal.support)
+        if np.array_equal(trace.recovered_support, self.signal.support):
             raise ValueError("trace recovers the true support; not a failure")
-
-
-def _k_step_run(A, signal):
-    """The noiseless K-iteration solver run on y = A x that a counterexample
-    must fail."""
-    y = A @ signal.to_dense()
-    rule = StopRule.max_iterations(signal.sparsity)
-    return omp_run(A, y, rule, true_support=signal.support)
+        object.__setattr__(self, "omp_trace", trace)
 
 
 def sharpness_probe(K, t):
@@ -683,9 +680,8 @@ def sharpness_probe(K, t):
         dimension=K + 1, support=np.arange(1, K + 1), values=np.ones(K)
     )
     delta = exact_ric(A, K + 1).delta
-    result = _k_step_run(A, signal)
     try:
-        return FailureInstance(A, signal, delta, sharp, result)
+        return FailureInstance(A, signal, delta, sharp)
     except ValueError:
         return None
 
@@ -702,7 +698,7 @@ def save_failure_instance(directory, fi):
 
 
 def load_failure_instance(directory):
-    """Reload a FailureInstance, re-running the solver to rebuild the trace."""
+    """Reload a FailureInstance, which re-runs the solver to rebuild the trace."""
     instance = load_problem_instance(directory)
     with open(os.path.join(directory, "report.json")) as fh:
         report = json.load(fh)
@@ -711,22 +707,20 @@ def load_failure_instance(directory):
         signal=instance.signal,
         verified_delta=float(report["verified_delta"]),
         sharp_bound=float(report["sharp_bound"]),
-        omp_trace=_k_step_run(instance.matrix, instance.signal),
     )
 
 
 def verify_failure_instance(fi):
-    """Re-verify a FailureInstance from scratch.
+    """Re-verify a FailureInstance's RIC from scratch.
 
     Returns a dict with the recomputed RIC, whether it matches the stored
     value to 1e-10, and whether the noiseless K-iteration run still misses
-    the support; ``ok`` is the conjunction.
+    the support, read off the instance's own run; ``ok`` is the conjunction.
     """
     K = fi.signal.sparsity
     delta = exact_ric(fi.matrix, K + 1).delta
-    result = _k_step_run(fi.matrix, fi.signal)
     delta_matches = abs(delta - fi.verified_delta) <= 1e-10
-    still_fails = not np.array_equal(result.recovered_support, fi.signal.support)
+    still_fails = not np.array_equal(fi.omp_trace.recovered_support, fi.signal.support)
     return {
         "delta_recomputed": delta,
         "delta_matches": delta_matches,

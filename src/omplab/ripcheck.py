@@ -114,58 +114,36 @@ class Lemma1Check(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_subsets(n, K):
-    """All K-subsets of range(n) as a read-only (C(n, K), K) array, rows in
-    lexicographic order."""
-    full = _subsets(n, K)
-    full.flags.writeable = False
-    return full
+def _cached_table(n, k):
+    """_subset_table(n, k), read-only."""
+    table, tails = _subset_table(n, k)
+    for array in (table, *tails):
+        array.flags.writeable = False
+    return table, tails
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_tails(n, K):
-    """_tail_rows(n, K), read-only, for the tables of _cached_subsets."""
-    tails = _tail_rows(n, K)
-    for rows in tails:
-        rows.flags.writeable = False
-    return tails
-
-
-def _subsets(n, k):
+def _subset_table(n, k):
     """All k-subsets of range(n) as a (C(n, k), k) array in Fortran layout,
-    rows in lexicographic order, built in place level by level. Level j, the
-    j-subsets of range(k - j, n), is the first C(n - k + j, j) rows of the
-    last j columns; its rows (f, *tail) take the last C(n - f - 1, j - 1)
-    rows of level j - 1 as tails."""
+    rows in lexicographic order, built in place level by level, and the tail
+    index of each level j = 2..k: the row of level j - 1 that is the tail of
+    each of its rows. Level j, the j-subsets of range(k - j, n), is the first
+    C(n - k + j, j) rows of the last j columns; its rows (f, *tail) take the
+    last C(n - f - 1, j - 1) rows of level j - 1 as tails, one run per f."""
     table = np.empty((math.comb(n, k), k), dtype=np.intp, order="F")
+    tails = []
     rows = 1  # level 0: one empty subset
     for j in range(1, k + 1):
         below, rows = rows, 0
+        tail = np.empty(math.comb(n - k + j, j), dtype=np.intp)
         for f in range(k - j, n - j + 1):
             c = math.comb(n - f - 1, j - 1)
             table[rows : rows + c, k - j] = f
-            if rows:
+            if rows:  # the first run's tails are all of level j - 1, in place
                 table[rows : rows + c, k - j + 1 :] = table[below - c : below, k - j + 1 :]
+            tail[rows : rows + c] = np.arange(below - c, below)
             rows += c
-    return table
-
-
-def _tail_rows(n, k):
-    """For each level j = 2..k of _subsets(n, k), the row of level j - 1
-    that is the tail of each of its rows. The rows (f, *tail) of one f are a
-    run of c = C(n - f - 1, j - 1) rows whose tails are the last c rows of
-    level j - 1, so the index steps by 1 within a run and jumps between
-    runs; it is built as the running sum of those steps."""
-    tails = []
-    for j in range(2, k + 1):
-        c = np.array([math.comb(n - f - 1, j - 1) for f in range(k - j, n - j + 1)])
-        start = np.cumsum(c) - c  # where each run begins
-        first = math.comb(n - k + j - 1, j - 1) - c - start  # minus its start
-        steps = np.ones(start[-1] + c[-1], dtype=np.intp)
-        steps[0] = 0  # the first run's tails are all of level j - 1
-        steps[start[1:]] += np.diff(first)
-        tails.append(np.cumsum(steps, out=steps))
-    return tuple(tails)
+        tails.append(tail)
+    return table, tuple(tails[1:])
 
 
 def _pair_squares(G):
@@ -182,23 +160,26 @@ def _pair_squares(G):
 
 
 def _table_squares(P, table, tails):
-    """||M_S - I||_F**2 of each row S of ``table`` (see _subsets), per matrix
-    of the stack P, level by level: a row (f, *tail) adds P[f, f] and
-    P[f, tail], then its tail's squared norm, found by ``tails`` (see
-    _tail_rows), so a term passes through at most k additions."""
+    """||M_S - I||_F**2 of each row S of ``table``, per matrix of the stack
+    P, from one _subset_table pair, level by level: a row (f, *tail) adds
+    P[f, f] and P[f, tail], then its tail's squared norm, the row ``tails``
+    names in the level below, so a term passes through at most k additions.
+    Finite terms near the float maximum may sum to +inf, a bound that prunes
+    nothing, so the overflow is not reported."""
     n, k = P.shape[-1], table.shape[1]
     if k == 0:
         return np.zeros(P.shape[:-2] + (1,))
     flat = P.reshape(P.shape[:-2] + (n * n,))
     squares = P.diagonal(axis1=-2, axis2=-1)[..., k - 1 :]
-    for j, tail in zip(range(2, k + 1), tails):
-        level = table[: math.comb(n - k + j, j), k - j :]
-        row = level[:, 0] * n
-        new = flat.take(row + level[:, 0], axis=-1)
-        for column in level[:, 1:].T:
-            new += flat.take(row + column, axis=-1)
-        new += squares.take(tail, axis=-1)
-        squares = new
+    with np.errstate(over="ignore"):
+        for j, tail in zip(range(2, k + 1), tails):
+            level = table[: math.comb(n - k + j, j), k - j :]
+            row = level[:, 0] * n
+            new = flat.take(row + level[:, 0], axis=-1)
+            for column in level[:, 1:].T:
+                new += flat.take(row + column, axis=-1)
+            new += squares.take(tail, axis=-1)
+            squares = new
     return squares
 
 
@@ -206,9 +187,12 @@ def _bounded_blocks(G, K, count):
     """Yield (prefix, tails, bounds): the K-subsets (*prefix, *tail) of
     range(n) in lexicographic order and their bounds b_S (see exact_ric),
     per matrix of the stack G (one row of bounds per Gram). Within
-    ``_ENTRY_LIMIT``, one cached block; beyond it, for a single Gram G, one
-    per prefix of the shortest length L whose tails, the (K - L)-subsets of
-    range(L, n), fit: built uncached, so memory stays bounded whatever K is."""
+    ``_ENTRY_LIMIT``, one block, the cached table and its tail index; beyond
+    it, for a single Gram G, one per prefix of the shortest length L whose
+    tails, the (K - L)-subsets of range(L, n), fit: one table built uncached,
+    so memory stays bounded whatever K is. A prefix's sums past the float
+    maximum are +inf bounds, unreported, in an np.errstate that closes before
+    each ``yield``: a waiting generator would carry it into its consumer."""
     n = G.shape[-1]
     offset = np.abs(G.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1, keepdims=True)
     spread = math.sqrt((K - 1) / K)
@@ -222,26 +206,28 @@ def _bounded_blocks(G, K, count):
         return np.minimum(b, trace, out=b)
 
     if count * K <= _ENTRY_LIMIT:
-        table = _cached_subsets(n, K)
-        squares = _table_squares(_pair_squares(G), table, _cached_tails(n, K))
+        table, tails = _cached_table(n, K)
+        squares = _table_squares(_pair_squares(G), table, tails)
         yield np.empty(0, dtype=np.intp), table, bounds(squares)
         return
     P = np.triu(_pair_squares(G))  # a prefix's row sums read below the diagonal
     L = 1
     while math.comb(n - L, K - L) * (K - L) > _ENTRY_LIMIT:
         L += 1
-    lower = _subsets(n - L, K - L)
-    lower_squares = _table_squares(P[L:, L:], lower, _tail_rows(n - L, K - L))
+    lower, lower_tails = _subset_table(n - L, K - L)
+    lower_squares = _table_squares(P[L:, L:], lower, lower_tails)
+    del lower_tails  # not held through the blocks' eigensolves
     lower += L
     for prefix in itertools.combinations(range(n - K + L), L):
         start = len(lower) - math.comb(n - prefix[-1] - 1, K - L)
         prefix = np.array(prefix, dtype=np.intp)
-        col = P[prefix].sum(axis=0)  # what the prefix adds to each element
         tails = lower[start:]
-        squares = np.full(len(tails), col[prefix].sum())
-        for column in tails.T:
-            squares += col.take(column)
-        squares += lower_squares[start:]
+        with np.errstate(over="ignore"):
+            col = P[prefix].sum(axis=0)  # what the prefix adds to each element
+            squares = np.full(len(tails), col[prefix].sum())
+            for column in tails.T:
+                squares += col.take(column)
+            squares += lower_squares[start:]
         yield prefix, tails, bounds(squares)
 
 
@@ -366,7 +352,7 @@ def _gram_rics(G, K):
     time, and the others bounded together (``_bounded_ric``)."""
     count = math.comb(G.shape[-1], K)
     if count <= _UNBOUNDED:  # one Gram or < 64 * 63**2 entries per matrix
-        table = _cached_subsets(G.shape[-1], K)
+        table = _cached_table(G.shape[-1], K)[0]
         per = max(1, _ENTRY_LIMIT // (count * K * K))  # matrices per eigvalsh call
         w = [np.linalg.eigvalsh(G[s : s + per, table[:, :, None], table[:, None, :]])
              for s in range(0, len(G), per)]

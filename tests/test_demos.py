@@ -1,5 +1,6 @@
-"""Every demo script runs to completion as a fresh program and prints the
-bytes first recorded for it."""
+"""Every demo script runs to completion as a fresh program, with no
+RuntimeWarning (an error, as in the test suite), and prints the bytes first
+recorded for it."""
 
 import hashlib
 import os
@@ -29,7 +30,7 @@ STDOUT_SHA256 = {
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -13,6 +13,7 @@ from omplab import (
     CapacityError,
     ExperimentConfig,
     GuaranteeViolation,
+    SparseSignal,
     exact_ric,
     gaussian_sensing_matrix,
     lemma_sweep,
@@ -509,7 +510,7 @@ def test_csv_rendering_blanks():
         assert line.count(",") == EXPERIMENT_CSV_HEADER.count(",")
 
 
-def test_sharpness_probe_finds_and_roundtrips(tmp_path):
+def test_sharpness_probe_finds_and_roundtrips(tmp_path, monkeypatch):
     fi = sharpness_probe(2, 0.9)
     assert fi is not None
     assert abs(fi.verified_delta - 0.9) <= 1e-6
@@ -519,6 +520,9 @@ def test_sharpness_probe_finds_and_roundtrips(tmp_path):
 
     d = tmp_path / "failure"
     save_failure_instance(d, fi)
+    calls = []
+    real = experiments.omp_run
+    monkeypatch.setattr(experiments, "omp_run", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     back = load_failure_instance(d)
     assert np.array_equal(back.matrix, fi.matrix)
     assert back.verified_delta == fi.verified_delta
@@ -526,7 +530,8 @@ def test_sharpness_probe_finds_and_roundtrips(tmp_path):
         back.omp_trace.recovered_support, fi.omp_trace.recovered_support
     )
     check = verify_failure_instance(back)
-    assert check["ok"]
+    assert check["ok"] and check["still_fails"]
+    assert len(calls) == 1  # the reloaded instance's own run; verify reads it
 
 
 def test_sharpness_probe_builds_on_k_t_grid(tmp_path):
@@ -554,9 +559,9 @@ def test_failure_instance_rejects_what_is_not_a_counterexample():
     fi = sharpness_probe(2, 0.9)
     with pytest.raises(ValueError, match="below the sharp bound"):
         replace(fi, verified_delta=fi.sharp_bound - 1e-9)
-    recovers = replace(fi.omp_trace, recovered_support=fi.signal.support)
+    # the instance's own K-step run on this matrix recovers this signal
     with pytest.raises(ValueError, match="recovers the true support"):
-        replace(fi, omp_trace=recovers)
+        replace(fi, signal=SparseSignal(3, [0, 1], [1.0, 1.0]))
 
 
 def test_sharpness_probe_rejects_a_tie_broken_toward_the_support():

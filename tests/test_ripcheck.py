@@ -159,11 +159,15 @@ def test_exact_ric_equal_norm_diagonal_ties_everywhere(monkeypatch):
 
 
 def test_cached_subsets_are_read_only():
-    subsets = ripcheck._cached_subsets(6, 2)
+    subsets, tails = ripcheck._cached_table(6, 2)
     assert subsets.shape == (math.comb(6, 2), 2)
-    assert not subsets.flags.writeable
+    assert [len(t) for t in tails] == [math.comb(6, 2)]
+    for array in (subsets, *tails):
+        assert not array.flags.writeable
     with pytest.raises(ValueError):
         subsets[0, 0] = 5
+    with pytest.raises(ValueError):
+        tails[0][0] = 5
 
 
 _ENUMERATIONS = [(1, 1), (6, 1), (6, 6), (6, 2), (7, 3), (9, 4), (10, 6), (30, 28)]
@@ -182,8 +186,9 @@ def test_subset_enumeration_matches_itertools(monkeypatch, streamed, size):
     for n, K in _ENUMERATIONS + ([] if streamed else [(size + 5, size)]):
         expected = np.array(list(itertools.combinations(range(n), K)))
         if not streamed:
-            table = ripcheck._subsets(n, K)
+            table, tails = ripcheck._subset_table(n, K)
             assert np.array_equal(table, expected)
+            assert len(tails) == max(K - 1, 0)
             for j in range(1, K + 1):
                 # level j holds the j-subsets of range(K - j, n); a build from
                 # range(n) at every level would hit C(30, 15) rows
@@ -191,6 +196,8 @@ def test_subset_enumeration_matches_itertools(monkeypatch, streamed, size):
                 assert len(level) <= len(expected)
                 assert np.array_equal(
                     level, list(itertools.combinations(range(K - j, n), j)))
+                if j >= 2:  # the tail index names each row's tail in level j - 1
+                    assert np.array_equal(table[tails[j - 2], K - j + 1 :], level[:, 1:])
             continue
         monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", size)
         blocks = list(ripcheck._bounded_blocks(np.eye(n), K, len(expected)))
@@ -205,11 +212,11 @@ def test_streamed_exact_ric_caches_nothing(monkeypatch):
     # entry limits of 0, 20, 200 and 1000 stream C(13, 4) by prefixes of
     # length 4, 3, 2 and 1
     A = gaussian_sensing_matrix(9, 13, seed=3)
-    before = ripcheck._cached_subsets.cache_info()
+    before = ripcheck._cached_table.cache_info()
     for limit in (0, 20, 200, 1000):
         monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
         exact_ric(A, 4)
-    assert ripcheck._cached_subsets.cache_info() == before
+    assert ripcheck._cached_table.cache_info() == before
 
 
 def test_high_order_exact_ric_runs_without_recursion():
@@ -373,13 +380,23 @@ def test_exact_ric_rejects_overflowing_gram():
             exact_ric(M, K)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_exact_ric_huge_finite_gram_matches_unpruned(order):
-    # Gram entries near 1e160 square past the float maximum, so the pruning
-    # bound is +inf and prunes nothing; the warning filter fails the test on
-    # any overflow report
-    A = np.array(gaussian_sensing_matrix(12, 70, seed=3))
-    A[:, 3] *= 1e80
+@pytest.mark.parametrize("n, columns, scale, order, limit", [
+    pytest.param(70, [3], 1e80, 1, None, id="1"),
+    pytest.param(70, [3], 1e80, 2, None, id="2"),
+    pytest.param(20, [3, 11], 1e77, 3, None, id="3-two-columns"),
+    pytest.param(20, [3, 11], 1e77, 3, 400, id="3-two-columns-streamed"),
+])
+def test_exact_ric_huge_finite_gram_matches_unpruned(monkeypatch, n, columns, scale,
+                                                     order, limit):
+    # Gram entries near 1e160 square past the float maximum, and two columns
+    # near 1e154 square to finite terms whose sums do, so the pruning bound
+    # is +inf and prunes nothing; the warning filter fails the test on any
+    # overflow report, from a whole table or, under a lower entry limit, from
+    # the prefixes of a streamed one
+    A = np.array(gaussian_sensing_matrix(12, n, seed=3))
+    A[:, columns] *= scale
+    if limit is not None:
+        monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
     delta, witness, lo, hi = ric_unpruned(A, order)
     r = exact_ric(A, order)
     assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
