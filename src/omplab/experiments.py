@@ -5,21 +5,22 @@ Every experiment is a pure function of (config, master_seed). Trial t draws
 its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical across
 parallelism levels. A run executes in work units: the trials that check the
-RIC condition, grouped by (n, K + 1) across cells, draw their matrices and
-compute their exact RICs in one batched call per unit; the other trials run
-one at a time in chunks. A serial run executes the units in-process; above
-parallelism 1 one process pool, shared by every cell, receives the same
-units, the largest first (by m*n, then K), so that its workers finish
-together. Results are reduced in trial order. Harness trials validate at
-the public entry points and trust their own draws: the config refuses what a
-draw would (an unknown sign pattern, a fixed floor whose magnitude range
-overflows) before any trial runs, a trial forms y = A x + v itself and is
-handed its RIC: a unit's matrices go straight to a witness subset each,
-which can settle "at or above 1/sqrt(K+1)", and then to the RIC kernel. Only
-a theorem1 failure, replayed for its record, computes its RIC alone and
-becomes a ProblemInstance. ``FailureInstance`` is the one counterexample
-verdict: apart from the exact tie at t = 1/sqrt(K+1), ``sharpness_probe``
-returns None exactly when it refuses.
+RIC condition, grouped by (n, K + 1) across cells, draw their matrices into
+one Gram stack per unit, which one witness call covers, and the trials it
+leaves open reach the RIC kernel in stacks sized for its bound entries; the
+other trials run one at a time in chunks. A serial run executes the units
+in-process; above parallelism 1 one process pool, shared by every cell,
+receives the same units, the largest first (by m*n, then K), so that its
+workers finish together. Results are reduced in trial order. Harness trials
+validate at the public entry points and trust their own draws: the config
+refuses what a draw would (an unknown sign pattern, a fixed floor whose
+magnitude range overflows) before any trial runs, a trial forms y = A x + v
+itself and is handed its RIC: a unit's matrices go straight to a witness
+subset each, which can settle "at or above 1/sqrt(K+1)", and then to the RIC
+kernel. Only a theorem1 failure, replayed for its record, computes its RIC
+alone and becomes a ProblemInstance. ``FailureInstance`` is the one
+counterexample verdict: apart from the exact tie at t = 1/sqrt(K+1),
+``sharpness_probe`` returns None exactly when it refuses.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -405,27 +406,34 @@ def _simulate(task, A, delta):
     return outcome, draw, result
 
 
-#: Most bound entries, trials times C(n, K + 1), in one unit's batched RIC.
-#: Larger units run no faster and hold more memory.
+#: Most entries in one batched stack (one matrix at least). A RIC kernel
+#: call, and a lemma_sweep chunk, counts C(n, K + 1) bound entries per Gram;
+#: a unit's draw and witness pass count n*n Gram entries per trial. A unit is
+#: never cut finer than a kernel stack, so it holds
+#: ``_UNIT_ENTRIES // min(n*n, C(n, K + 1))`` trials. Larger stacks run no
+#: faster and hold more memory.
 _UNIT_ENTRIES = 2**14
 
 
 def _run_unit(tasks):
     """Outcomes of one work unit (see _work_units); a pool worker returns
     only these. RIC-checked trials, which share (n, K + 1), draw their
-    matrices and check their RICs in one batch, trusted: the callers check
-    the order and budget first; other trials draw and solve alone. A trial
-    whose witness delta (_witness_deltas, at most the RIC) reaches
-    1/sqrt(K+1) keeps it; the others get their exact RICs from one kernel
-    call."""
+    matrices into one Gram stack and check their RICs trusted: the callers
+    check the order and budget first; other trials draw and solve alone. One
+    witness call covers the stack. A trial whose witness delta
+    (_witness_deltas, at most the RIC) reaches 1/sqrt(K+1) keeps it; the
+    others get their exact RICs from kernel calls on at most
+    ``_UNIT_ENTRIES // C(n, K + 1)`` Grams each (one at least)."""
     if not tasks[0].check_conditions:
         return [_simulate(task, _draw_matrix(task), None)[0] for task in tasks]
     matrices = [_draw_matrix(task) for task in tasks]
     G, k = _grams(matrices), tasks[0].k
     deltas = _witness_deltas(G, k + 1)
-    kernel = deltas < sharp_ric_bound(k)  # verdicts no witness settles
-    if kernel.any():
-        deltas[kernel] = [report.delta for report in _gram_rics(G[kernel], k + 1)]
+    kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
+    cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
+    for s in range(0, len(kernel), cap):
+        rows = kernel[s : s + cap]
+        deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
     return [_simulate(task, A, delta)[0]
             for task, A, delta in zip(tasks, matrices, deltas.tolist())]
 
@@ -434,9 +442,11 @@ def _work_units(tasks, workers):
     """Task index lists, largest first: trials sorted by (m*n, K), the sort
     stable, so equal sizes keep trial order, and units ordered by their
     first trial. The RIC-checked trials of one (n, K + 1), across cells, are
-    cut into units of at most ``_UNIT_ENTRIES`` bound entries (one trial at
-    least); the other trials into chunks of len(tasks) // (16 * workers), so
-    no worker is left alone with the costliest cell at the end."""
+    cut into units of ``_UNIT_ENTRIES // min(n*n, C(n, K + 1))`` trials (one
+    at least): as few as the draw and witness pass allow, and never more
+    than the kernel's stacks (see _UNIT_ENTRIES). The other trials are cut
+    into chunks of len(tasks) // (16 * workers), so no worker is left alone
+    with the costliest cell at the end."""
     sizes = [(t.m * t.n, t.k) for t in tasks]
     order = sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True)
     groups = {}  # (n, K) of RIC-checked trials, or None: positions in order
@@ -446,7 +456,8 @@ def _work_units(tasks, workers):
     chunk = max(1, len(tasks) // (workers * 16))
     units = []
     for key, members in groups.items():
-        size = chunk if key is None else max(1, _UNIT_ENTRIES // math.comb(key[0], key[1] + 1))
+        size = chunk if key is None else max(
+            1, _UNIT_ENTRIES // min(key[0] ** 2, math.comb(key[0], key[1] + 1)))
         units += (members[s : s + size] for s in range(0, len(members), size))
     units.sort()
     return [[order[p] for p in unit] for unit in units]

@@ -10,6 +10,7 @@ independent streams from ``master_seed ^ splitmix64(trial_index)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -40,9 +41,39 @@ def splitmix64(value):
     return (z ^ (z >> 31)) & MASK64
 
 
+class _PhiloxKey:
+    """The seed sequence ``philox_generator`` hands Philox: its state is the
+    key words ``[key, 0]``, which is what ``Philox(key=key)`` sets. That call
+    also builds a ``SeedSequence(None)`` from OS entropy and discards it.
+    Registered as an ``ISeedSequence`` on first use (``_register_key``)."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
+@functools.cache
+def _register_key():
+    """Make _PhiloxKey an ISeedSequence, once. A module-level subclass would
+    import ``numpy.random`` with omplab, which otherwise does not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
+
+
 def philox_generator(seed):
-    """Generator backed by Philox 4x64-10 keyed directly with ``seed``."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & MASK64))
+    """Generator backed by Philox 4x64-10 keyed directly with ``seed``: the
+    state and stream of ``Philox(key=seed)``. Its ``bit_generator.seed_seq``
+    is the key, a ``_PhiloxKey``, where that call leaves None; nothing here
+    reads it."""
+    _register_key()
+    return np.random.Generator(np.random.Philox(_PhiloxKey(int(seed) & MASK64)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -453,3 +453,20 @@ def test_cli_imports_numpy_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """``import omplab`` does not load ``numpy.random``; the first drawn
+    generator does. This keeps the package's import time down."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, omplab; print('numpy.random' in sys.modules); "
+         "omplab.philox_generator(1); print('numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -215,7 +215,7 @@ def test_pool_receives_largest_trials_first(monkeypatch):
 
     # five trials per cell and a budget of 2,000 subsets: the n = 24, K = 3
     # cells check no RIC, and the 20 RIC-checked trials of (n, K + 1) =
-    # (14, 4) need two units of at most 2**14 // C(14, 4) = 16 trials
+    # (14, 4) fit one unit of at most 2**14 // min(14 * 14, C(14, 4)) = 83
     cfg = replace(_mixed_size_config(subset_budget=2000), trials=5)
     serial = rows_csv_text(phase_table(cfg))
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
@@ -238,19 +238,19 @@ def test_pool_receives_largest_trials_first(monkeypatch):
         assert [key(t) for t in unit] == sorted(key(t) for t in unit)
     assert [key(u[0]) for u in units] == sorted(key(u[0]) for u in units)
     assert key(units[0][0])[:2] == (-16 * 24, -3)
-    # RIC-checked units share (n, K) within 2**14 bound entries; the others
-    # are chunks of len(tasks) // 32 trials
+    # RIC-checked units share (n, K) within 2**14 entries, n*n or C(n, K + 1)
+    # per trial, whichever is fewer; the others are chunks of len(tasks) // 32
     shapes = []
     for unit in units:
         n, k = unit[0].n, unit[0].k
         if unit[0].check_conditions:
             assert all((t.n, t.k, t.check_conditions) == (n, k, True) for t in unit)
-            assert len(unit) * math.comb(n, k + 1) <= 2**14
+            assert len(unit) * min(n * n, math.comb(n, k + 1)) <= 2**14
             shapes.append((n, k, len(unit)))
         else:
             assert not any(t.check_conditions for t in unit)
             assert len(unit) == len(index) // 32
-    assert sorted(shapes) == [(14, 1, 20), (14, 3, 4), (14, 3, 16), (24, 1, 20)]
+    assert sorted(shapes) == [(14, 1, 20), (14, 3, 20), (24, 1, 20)]
     rows = [line.split(",")[:4] for line in serial.splitlines()[1:]]
     assert [tuple(map(float, r)) for r in rows] == [
         tuple(map(float, c)) for c in cfg.cells()
@@ -279,11 +279,16 @@ def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
          "4c346b7cce4f74c1e919c893b7a1f8e88718a4ffbacac79573282783b69a59f2",
          "7dabc200b9c341b38bb7fd4ba3ae4347023536bb6446c6aad6196b84b3c612ae"),
     ]
+    units, stacks = [], []  # what _run_unit and the kernel get at _UNIT_ENTRIES = 1
+    run_unit, gram_rics = experiments._run_unit, experiments._gram_rics
     for cfg, *digests in golden:
         for run, digest in zip((theorem1_validation, phase_table), digests):
             texts = [rows_csv_text(run(replace(cfg, parallelism=p))) for p in (1, 2, 3)]
             with monkeypatch.context() as mp:
                 mp.setattr(experiments, "_UNIT_ENTRIES", 1)
+                mp.setattr(experiments, "_run_unit", lambda ts: units.append(ts) or run_unit(ts))
+                mp.setattr(experiments, "_gram_rics",
+                           lambda G, K: stacks.append(len(G)) or gram_rics(G, K))
                 texts.append(rows_csv_text(run(cfg)))
             # and with no witness settling a verdict: every Gram to the kernel
             for entries in (experiments._UNIT_ENTRIES, 1):
@@ -292,16 +297,52 @@ def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
                     mp.setattr(experiments, "_witness_deltas", _no_witness)
                     texts.append(rows_csv_text(run(cfg)))
             assert {hashlib.sha256(text.encode()).hexdigest() for text in texts} == {digest}
+    # the unbatched shape: one trial per unit, one Gram per kernel call
+    assert {len(ts) for ts in units if ts[0].check_conditions} == {1}
+    assert set(stacks) == {1}
 
 
 def _no_witness(G, K):
     return np.full(len(G), -np.inf)
 
 
+def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
+    # the theorem1 bench grid (family 3): 6 groups of 18 trials per (n, K + 1),
+    # each one unit, where kernel-sized units made 28 (the 18 C(24, 4) trials
+    # one per unit); kernel stacks keep at most 2**14 // C(n, K + 1) Grams
+    cfg = _small_config(m_values=(12, 16, 20), n_values=(18, 24), k_values=(1, 2, 3),
+                        epsilon_values=(0.0, 0.01, 0.05), trials=2, master_seed=3)
+    grams, witness, kernel = [], [], []
+    real_grams, real_witness, real_kernel = (
+        experiments._grams, experiments._witness_deltas, experiments._gram_rics)
+    monkeypatch.setattr(experiments, "_grams", lambda Ms: grams.append(len(Ms)) or real_grams(Ms))
+    monkeypatch.setattr(experiments, "_witness_deltas",
+                        lambda G, K: witness.append((G.shape[-1], K)) or real_witness(G, K))
+    monkeypatch.setattr(experiments, "_gram_rics",
+                        lambda G, K: kernel.append((G.shape[-1], K, len(G))) or real_kernel(G, K))
+    theorem1_validation(cfg)
+    groups = [(n, k + 1) for n in cfg.n_values for k in cfg.k_values]
+    assert sorted(witness) == groups
+    assert grams == [2 * 3 * 3] * len(groups)
+    assert sum(-(-18 // max(1, experiments._UNIT_ENTRIES // math.comb(n, K)))
+               for n, K in groups) == 28
+    assert kernel
+    for n, K, stack in kernel:
+        assert stack <= max(1, experiments._UNIT_ENTRIES // math.comb(n, K))
+    # no (n, K + 1) of any shape is cut into more units than kernel-sized units
+    for n in range(2, 41):
+        for k in range(1, n):
+            tasks = [experiments._TrialTask(cfg, "phase", 8, n, k, 0.0, seed, True)
+                     for seed in range(100)]
+            old = -(-100 // max(1, experiments._UNIT_ENTRIES // math.comb(n, k + 1)))
+            assert len(experiments._work_units(tasks, 1)) <= old, (n, k)
+
+
 def test_kernel_receives_only_grams_the_witness_leaves_open(monkeypatch):
     # n = 24, K = 3: a trial whose witness reaches 1/sqrt(K + 1) is settled
     # above the bound without its C(24, 4) = 10,626 subsets; the kernel gets
-    # the others, and still finds some of them above the bound
+    # the others, in stacks of 2**14 // 10,626 = 1 Gram, and still finds some
+    # of them above the bound
     received = []
     real = experiments._gram_rics
     monkeypatch.setattr(experiments, "_gram_rics", lambda G, K: received.append(G) or real(G, K))
@@ -314,6 +355,7 @@ def test_kernel_receives_only_grams_the_witness_leaves_open(monkeypatch):
     deltas = [report.delta for report in real(G, 4)]
     assert min(deltas) < bound <= max(deltas)
     assert len(G) < cfg.trials * len(cfg.cells())
+    assert {len(stack) for stack in received} == {1}
 
 
 @pytest.mark.parametrize("mode", ["theorem1", "phase"])

@@ -94,6 +94,33 @@ def test_gaussian_matrix_determinism():
     assert not np.array_equal(A, C)
 
 
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1] + [splitmix64(i) for i in range(20)])
+def test_philox_generator_matches_keyed_philox(key):
+    # the key object stands in for Philox(key=...)'s discarded SeedSequence:
+    # the same state, and the same stream bit for bit
+    got = philox_generator(key)
+    want = np.random.Generator(np.random.Philox(key=key))
+    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+    assert got.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
+    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+
+
+def test_philox_key_refuses_other_state_shapes():
+    seq = philox_generator(5).bit_generator.seed_seq
+    assert seq.generate_state(2, np.uint64).tolist() == [5, 0]
+    for n_words, dtype in ((4, np.uint64), (2, np.uint32), (1, np.uint64)):
+        with pytest.raises(ValueError, match="two uint64 words"):
+            seq.generate_state(n_words, dtype)
+
+
 @pytest.mark.parametrize("shape", [(12, 70), (128, 14), (9, 1), (1, 5), (40, 40)])
 @pytest.mark.parametrize("normalize", [True, False])
 def test_gaussian_matrix_matches_two_step_draw(shape, normalize):
