@@ -7,8 +7,10 @@ index, so runs are reproducible, order-insensitive, and byte-identical across
 parallelism levels. A run executes in work units: the trials that check the
 RIC condition, grouped by (n, K + 1) across cells, draw their matrices into
 one Gram stack per unit, which one witness call covers, and the trials it
-leaves open reach the RIC kernel in stacks sized for its bound entries; the
-other trials run one at a time in chunks. A serial run executes the units
+leaves open reach the RIC kernel in stacks sized for its bound entries, and
+each trial is then solved alone by ``omp_run``. The other trials run cell by
+cell, in units whose matrices are drawn into one stack and solved in
+lockstep by one ``_omp_stack`` call. A serial run executes the units
 in-process; above parallelism 1 one process pool, shared by every cell,
 receives the same units, the largest first (by m*n, then K), so that its
 workers finish together. Results are reduced in trial order. Harness trials
@@ -42,7 +44,14 @@ from operator import attrgetter
 import numpy as np
 
 from .linalg import SingularSystemError, _least_squares, as_epsilon
-from .omp import GuaranteeViolation, StopRule, omp_run, write_trace_csv
+from .omp import (
+    STOPPED_RANK_FAILURE,
+    GuaranteeViolation,
+    StopRule,
+    _omp_stack,
+    omp_run,
+    write_trace_csv,
+)
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
     CapacityError,
@@ -60,6 +69,7 @@ from .sensing import (
     NoiseSpec,
     ProblemInstance,
     SparseSignal,
+    _gaussian_draw,
     gaussian_sensing_matrix,
     generate_measurement,
     lemma1_example_instance,
@@ -381,29 +391,50 @@ def _build_trial(task, A, floor):
 
 
 def _simulate(task, A, delta):
-    """Run one trial on its drawn matrix A; returns (outcome, (signal, v, y),
-    result). ``delta`` is A's order-(K+1) RIC, exact below 1/sqrt(K+1) and
-    a witness subset's delta at or above it, or None when the trial checks
-    no RIC (and so has no guarantee). The draw and the result are None for a
-    theorem1 trial skipped for failing the RIC condition."""
-    ric_ok, floor = False, math.inf
-    if delta is not None:
-        ric_ok = delta < sharp_ric_bound(task.k)
-        floor = _magnitude_floor(delta, task.k, task.epsilon)
+    """Run one RIC-checked trial on its drawn matrix A; returns (outcome,
+    (signal, v, y), result). ``delta`` is A's order-(K+1) RIC, exact below
+    1/sqrt(K+1) and a witness subset's delta at or above it. The draw and
+    the result are None for a theorem1 trial skipped for failing the RIC
+    condition."""
+    ric_ok = delta < sharp_ric_bound(task.k)
+    floor = _magnitude_floor(delta, task.k, task.epsilon)
     if task.mode == "theorem1" and not ric_ok:
         return _SKIPPED, None, None
     draw = _build_trial(task, A, floor if ric_ok else 2.0 * task.epsilon)
     signal, _, y = draw
     result = omp_run(A, y, _stop_rule(task), true_support=signal.support)
-    exact = bool(np.array_equal(result.recovered_support, signal.support))
-    outcome = _TrialOutcome(
+    outcome = _outcome(task, signal, floor, result.recovered_support, result.stopped_by)
+    return outcome, draw, result
+
+
+def _outcome(task, signal, floor, recovered, stopped_by):
+    """A solved trial's outcome from its run's sorted support and stop cause:
+    success is the exact support (in exactly K iterations for theorem1), and
+    the conditions held if the signal's magnitudes clear ``floor``."""
+    return _TrialOutcome(
         held=signal.min_magnitude() > floor,
         attempted=True,
-        success=exact and (task.mode == "phase" or result.iterations == task.k),
-        iterations=result.iterations,
-        rank_failure=result.stopped_by == "rank_failure",
+        success=bool(np.array_equal(recovered, signal.support))
+        and (task.mode == "phase" or recovered.size == task.k),
+        iterations=recovered.size,
+        rank_failure=stopped_by == STOPPED_RANK_FAILURE,
     )
-    return outcome, draw, result
+
+
+def _draw_stack(tasks):
+    """The matrices of trials of one cell that check no RIC, drawn into one
+    (T, n, m) stack (each A^T in C order, that is, A in Fortran order)
+    through one scratch buffer, and their signals and measurements Y (T, m).
+    These trials have no guarantee, so the floor is the RIC-0 value 2 eps."""
+    m, n = tasks[0].m, tasks[0].n
+    normalize = tasks[0].config.ensemble == "gaussian_normalized"
+    AT, Y, scratch = np.empty((len(tasks), n, m)), np.empty((len(tasks), m)), np.empty((m, n))
+    signals = []
+    for t, task in enumerate(tasks):
+        _gaussian_draw(AT[t], scratch, _derived_seed(task.trial_seed, _MATRIX_TAG), normalize)
+        signal, _, Y[t] = _build_trial(task, AT[t].T, 2.0 * task.epsilon)
+        signals.append(signal)
+    return AT, Y, signals
 
 
 #: Most entries in one batched stack (one matrix at least). A RIC kernel
@@ -414,18 +445,27 @@ def _simulate(task, A, delta):
 #: faster and hold more memory.
 _UNIT_ENTRIES = 2**14
 
+#: Most matrix entries (m*n per trial) in the stack of a unit whose trials
+#: check no RIC, one matrix at least: 2 MiB of draws.
+_STACK_ENTRIES = 2**18
+
 
 def _run_unit(tasks):
     """Outcomes of one work unit (see _work_units); a pool worker returns
-    only these. RIC-checked trials, which share (n, K + 1), draw their
+    only these. Trials that check no RIC are one cell's: their matrices are
+    drawn into one stack (_draw_stack) and one _omp_stack call solves them
+    in lockstep. RIC-checked trials, which share (n, K + 1), draw their
     matrices into one Gram stack and check their RICs trusted: the callers
-    check the order and budget first; other trials draw and solve alone. One
-    witness call covers the stack. A trial whose witness delta
+    check the order and budget first; each is then solved by ``omp_run``.
+    One witness call covers the stack. A trial whose witness delta
     (_witness_deltas, at most the RIC) reaches 1/sqrt(K+1) keeps it; the
     others get their exact RICs from kernel calls on at most
     ``_UNIT_ENTRIES // C(n, K + 1)`` Grams each (one at least)."""
     if not tasks[0].check_conditions:
-        return [_simulate(task, _draw_matrix(task), None)[0] for task in tasks]
+        AT, Y, signals = _draw_stack(tasks)
+        runs = _omp_stack(AT, Y, _stop_rule(tasks[0]))
+        return [_outcome(task, signal, math.inf, np.sort(run.picks), run.stopped_by)
+                for task, signal, run in zip(tasks, signals, runs)]
     matrices = [_draw_matrix(task) for task in tasks]
     G, k = _grams(matrices), tasks[0].k
     deltas = _witness_deltas(G, k + 1)
@@ -445,19 +485,23 @@ def _work_units(tasks, workers):
     cut into units of ``_UNIT_ENTRIES // min(n*n, C(n, K + 1))`` trials (one
     at least): as few as the draw and witness pass allow, and never more
     than the kernel's stacks (see _UNIT_ENTRIES). The other trials are cut
-    into chunks of len(tasks) // (16 * workers), so no worker is left alone
-    with the costliest cell at the end."""
+    cell by cell into units of len(tasks) // (16 * workers) trials, so no
+    worker is left alone with the costliest cell at the end, and of at most
+    ``_STACK_ENTRIES // (m*n)`` (one at least), which bounds a unit's stack."""
     sizes = [(t.m * t.n, t.k) for t in tasks]
     order = sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True)
-    groups = {}  # (n, K) of RIC-checked trials, or None: positions in order
+    groups = {}  # (n, K) of RIC-checked trials, or the cell: positions in order
     for p, i in enumerate(order):
-        task = tasks[i]
-        groups.setdefault((task.n, task.k) if task.check_conditions else None, []).append(p)
+        t = tasks[i]
+        key = (t.n, t.k) if t.check_conditions else (t.m, t.n, t.k, t.epsilon)
+        groups.setdefault(key, []).append(p)
     chunk = max(1, len(tasks) // (workers * 16))
     units = []
     for key, members in groups.items():
-        size = chunk if key is None else max(
-            1, _UNIT_ENTRIES // min(key[0] ** 2, math.comb(key[0], key[1] + 1)))
+        if len(key) == 2:
+            size = max(1, _UNIT_ENTRIES // min(key[0] ** 2, math.comb(key[0], key[1] + 1)))
+        else:
+            size = max(1, min(chunk, _STACK_ENTRIES // (key[0] * key[1])))
         units += (members[s : s + size] for s in range(0, len(members), size))
     units.sort()
     return [[order[p] for p in unit] for unit in units]

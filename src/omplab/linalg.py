@@ -50,7 +50,7 @@ def as_matrix(a, name="matrix"):
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1:
         raise ValueError(f"{name} must have at least one row")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.asfortranarray(m)
 
@@ -60,7 +60,7 @@ def as_vector(v, name="vector"):
     w = np.asarray(v, dtype=float)
     if w.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got ndim={w.ndim}")
-    if w.size and not np.all(np.isfinite(w)):
+    if w.size and not np.isfinite(w).all():
         raise ValueError(f"{name} contains non-finite entries")
     return w
 

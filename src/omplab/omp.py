@@ -13,14 +13,22 @@ each pass, before any column is selected, so a measurement already inside
 the noise ball yields an empty support.
 Rank failure during a refit is reported as an outcome rather than raised:
 experiment harnesses must be able to count such trials.
+
+There is one iteration loop, ``_omp_stack``, which runs a stack of
+same-shape trials in lockstep, every numpy call covering the whole stack.
+Per trial it makes the same BLAS calls as a stack of one, so each trial's
+run is bit for bit its own. ``omp_run`` is its view of one trial: it
+validates, runs a stack of one, and builds the trace and the refit.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +70,10 @@ class StopRule:
             raise ValueError(f"unknown stop rule kind {self.kind!r}")
 
     def met(self, iterations, residual_norm):
-        """Whether the solver stops at this state of its run."""
+        """Whether the solver stops at this state of its run. Given an array
+        of residual norms, one per trial of a stack at the same iteration,
+        a residual rule decides each; a count rule's one decision holds for
+        all."""
         if self.kind == STOP_MAX_ITERATIONS:
             return iterations >= self.k
         return residual_norm <= self.epsilon
@@ -109,6 +120,8 @@ def omp_run(A, y, rule, true_support=None):
         OmpResult. A rank-deficient refit is reported as
         ``stopped_by == "rank_failure"`` with the trace truncated before the
         failing iteration, not raised.
+
+    The run is ``_omp_stack``'s on a stack of one trial.
     """
     A = as_matrix(A)
     y = as_vector(y, "y")
@@ -122,91 +135,163 @@ def omp_run(A, y, rule, true_support=None):
         )
     truth = None
     if true_support is not None:
-        truth = set(int(i) for i in np.asarray(true_support).reshape(-1))
+        truth = set(map(int, np.asarray(true_support).reshape(-1).tolist()))
 
-    chosen = []
-    records = []
-    selected = np.zeros(n, dtype=bool)
-    Q = np.zeros((m, budget), order="F")
-    R = np.zeros((budget, budget))
-    qty = np.zeros(budget)
-    r = y
-    # Norms are sqrt(v . v), numpy's own formula for a 1-D norm, so the bits
-    # match np.linalg.norm without its per-call overhead.
-    rnorm = math.sqrt(float(r @ r))
+    [run] = _omp_stack(A.T[None], y[None], rule)
+    support, estimate = _refit(n, run)
+    picks = run.picks.tolist()
+    records = tuple(
+        OmpIterationRecord(
+            iteration=i,
+            selected_index=j,
+            correlation=c,
+            residual_norm=r,
+            in_true_support=None if truth is None else (j in truth),
+        )
+        for i, j, c, r in zip(
+            itertools.count(1), picks, run.correlations.tolist(), run.norms.tolist()
+        )
+    )
+    return OmpResult(
+        recovered_support=support,
+        estimate=estimate,
+        trace=records,
+        stopped_by=run.stopped_by,
+    )
+
+
+def _refit(n, run):
+    """A run's sorted support and its refit estimate: beta solves
+    R beta = Q^T y; an exactly-zero coefficient leaves the estimate."""
+    order = run.picks.argsort()
+    support = run.picks[order]
+    if not support.size:
+        return support, SparseSignal(dimension=n, support=[], values=[])
+    values = np.linalg.solve(run.R, run.qty)[order]
+    nonzero = values != 0.0
+    return support, SparseSignal(dimension=n, support=support[nonzero], values=values[nonzero])
+
+
+class _StackRun(NamedTuple):
+    """One trial's run in ``_omp_stack``: the stop cause, the selected
+    indices in order, the winning correlations and the residual norms after
+    each selection, and the refit's Q^T y and upper-triangular R."""
+
+    stopped_by: str
+    picks: np.ndarray
+    correlations: np.ndarray
+    norms: np.ndarray
+    qty: np.ndarray
+    R: np.ndarray
+
+
+def _to_front(keep, arrays):
+    """Move the rows ``keep`` (ascending positions) of every array in front
+    of the others, in place: each dropped row below len(keep) takes a kept
+    row from beyond it. Returns the arrays' views of the kept rows."""
+    size = len(keep)
+    holes = np.setdiff1d(np.arange(size), keep).tolist()
+    for h, s in zip(holes, keep[size - len(holes):].tolist()):
+        for a in arrays:
+            a[h] = a[s]
+    return [a[:size] for a in arrays]
+
+
+def _omp_stack(AT, Y, rule):
+    """Orthogonal matching pursuit on a stack of same-shape trials, run in
+    lockstep: trial t solves A_t x = Y[t], where AT[t] is A_t^T, C-ordered
+    (A_t in Fortran order). Returns one ``_StackRun`` per trial.
+
+    Every numpy call covers the live trials of the stack, and each hands
+    BLAS, per trial, the call with the strides a stack of one makes: numpy's
+    matmul loop runs gemv once per stack item, and ``np.vecdot`` runs the dot
+    that a 1-D ``a @ b`` does. So a trial's run is bit for bit the same in
+    any stack. ``rule.met`` decides the stops on the vector of residual
+    norms, before any selection; then the budget (k == min(m, n)) and the
+    rank test stop trials one by one. When trials stop, the live ones move
+    forward in place in AT, Y and the kernel's own stacks (``_to_front``),
+    and the loop works on the prefix; a stack of one is never written.
+    """
+    T, n, m = AT.shape
+    budget = min(m, n)
+    # a count rule's runs end by iteration K, so K columns hold them
+    width = min(budget, rule.k) if rule.kind == STOP_MAX_ITERATIONS else budget
+    QT = np.empty((T, width, m))  # row i of QT[t] is column i of trial t's Q
+    R = np.empty((T, width, width))  # only the upper triangle is written
+    qty = np.empty((T, width))
+    picks = np.empty((T, width), dtype=np.intp)
+    corrs, norms = np.empty((T, width)), np.empty((T, width))
+    selected = np.zeros((T, n), dtype=bool)
     # The rank test compares the smallest and largest |R_ii|, the new rho
     # included; R's diagonal is the accepted rhos, so their extremes suffice.
-    rho_min = math.inf
-    rho_max = 0.0
-
+    # Iteration 0 sets them (rho_min and rho_max start as placeholders).
+    failed, failures = np.zeros(T, dtype=bool), 0
+    trial = np.arange(T)  # the trial at each position
+    runs = [None] * T
+    # flat indices (trial * n + column) reach a column's entries of every
+    # trial in one call: of corr, selected and the rows of AT's columns
+    offset, columns = trial * n, AT.reshape(-1, m)
+    QF = QT.transpose(0, 2, 1)  # QF[t] is trial t's Q, in Fortran order
+    # Norms are sqrt(v . v), numpy's own formula for a 1-D norm, so the bits
+    # match np.linalg.norm without its per-call overhead.
+    r = Y
+    rnorm = rho_min = rho_max = np.sqrt(np.vecdot(r, r))
     k = 0
     while True:
-        if rule.met(k, rnorm):
-            stopped_by = STOPPED_RULE_MET
-            break
-        if k == budget:
-            stopped_by = STOPPED_BUDGET
-            break
-        corr = A.T @ r
+        met = rule.met(k, rnorm)
+        if k == budget or failures or np.count_nonzero(met):
+            met = failed | met  # an array, as failed is
+            ended = met | (k == budget)
+            keep = (~ended).nonzero()[0]
+            for p in ended.nonzero()[0].tolist():
+                i, cause = k, STOPPED_RULE_MET if met[p] else STOPPED_BUDGET
+                if failed[p]:  # the failing iteration is not part of the run
+                    i, cause = k - 1, STOPPED_RANK_FAILURE
+                run = (picks[p, :i], corrs[p, :i], norms[p, :i], qty[p, :i])
+                if p < keep.size:  # _to_front writes over this position
+                    run = [a.copy() for a in run]
+                runs[trial[p]] = _StackRun(cause, *run, np.triu(R[p, :i, :i]))
+            if not keep.size:
+                return runs
+            AT, Y, r, QT, R, qty, picks, corrs, norms, selected, rho_min, rho_max, \
+                trial = _to_front(keep, (AT, Y, r, QT, R, qty, picks, corrs, norms,
+                                         selected, rho_min, rho_max, trial))
+            offset, columns = offset[: keep.size], AT.reshape(-1, m)
+            QF = QT.transpose(0, 2, 1)
+
+        corr = (AT @ r[:, :, None])[:, :, 0]
         np.abs(corr, out=corr)
         # the refit makes selected correlations zero anyway; masking guards
         # against float noise and bars reselection even when all remaining
         # correlations are exactly zero
-        corr[selected] = -1.0
-        j = int(np.argmax(corr))  # first max: smallest index wins ties
-        winning = float(corr[j])
+        np.putmask(corr, selected, -1.0)
+        j = corr.argmax(axis=1, out=picks[:, k])  # first max: smallest index wins ties
+        flat = offset + j
+        corrs[:, k] = corr.take(flat)
+        selected.put(flat, True)
 
-        col = A[:, j]
-        Qk = Q[:, :k]
-        w = Qk.T @ col
-        u = col - Qk @ w
-        w2 = Qk.T @ u  # one reorthogonalization pass
-        u -= Qk @ w2
-        rho = math.sqrt(float(u @ u))
-        lo, hi = min(rho_min, rho), max(rho_max, rho)
-        if rho == 0.0 or lo <= DEFAULT_RANK_TOL * hi:
-            stopped_by = STOPPED_RANK_FAILURE
-            break
+        u = columns.take(flat, axis=0)
+        if k:  # Gram-Schmidt against Q, with one reorthogonalization pass
+            Qk, QkF, u = QT[:, :k], QF[:, :, :k], u[:, :, None]
+            w = Qk @ u
+            u = u - QkF @ w
+            w2 = Qk @ u
+            u -= QkF @ w2
+            u = u[:, :, 0]
+            np.add(w, w2, out=R[:, :k, k, None])
+        rho = np.sqrt(np.vecdot(u, u))
+        lo, hi = (np.fmin(rho_min, rho), np.fmax(rho_max, rho)) if k else (rho, rho)
+        failed = lo <= DEFAULT_RANK_TOL * hi  # lo is 0 where rho is
+        failures = np.count_nonzero(failed)
+        if failures:  # these trials stop at the top; spare their division
+            rho[failed] = 1.0
         rho_min, rho_max = lo, hi
-        Q[:, k] = u / rho
-        R[:k, k] = w + w2
-        R[k, k] = rho
-        qty[k] = float(Q[:, k] @ y)
-        r = y - Q[:, : k + 1] @ qty[: k + 1]
-        rnorm = math.sqrt(float(r @ r))
-
-        chosen.append(j)
-        selected[j] = True
+        np.divide(u, rho[:, None], out=QT[:, k])
+        R[:, k, k] = rho
+        np.vecdot(QT[:, k], Y, out=qty[:, k])
+        r = Y - (QF[:, :, : k + 1] @ qty[:, : k + 1, None])[:, :, 0]
+        rnorm = np.sqrt(np.vecdot(r, r), out=norms[:, k])
         k += 1
-        records.append(
-            OmpIterationRecord(
-                iteration=k,
-                selected_index=j,
-                correlation=winning,
-                residual_norm=rnorm,
-                in_true_support=None if truth is None else (j in truth),
-            )
-        )
-
-    if k:
-        beta = np.linalg.solve(R[:k, :k], qty[:k])
-        order = np.argsort(chosen)
-        support = np.asarray(chosen, dtype=np.intp)[order]
-        values = np.asarray(beta)[order]
-        nonzero = values != 0.0  # an exactly-zero coefficient leaves the estimate
-        estimate = SparseSignal(
-            dimension=n, support=support[nonzero], values=values[nonzero]
-        )
-    else:
-        support = np.zeros(0, dtype=np.intp)
-        estimate = SparseSignal(dimension=n, support=[], values=[])
-
-    return OmpResult(
-        recovered_support=support,
-        estimate=estimate,
-        trace=tuple(records),
-        stopped_by=stopped_by,
-    )
 
 
 def selection_margin(A, residual, omega, S):

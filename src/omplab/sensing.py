@@ -99,9 +99,9 @@ class SparseSignal:
         if sup.size:
             if sup.min() < 0 or sup.max() >= n:
                 raise ValueError(f"support indices must lie in [0, {n})")
-            if np.any(np.diff(sup) <= 0):
+            if (sup[1:] <= sup[:-1]).any():
                 raise ValueError("support must be strictly increasing")
-            if not np.all(np.isfinite(val)) or np.any(val == 0.0):
+            if not np.isfinite(val).all() or (val == 0.0).any():
                 raise ValueError("values must be finite and nonzero")
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "support", sup)
@@ -199,20 +199,40 @@ def gaussian_sensing_matrix(m, n, seed, normalize_columns=True):
     restricted-isometry constants in a useful range at desk scale. With
     ``normalize_columns`` every column is rescaled to exact unit length.
 
-    The draw is scaled in place in C order, where the column norms' summation
-    order is fixed; one transposing copy makes the Fortran-ordered result.
+    This is the one-matrix view of ``_gaussian_draw``, which a stack of
+    draws shares.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    rng = philox_generator(seed)
-    A = rng.standard_normal((m, n))
-    A /= math.sqrt(m)
-    if normalize_columns:
-        norms = np.linalg.norm(A, axis=0)
-        if np.any(norms == 0.0):
-            raise ArithmeticError("drew a zero column; reseed")
-        A /= norms
-    return np.asfortranarray(A)
+    out = np.empty((n, m))
+    _gaussian_draw(out, np.empty((m, n)), seed, normalize_columns)
+    return out.T
+
+
+def _gaussian_draw(out, scratch, seed, normalize_columns):
+    """Write the m x n draw of ``gaussian_sensing_matrix`` into ``out``, an
+    (n, m) C-contiguous array (the matrix's Fortran layout, such as one slot
+    of a stack), through ``scratch``, an (m, n) C-contiguous buffer.
+
+    The normals are drawn and scaled in place in C order, where the column
+    norms' summation order is fixed. The norms are np.linalg.norm's formula,
+    sqrt(add.reduce(x * x, axis=0)), with the squares held in ``out``; the
+    column division then writes the transposed draw into ``out``. So the
+    peak is the two buffers, and every value is the same as a C-order
+    draw's normalized and copied to Fortran order.
+    """
+    m, n = scratch.shape
+    philox_generator(seed).standard_normal(out=scratch)
+    scratch /= math.sqrt(m)
+    if not normalize_columns:
+        np.copyto(out, scratch.T)
+        return
+    squares = out.reshape(m, n)  # out's memory, in scratch's layout
+    np.multiply(scratch, scratch, out=squares)
+    norms = np.sqrt(np.add.reduce(squares, axis=0))
+    if np.any(norms == 0.0):
+        raise ArithmeticError("drew a zero column; reseed")
+    np.divide(scratch.T, norms[:, None], out=out)
 
 
 def lemma1_example_instance(delta):

@@ -7,11 +7,14 @@ and builds each Gram entry by an explicit column dot product; the solver
 oracle refits from scratch with lstsq every iteration instead of updating a
 factorization. Two exceptions are bit-identity references rather than
 independent routes: ``ric_unpruned`` is the exhaustive RIC loop without
-eigensolve pruning, and ``omp_run_numpy_loop`` is the solver loop written with
-numpy's norm and an explicit rank test on the diagonal of R.
+eigensolve pruning, ``omp_run_numpy_loop`` is the solver loop written with
+numpy's norm and an explicit rank test on the diagonal of R, and
+``gaussian_matrix_one_draw`` is the Gaussian draw as one C-order matrix
+normalized in place and copied to Fortran order.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from omplab.omp import (
     OmpIterationRecord,
     OmpResult,
 )
-from omplab.sensing import SparseSignal
+from omplab.sensing import SparseSignal, philox_generator
 
 
 class _ZeroPivot(Exception):
@@ -234,3 +237,17 @@ def best_support_exhaustive(A, y, k):
             best_res = res
             best = S
     return np.asarray(best, dtype=np.intp), best_res
+
+
+def gaussian_matrix_one_draw(m, n, seed, normalize_columns=True):
+    """``gaussian_sensing_matrix`` drawn as one C-order matrix, scaled and
+    normalized in place with np.linalg.norm, then copied to Fortran order;
+    the stacked draw must match it bit for bit."""
+    A = philox_generator(seed).standard_normal((m, n))
+    A /= math.sqrt(m)
+    if normalize_columns:
+        norms = np.linalg.norm(A, axis=0)
+        if np.any(norms == 0.0):
+            raise ArithmeticError("drew a zero column; reseed")
+        A /= norms
+    return np.asfortranarray(A)

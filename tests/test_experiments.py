@@ -239,8 +239,10 @@ def test_pool_receives_largest_trials_first(monkeypatch):
     assert [key(u[0]) for u in units] == sorted(key(u[0]) for u in units)
     assert key(units[0][0])[:2] == (-16 * 24, -3)
     # RIC-checked units share (n, K) within 2**14 entries, n*n or C(n, K + 1)
-    # per trial, whichever is fewer; the others are chunks of len(tasks) // 32
+    # per trial, whichever is fewer; the others hold one cell's trials, cut
+    # into units of min(len(tasks) // 32, 2**18 // (m * n)), here 2 (of 5)
     shapes = []
+    cuts = {}
     for unit in units:
         n, k = unit[0].n, unit[0].k
         if unit[0].check_conditions:
@@ -248,9 +250,13 @@ def test_pool_receives_largest_trials_first(monkeypatch):
             assert len(unit) * min(n * n, math.comb(n, k + 1)) <= 2**14
             shapes.append((n, k, len(unit)))
         else:
+            cell = (unit[0].m, n, k, unit[0].epsilon)
             assert not any(t.check_conditions for t in unit)
-            assert len(unit) == len(index) // 32
+            assert all((t.m, t.n, t.k, t.epsilon) == cell for t in unit)
+            assert 1 <= len(unit) <= min(len(index) // 32, 2**18 // (cell[0] * n))
+            cuts.setdefault(cell, []).append(len(unit))
     assert sorted(shapes) == [(14, 1, 20), (14, 3, 20), (24, 1, 20)]
+    assert cuts == {(m, 24, 3, eps): [2, 2, 1] for m in (10, 16) for eps in (0.0, 0.05)}
     rows = [line.split(",")[:4] for line in serial.splitlines()[1:]]
     assert [tuple(map(float, r)) for r in rows] == [
         tuple(map(float, c)) for c in cfg.cells()
@@ -383,12 +389,24 @@ def test_overflowing_gram_terms_keep_the_kernel_outcomes(monkeypatch, mode):
     assert [o.attempted for o in outcomes[0][1::2]] == [mode == "phase"] * 4
 
 
-def test_trials_without_ric_draw_and_solve_one_at_a_time(monkeypatch):
-    # a spy on the draw and the solver: a trial that checks no RIC holds one
-    # matrix at a time, as before batching; RIC-checked trials draw their
-    # unit's matrices first
-    events = []
+def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
+    # spies on the draws and the solvers: a unit of trials that check no RIC
+    # draws each of its matrices once into one stack of at most
+    # min(len(tasks) // 16, _STACK_ENTRIES // (m * n)) of them (one at least)
+    # and makes one lockstep call on them; RIC-checked trials draw their
+    # unit's matrices first, then solve them one at a time
+    events, drawn = [], []
+    real_slot, real_stack = experiments._gaussian_draw, experiments._omp_stack
     real_draw, real_omp = experiments.gaussian_sensing_matrix, experiments.omp_run
+
+    def slot_draw(out, scratch, seed, normalize):
+        events.append("draw")
+        drawn.append(seed)
+        return real_slot(out, scratch, seed, normalize)
+
+    def solve_stack(AT, Y, rule):
+        events.append(("solve", AT.shape))
+        return real_stack(AT, Y, rule)
 
     def draw(m, n, seed, **kwargs):
         events.append("draw")
@@ -398,11 +416,32 @@ def test_trials_without_ric_draw_and_solve_one_at_a_time(monkeypatch):
         events.append("solve")
         return real_omp(*args, **kwargs)
 
+    cfg = _mixed_size_config(subset_budget=1)  # no cell can check its RIC
+    csv = rows_csv_text(phase_table(cfg))
+    monkeypatch.setattr(experiments, "_gaussian_draw", slot_draw)
+    monkeypatch.setattr(experiments, "_omp_stack", solve_stack)
     monkeypatch.setattr(experiments, "gaussian_sensing_matrix", draw)
     monkeypatch.setattr(experiments, "omp_run", solve)
-    cfg = _mixed_size_config(subset_budget=1)  # no cell can check its RIC
-    phase_table(cfg)
-    assert events == ["draw", "solve"] * (cfg.trials * len(cfg.cells()))
+    # at 1,000 entries the cap binds for m * n = 384 (2 trials) and the
+    # chunk of 64 // 16 = 4 trials, a whole cell, for the other cells
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", 1000)
+    assert rows_csv_text(phase_table(cfg)) == csv
+    stacks = []
+    while events:
+        size = events.index(next(e for e in events if e != "draw"))
+        assert size >= 1 and events[size][0] == "solve"
+        (_, (T, n, m)) = events[size]
+        assert T == size  # the stack holds exactly the unit's draws
+        stacks.append((m * n, T))
+        del events[: size + 1]
+    chunk = cfg.trials * len(cfg.cells()) // 16
+    assert all(T <= max(1, min(chunk, 1000 // mn)) for mn, T in stacks)
+    assert sorted(stacks) == sorted([(140, 4)] * 4 + [(224, 4)] * 4 + [(240, 4)] * 4
+                                    + [(384, 2)] * 8)
+    seeds = [experiments._derived_seed((cfg.master_seed ^ splitmix64(t)) & MASK64,
+                                       experiments._MATRIX_TAG)
+             for t in range(cfg.trials * len(cfg.cells()))]
+    assert sorted(drawn) == sorted(seeds)  # every trial drawn once
     events.clear()
     phase_table(replace(cfg, subset_budget=DEFAULT_SUBSET_BUDGET))
     assert ("draw", "draw") in zip(events, events[1:])

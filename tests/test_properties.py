@@ -1,4 +1,5 @@
 """Property tests for omp_run on random Gaussian problems under either rule,
+for the lockstep solver on stacks of trials against omp_run on each alone,
 for exact_ric and its batched form against the unpruned reference on
 tie-heavy matrices, for the harness's witness deltas against the kernel's
 RICs, for verify_lemma1 and the batched
@@ -35,8 +36,9 @@ from omplab import (
     verify_lemma1,
 )
 from omplab.experiments import sharpness_probe
+from omplab.omp import _omp_stack, _refit
 
-from _oracles import ric_unpruned
+from _oracles import omp_run_numpy_loop, ric_unpruned
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -105,6 +107,119 @@ def test_final_residual_orthogonal_to_selected_columns(run):
     cols = A[:, res.recovered_support]
     tol = 1e-9 * np.linalg.norm(A, 2) * np.linalg.norm(y)
     assert np.abs(cols.T @ residual).max(initial=0.0) <= tol
+
+
+def _stack_trial(kind, m, n, eps, rng):
+    """(A, y) of one trial of a lockstep stack. "sparse": y = A x plus a
+    little noise, with a random support size; "quiet": ||y|| <= eps, at or
+    below eps, or exactly 0; "rank": the columns repeat the first r < min(m,
+    n), so the run fails its rank test unless the rule stops it first;
+    "tie": normalized columns with a_1 = -a_0 and y = 3 a_0, an exact tie
+    that goes to column 0; "generic": a Gaussian y."""
+    A = rng.standard_normal((m, n))
+    if kind == "rank" and min(m, n) >= 2:
+        A = A[:, np.arange(n) % int(rng.integers(1, min(m, n)))]
+    if kind == "tie" and n >= 2:
+        A /= np.linalg.norm(A, axis=0)
+        A[:, 1] = -A[:, 0]
+        return A, 3.0 * A[:, 0]
+    if kind == "sparse":
+        x = np.zeros(n)
+        support = rng.choice(n, size=int(rng.integers(0, min(m, n) + 1)), replace=False)
+        x[support] = rng.standard_normal(support.size)
+        return A, A @ x + 1e-3 * rng.standard_normal(m)
+    y = rng.standard_normal(m)
+    if kind == "quiet":
+        y *= rng.choice([0.0, 0.5, 1.0]) * eps / np.linalg.norm(y)
+    return A, y
+
+
+@st.composite
+def _omp_stacks(draw):
+    """(matrices, measurements, rule) of 1-6 same-shape trials of mixed kinds
+    under one rule: a residual threshold (0 for budget exhaustion) or an
+    iteration count."""
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    kinds = draw(st.lists(st.sampled_from(["sparse", "quiet", "rank", "tie", "generic"]),
+                          min_size=1, max_size=6))
+    trials = [_stack_trial(kind, m, n, eps, rng) for kind in kinds]
+    if draw(st.booleans()):
+        rule = StopRule.residual_at_most(eps)
+    else:
+        rule = StopRule.max_iterations(draw(st.integers(1, min(m, n))))
+    return [A for A, _ in trials], [y for _, y in trials], rule
+
+
+def _assert_stack_matches_single_runs(matrices, ys, rule):
+    """_omp_stack on the stack, each trial's run equals omp_run's, and the
+    numpy-norm loop's, alone, bit for bit. Returns the stop causes."""
+    AT = np.stack([np.asfortranarray(A).T for A in matrices])
+    runs = _omp_stack(AT, np.stack(ys), rule)
+    for A, y, run in zip(matrices, ys, runs):
+        for alone in (omp_run(A, y, rule), omp_run_numpy_loop(A, y, rule)):
+            assert run.picks.tolist() == [rec.selected_index for rec in alone.trace]
+            assert run.correlations.tolist() == [rec.correlation for rec in alone.trace]
+            assert run.norms.tolist() == [rec.residual_norm for rec in alone.trace]
+            assert run.stopped_by == alone.stopped_by
+            support, estimate = _refit(A.shape[1], run)
+            assert support.tobytes() == alone.recovered_support.tobytes()
+            assert estimate.support.tobytes() == alone.estimate.support.tobytes()
+            assert estimate.values.tobytes() == alone.estimate.values.tobytes()
+    return [run.stopped_by for run in runs]
+
+
+@_SETTINGS
+@given(_omp_stacks())
+def test_lockstep_stack_matches_single_runs_bit_for_bit(stack):
+    _assert_stack_matches_single_runs(*stack)
+
+
+def test_one_stack_holds_every_stop_cause():
+    """Residual stops at iterations 2 and 4, ||y|| == eps at iteration 0, a
+    rank failure at iteration 3, an exact tie won by column 0 and budget
+    exhaustion, all in one lockstep stack."""
+    rng = np.random.default_rng(5)
+    m, n, eps = 20, 12, 0.05
+    matrices, ys = [], []
+    for size in (2, 4):
+        A = rng.standard_normal((m, n))
+        x = np.zeros(n)
+        x[rng.choice(n, size, replace=False)] = 2.0 + rng.random(size)
+        noise = rng.standard_normal(m)
+        matrices.append(A)
+        ys.append(A @ x + 0.01 * noise / np.linalg.norm(noise))
+    matrices.append(rng.standard_normal((m, n)))
+    ys.append(np.eye(m)[0] * eps)  # its norm is eps exactly
+    matrices.append(rng.standard_normal((m, n))[:, np.arange(n) % 3])
+    ys.append(rng.standard_normal(m))
+    A = rng.standard_normal((m, n))
+    A /= np.linalg.norm(A, axis=0)
+    A[:, 1] = -A[:, 0]
+    matrices.append(A)
+    ys.append(3.0 * A[:, 0])
+    corr = np.abs(A.T @ ys[-1])
+    assert corr[0] == corr[1] == corr.max()
+    matrices.append(rng.standard_normal((m, n)))
+    ys.append(rng.standard_normal(m))
+    assert float(np.linalg.norm(ys[2])) == eps
+    rule = StopRule.residual_at_most(eps)
+    causes = _assert_stack_matches_single_runs(matrices, ys, rule)
+    assert causes == ["rule_met"] * 3 + ["rank_failure", "rule_met", "budget_exhausted"]
+    assert [omp_run(A, y, rule).iterations for A, y in zip(matrices, ys)] == [2, 4, 0, 3, 1, n]
+    assert omp_run(matrices[4], ys[4], rule).trace[0].selected_index == 0
+
+
+@pytest.mark.parametrize("rule", [StopRule.residual_at_most(0.25), StopRule.residual_at_most(0.0),
+                                  StopRule.max_iterations(5)])
+def test_stop_rule_decides_an_array_of_norms_as_each_norm(rule):
+    """met on the vector of residual norms, as the lockstep solver asks it,
+    decides each norm as a scalar call does, ||r|| == eps included."""
+    norms = np.array([0.0, 0.1, 0.25, np.nextafter(0.25, 1.0), 3.0])
+    for k in range(7):
+        decisions = np.broadcast_to(rule.met(k, norms), norms.shape).tolist()
+        assert decisions == [bool(rule.met(k, float(x))) for x in norms]
 
 
 @st.composite

@@ -19,6 +19,9 @@ from omplab import (
     save_problem_instance,
     splitmix64,
 )
+from omplab import sensing
+
+from _oracles import gaussian_matrix_one_draw
 
 
 def test_sparse_signal_basics():
@@ -135,6 +138,43 @@ def test_gaussian_matrix_matches_two_step_draw(shape, normalize):
     A = gaussian_sensing_matrix(m, n, seed, normalize_columns=normalize)
     assert A.flags.f_contiguous
     assert A.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_one_matrix_and_stacked_draws_match_the_one_draw_formula(normalize):
+    """gaussian_sensing_matrix and the harness's slot draw (one scratch
+    buffer reused for a whole stack) are one code path, and both equal the
+    C-order draw normalized in place, bit for bit."""
+    for m, n in [(12, 70), (128, 14), (9, 1), (1, 5), (40, 40), (64, 256)]:
+        seeds = [splitmix64(m * 1000 + n + t) for t in range(4)]
+        stack, scratch = np.empty((len(seeds), n, m)), np.empty((m, n))
+        for t, seed in enumerate(seeds):
+            sensing._gaussian_draw(stack[t], scratch, seed, normalize)
+        for t, seed in enumerate(seeds):
+            want = gaussian_matrix_one_draw(m, n, seed, normalize)
+            A = gaussian_sensing_matrix(m, n, seed, normalize_columns=normalize)
+            assert A.flags.f_contiguous and stack[t].T.flags.f_contiguous
+            assert A.tobytes(order="F") == want.tobytes(order="F")
+            assert stack[t].T.tobytes(order="F") == want.tobytes(order="F")
+
+
+def test_zero_column_raises_in_every_draw(monkeypatch):
+    class ZeroColumn:
+        """A generator whose normals are 1, except column 1, which is 0."""
+
+        def standard_normal(self, size=None, out=None):
+            out = np.ones(size) if out is None else out
+            out[...] = 1.0
+            out[:, 1] = 0.0
+            return out
+
+    monkeypatch.setattr(sensing, "philox_generator", lambda seed: ZeroColumn())
+    with pytest.raises(ArithmeticError, match="zero column"):
+        gaussian_sensing_matrix(6, 4, seed=1)
+    with pytest.raises(ArithmeticError, match="zero column"):
+        sensing._gaussian_draw(np.empty((4, 6)), np.empty((6, 4)), 1, True)
+    assert np.array_equal(gaussian_sensing_matrix(6, 4, 1, normalize_columns=False),
+                          np.outer(np.ones(6), [1, 0, 1, 1]) / math.sqrt(6))
 
 
 def test_gaussian_matrix_sample_statistics():
