@@ -4,16 +4,17 @@ and the sharpness probe.
 Every experiment is a pure function of (config, master_seed). Trial t draws
 its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical across
-parallelism levels. A run executes in work units: the trials that check the
-RIC condition, grouped by (n, K + 1) across cells, draw their matrices into
-one Gram stack per unit, which one witness call covers, and the trials it
-leaves open reach the RIC kernel in stacks sized for its bound entries, and
-each trial is then solved alone by ``omp_run``. The other trials run cell by
-cell, in units whose matrices are drawn into one stack and solved in
-lockstep by one ``_omp_stack`` call. A serial run executes the units
-in-process; above parallelism 1 one process pool, shared by every cell,
-receives the same units, the largest first (by m*n, then K), so that its
-workers finish together. Results are reduced in trial order. Harness trials
+parallelism levels. A run executes in work units, each of which draws its
+trials' matrices into one stack per cell and solves each cell's trials in
+lockstep by one ``_omp_stack`` call. The trials that check the RIC
+condition, grouped by (n, K + 1) across cells, first take one Gram stack
+per unit from those matrices, which one witness call covers, and the trials
+it leaves open reach the RIC kernel in stacks sized for its bound entries;
+a theorem1 trial that fails the condition is not solved. The other trials
+run cell by cell. A serial run executes the units in-process; above
+parallelism 1 one process pool, shared by every cell, receives the same
+units, the largest first (by m*n, then K), so that its workers finish
+together. Results are reduced in trial order. Harness trials
 validate at the public entry points and trust their own draws: the config
 refuses what a draw would (an unknown sign pattern, a fixed floor whose
 magnitude range overflows) before any trial runs, a trial forms y = A x + v
@@ -343,18 +344,6 @@ _SKIPPED = _TrialOutcome(held=False, attempted=False, success=False, iterations=
                          rank_failure=False)
 
 
-def _draw_matrix(task):
-    seed = _derived_seed(task.trial_seed, _MATRIX_TAG)
-    config = task.config
-    if config.ensemble == "lemma1_family":
-        rng = philox_generator(seed)
-        delta = config.lemma1_deltas[int(rng.integers(len(config.lemma1_deltas)))]
-        A, _, _ = lemma1_example_instance(delta)
-        return A
-    normalize = config.ensemble == "gaussian_normalized"
-    return gaussian_sensing_matrix(task.m, task.n, seed, normalize_columns=normalize)
-
-
 def _stop_rule(task):
     # Noiseless cells reduce to the K-iteration guarantee; a residual
     # threshold of exactly zero is never reached in floating point.
@@ -366,12 +355,14 @@ def _stop_rule(task):
 def _build_trial(task, A, floor):
     """The trial's signal, sphere noise v and measurement y = A x + v. The
     signal's magnitude floor is min_mag_fixed, or margin_factor times
-    ``floor`` (the guarantee's, or its RIC-0 value 2 eps where the RIC
-    condition is not known to hold), and 1 where that is 0."""
+    ``floor``, the guarantee's (_magnitude_floor), where +inf (no RIC
+    checked, or the RIC condition fails) stands for no guarantee and its
+    RIC-0 value 2 eps is used; and 1 where that is 0."""
     config = task.config
     if config.min_mag_policy == "fixed":
         floor = config.min_mag_fixed
     else:
+        floor = 2.0 * task.epsilon if floor == math.inf else floor
         floor = floor * config.margin_factor if floor > 0.0 else 1.0
     signal = random_sparse_signal(
         task.n,
@@ -390,23 +381,6 @@ def _build_trial(task, A, floor):
     return signal, v, A @ signal.to_dense() + v
 
 
-def _simulate(task, A, delta):
-    """Run one RIC-checked trial on its drawn matrix A; returns (outcome,
-    (signal, v, y), result). ``delta`` is A's order-(K+1) RIC, exact below
-    1/sqrt(K+1) and a witness subset's delta at or above it. The draw and
-    the result are None for a theorem1 trial skipped for failing the RIC
-    condition."""
-    ric_ok = delta < sharp_ric_bound(task.k)
-    floor = _magnitude_floor(delta, task.k, task.epsilon)
-    if task.mode == "theorem1" and not ric_ok:
-        return _SKIPPED, None, None
-    draw = _build_trial(task, A, floor if ric_ok else 2.0 * task.epsilon)
-    signal, _, y = draw
-    result = omp_run(A, y, _stop_rule(task), true_support=signal.support)
-    outcome = _outcome(task, signal, floor, result.recovered_support, result.stopped_by)
-    return outcome, draw, result
-
-
 def _outcome(task, signal, floor, recovered, stopped_by):
     """A solved trial's outcome from its run's sorted support and stop cause:
     success is the exact support (in exactly K iterations for theorem1), and
@@ -422,19 +396,22 @@ def _outcome(task, signal, floor, recovered, stopped_by):
 
 
 def _draw_stack(tasks):
-    """The matrices of trials of one cell that check no RIC, drawn into one
-    (T, n, m) stack (each A^T in C order, that is, A in Fortran order)
-    through one scratch buffer, and their signals and measurements Y (T, m).
-    These trials have no guarantee, so the floor is the RIC-0 value 2 eps."""
-    m, n = tasks[0].m, tasks[0].n
-    normalize = tasks[0].config.ensemble == "gaussian_normalized"
-    AT, Y, scratch = np.empty((len(tasks), n, m)), np.empty((len(tasks), m)), np.empty((m, n))
-    signals = []
+    """The matrices of trials of one cell, drawn into one (T, n, m) stack:
+    each A^T in C order, that is, A in Fortran order, the layout
+    ``gaussian_sensing_matrix`` returns. Gaussian draws share one scratch
+    buffer; a ``lemma1_family`` trial copies its drawn 3x3 into its slot."""
+    config, m, n = tasks[0].config, tasks[0].m, tasks[0].n
+    normalize = config.ensemble == "gaussian_normalized"
+    AT, scratch = np.empty((len(tasks), n, m)), np.empty((m, n))
     for t, task in enumerate(tasks):
-        _gaussian_draw(AT[t], scratch, _derived_seed(task.trial_seed, _MATRIX_TAG), normalize)
-        signal, _, Y[t] = _build_trial(task, AT[t].T, 2.0 * task.epsilon)
-        signals.append(signal)
-    return AT, Y, signals
+        seed = _derived_seed(task.trial_seed, _MATRIX_TAG)
+        if config.ensemble == "lemma1_family":
+            rng = philox_generator(seed)
+            delta = config.lemma1_deltas[int(rng.integers(len(config.lemma1_deltas)))]
+            AT[t] = lemma1_example_instance(delta)[0].T
+        else:
+            _gaussian_draw(AT[t], scratch, seed, normalize)
+    return AT
 
 
 #: Most entries in one batched stack (one matrix at least). A RIC kernel
@@ -445,49 +422,66 @@ def _draw_stack(tasks):
 #: faster and hold more memory.
 _UNIT_ENTRIES = 2**14
 
-#: Most matrix entries (m*n per trial) in the stack of a unit whose trials
-#: check no RIC, one matrix at least: 2 MiB of draws.
+#: Most matrix entries (m*n per trial) in the stack of any work unit, one
+#: matrix at least: 2 MiB of draws.
 _STACK_ENTRIES = 2**18
 
 
 def _run_unit(tasks):
     """Outcomes of one work unit (see _work_units); a pool worker returns
-    only these. Trials that check no RIC are one cell's: their matrices are
-    drawn into one stack (_draw_stack) and one _omp_stack call solves them
-    in lockstep. RIC-checked trials, which share (n, K + 1), draw their
-    matrices into one Gram stack and check their RICs trusted: the callers
-    check the order and budget first; each is then solved by ``omp_run``.
-    One witness call covers the stack. A trial whose witness delta
-    (_witness_deltas, at most the RIC) reaches 1/sqrt(K+1) keeps it; the
-    others get their exact RICs from kernel calls on at most
-    ``_UNIT_ENTRIES // C(n, K + 1)`` Grams each (one at least)."""
-    if not tasks[0].check_conditions:
-        AT, Y, signals = _draw_stack(tasks)
-        runs = _omp_stack(AT, Y, _stop_rule(tasks[0]))
-        return [_outcome(task, signal, math.inf, np.sort(run.picks), run.stopped_by)
-                for task, signal, run in zip(tasks, signals, runs)]
-    matrices = [_draw_matrix(task) for task in tasks]
-    G, k = _grams(matrices), tasks[0].k
-    deltas = _witness_deltas(G, k + 1)
-    kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
-    cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
-    for s in range(0, len(kernel), cap):
-        rows = kernel[s : s + cap]
-        deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
-    return [_simulate(task, A, delta)[0]
-            for task, A, delta in zip(tasks, matrices, deltas.tolist())]
+    only these. The unit's trials are drawn cell by cell, one (m, epsilon)
+    stack each (_draw_stack). A RIC-checked unit's trials share (n, K + 1):
+    their Grams form one stack and their RICs are checked trusted, since the
+    callers check the order and budget first. One witness call covers the
+    stack. A trial whose witness delta (_witness_deltas, at most the RIC)
+    reaches 1/sqrt(K+1) keeps it; the others get their exact RICs from
+    kernel calls on at most ``_UNIT_ENTRIES // C(n, K + 1)`` Grams each (one
+    at least). Each delta becomes the trial's floor (_magnitude_floor), +inf
+    where the condition fails or no RIC is checked. Then one _omp_stack call
+    per cell solves its trials in lockstep: every phase trial, and the
+    theorem1 trials that hold the RIC condition; the others skip."""
+    cells = {}  # (m, epsilon): positions in tasks
+    for i, task in enumerate(tasks):
+        cells.setdefault((task.m, task.epsilon), []).append(i)
+    stacks = [_draw_stack([tasks[i] for i in members]) for members in cells.values()]
+    floors = [math.inf] * len(tasks)
+    if tasks[0].check_conditions:
+        k = tasks[0].k
+        G = _grams([A for AT in stacks for A in AT.swapaxes(1, 2)])
+        deltas = _witness_deltas(G, k + 1)
+        kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
+        cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
+        for s in range(0, len(kernel), cap):
+            rows = kernel[s : s + cap]
+            deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
+        for i, delta in zip(itertools.chain(*cells.values()), deltas.tolist()):
+            floors[i] = _magnitude_floor(delta, k, tasks[i].epsilon)
+    outcomes = [_SKIPPED] * len(tasks)
+    for members, AT in zip(cells.values(), stacks):
+        keep = [tasks[i].mode == "phase" or floors[i] < math.inf for i in members]
+        solved = list(itertools.compress(members, keep))
+        if not solved:
+            continue
+        if len(solved) < len(AT):
+            AT = AT[keep]
+        draws = [_build_trial(tasks[i], A.T, floors[i]) for i, A in zip(solved, AT)]
+        runs = _omp_stack(AT, np.array([y for _, _, y in draws]), _stop_rule(tasks[solved[0]]))
+        for i, (signal, _, _), run in zip(solved, draws, runs):
+            outcomes[i] = _outcome(tasks[i], signal, floors[i], np.sort(run.picks), run.stopped_by)
+    return outcomes
 
 
 def _work_units(tasks, workers):
     """Task index lists, largest first: trials sorted by (m*n, K), the sort
     stable, so equal sizes keep trial order, and units ordered by their
     first trial. The RIC-checked trials of one (n, K + 1), across cells, are
-    cut into units of ``_UNIT_ENTRIES // min(n*n, C(n, K + 1))`` trials (one
-    at least): as few as the draw and witness pass allow, and never more
-    than the kernel's stacks (see _UNIT_ENTRIES). The other trials are cut
-    cell by cell into units of len(tasks) // (16 * workers) trials, so no
-    worker is left alone with the costliest cell at the end, and of at most
-    ``_STACK_ENTRIES // (m*n)`` (one at least), which bounds a unit's stack."""
+    cut into units of ``_UNIT_ENTRIES // min(n*n, C(n, K + 1))`` trials: as
+    few as the draw and witness pass allow, and never more than the
+    kernel's stacks (see _UNIT_ENTRIES). The other trials are cut cell by
+    cell into units of len(tasks) // (16 * workers) trials, so no worker is
+    left alone with the costliest cell at the end. Every unit holds at most
+    ``_STACK_ENTRIES // (m*n)`` trials as well, m*n the largest of its group
+    (its first trial's), which bounds its matrix stacks; and one at least."""
     sizes = [(t.m * t.n, t.k) for t in tasks]
     order = sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True)
     groups = {}  # (n, K) of RIC-checked trials, or the cell: positions in order
@@ -497,11 +491,12 @@ def _work_units(tasks, workers):
         groups.setdefault(key, []).append(p)
     chunk = max(1, len(tasks) // (workers * 16))
     units = []
-    for key, members in groups.items():
-        if len(key) == 2:
-            size = max(1, _UNIT_ENTRIES // min(key[0] ** 2, math.comb(key[0], key[1] + 1)))
-        else:
-            size = max(1, min(chunk, _STACK_ENTRIES // (key[0] * key[1])))
+    for members in groups.values():
+        first = tasks[order[members[0]]]
+        size = chunk
+        if first.check_conditions:
+            size = _UNIT_ENTRIES // min(first.n**2, math.comb(first.n, first.k + 1))
+        size = max(1, min(size, _STACK_ENTRIES // (first.m * first.n)))
         units += (members[s : s + size] for s in range(0, len(members), size))
     units.sort()
     return [[order[p] for p in unit] for unit in units]
@@ -615,10 +610,11 @@ def theorem1_validation(config):
         for j, outcome in enumerate(outcomes):
             if outcome.held and not outcome.success:
                 m, n, k, eps = cell
-                A = _draw_matrix(tasks[j])
+                A = _draw_stack(tasks[j : j + 1])[0].T
                 delta = exact_ric(A, k + 1, budget=config.subset_budget).delta
-                _, draw, result = _simulate(tasks[j], A, delta)
-                instance = ProblemInstance(A, *draw)
+                signal, v, y = _build_trial(tasks[j], A, _magnitude_floor(delta, k, eps))
+                result = omp_run(A, y, _stop_rule(tasks[j]), true_support=signal.support)
+                instance = ProblemInstance(A, signal, v, y)
                 directory = os.path.join(
                     config.failure_dir,
                     f"cell_m{m}_n{n}_K{k}_eps{eps}_trial{j}",

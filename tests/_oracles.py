@@ -8,9 +8,11 @@ oracle refits from scratch with lstsq every iteration instead of updating a
 factorization. Two exceptions are bit-identity references rather than
 independent routes: ``ric_unpruned`` is the exhaustive RIC loop without
 eigensolve pruning, ``omp_run_numpy_loop`` is the solver loop written with
-numpy's norm and an explicit rank test on the diagonal of R, and
+numpy's norm and an explicit rank test on the diagonal of R,
 ``gaussian_matrix_one_draw`` is the Gaussian draw as one C-order matrix
-normalized in place and copied to Fortran order.
+normalized in place and copied to Fortran order, and
+``run_unit_one_at_a_time`` is a harness work unit with every trial drawn,
+RIC-checked and solved alone.
 """
 
 import itertools
@@ -18,13 +20,21 @@ import math
 
 import numpy as np
 
+from omplab import experiments
 from omplab.linalg import DEFAULT_RANK_TOL, as_matrix, as_vector
 from omplab.omp import (
     STOP_MAX_ITERATIONS,
     OmpIterationRecord,
     OmpResult,
+    omp_run,
 )
-from omplab.sensing import SparseSignal, philox_generator
+from omplab.ripcheck import _magnitude_floor, exact_ric
+from omplab.sensing import (
+    SparseSignal,
+    gaussian_sensing_matrix,
+    lemma1_example_instance,
+    philox_generator,
+)
 
 
 class _ZeroPivot(Exception):
@@ -251,3 +261,34 @@ def gaussian_matrix_one_draw(m, n, seed, normalize_columns=True):
             raise ArithmeticError("drew a zero column; reseed")
         A /= norms
     return np.asfortranarray(A)
+
+
+def run_unit_one_at_a_time(tasks):
+    """``experiments._run_unit`` one trial at a time: each matrix drawn
+    alone by ``gaussian_sensing_matrix`` (or as its ``lemma1_family`` 3x3),
+    a RIC-checked trial's floor from its own ``exact_ric``, and each solved
+    trial run alone by ``omp_run``; a theorem1 trial whose RIC condition
+    fails skips. The stacked unit must match it outcome for outcome."""
+    outcomes = []
+    for task in tasks:
+        config = task.config
+        seed = experiments._derived_seed(task.trial_seed, experiments._MATRIX_TAG)
+        if config.ensemble == "lemma1_family":
+            rng = philox_generator(seed)
+            delta = config.lemma1_deltas[int(rng.integers(len(config.lemma1_deltas)))]
+            A = lemma1_example_instance(delta)[0]
+        else:
+            A = gaussian_sensing_matrix(
+                task.m, task.n, seed,
+                normalize_columns=config.ensemble == "gaussian_normalized")
+        floor = math.inf
+        if task.check_conditions:
+            floor = _magnitude_floor(exact_ric(A, task.k + 1).delta, task.k, task.epsilon)
+        if task.mode == "theorem1" and floor == math.inf:
+            outcomes.append(experiments._SKIPPED)
+            continue
+        signal, _, y = experiments._build_trial(task, A, floor)
+        result = omp_run(A, y, experiments._stop_rule(task), true_support=signal.support)
+        outcomes.append(experiments._outcome(task, signal, floor, result.recovered_support,
+                                             result.stopped_by))
+    return outcomes

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,8 @@ from omplab.experiments import EXPERIMENT_CSV_HEADER
 from omplab.linalg import projection_residual
 from omplab.omp import STOP_RESIDUAL
 from omplab.sensing import MASK64, load_problem_instance
+
+from _oracles import run_unit_one_at_a_time
 
 
 def _small_config(**overrides):
@@ -344,6 +347,32 @@ def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
             assert len(experiments._work_units(tasks, 1)) <= old, (n, k)
 
 
+@pytest.mark.parametrize("run", [theorem1_validation, phase_table])
+def test_stack_entries_bound_every_unit(monkeypatch, run):
+    # RIC-checked units as well as the others hold at most
+    # _STACK_ENTRIES // (m * n) trials, m * n their first (largest) trial's,
+    # and the cut leaves the CSV bytes as they are
+    cfg = _mixed_size_config()
+    csv = rows_csv_text(run(cfg))
+    units, run_unit = [], experiments._run_unit
+    monkeypatch.setattr(experiments, "_run_unit", lambda ts: units.append(ts) or run_unit(ts))
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", 500)
+    assert rows_csv_text(run(cfg)) == csv
+    assert all(t.check_conditions for unit in units for t in unit)
+    for unit in units:
+        largest = unit[0].m * unit[0].n
+        assert max(t.m * t.n for t in unit) == largest
+        assert len(unit) <= max(1, 500 // largest)
+    # 500 // (16 * 14), where an (n, K)'s 16 trials make one unit uncapped
+    assert max(map(len, units)) == 2
+    # a tall cell: 20,000 trials of 4,000 x 4 matrices would put 16,384 of
+    # them (about 2 GB) in one unit; the cap keeps 2**18 // 16,000 = 16
+    monkeypatch.undo()
+    tasks = [experiments._TrialTask(cfg, "theorem1", 4000, 4, 3, 0.0, seed, True)
+             for seed in range(20_000)]
+    assert {len(unit) for unit in experiments._work_units(tasks, 1)} == {16}
+
+
 def test_kernel_receives_only_grams_the_witness_leaves_open(monkeypatch):
     # n = 24, K = 3: a trial whose witness reaches 1/sqrt(K + 1) is settled
     # above the bound without its C(24, 4) = 10,626 subsets; the kernel gets
@@ -369,15 +398,16 @@ def test_overflowing_gram_terms_keep_the_kernel_outcomes(monkeypatch, mode):
     # a column scaled by 1e80 squares its Gram terms to +inf: the witness
     # scores them with no RuntimeWarning (an error here) and no NaN, and
     # each trial ends as it does when the kernel decides every verdict
-    real_draw = experiments._draw_matrix
+    real_draw = experiments._draw_stack
 
-    def draw(task):
-        A = real_draw(task)
-        if task.trial_seed % 2:
-            A[:, task.trial_seed % task.n] *= 1e80
-        return A
+    def draw(tasks):
+        AT = real_draw(tasks)
+        for slot, task in zip(AT, tasks):  # row j of a slot is column j of A
+            if task.trial_seed % 2:
+                slot[task.trial_seed % task.n] *= 1e80
+        return AT
 
-    monkeypatch.setattr(experiments, "_draw_matrix", draw)
+    monkeypatch.setattr(experiments, "_draw_stack", draw)
     cfg = _small_config()
     tasks = [experiments._TrialTask(cfg, mode, 12, 14, k, 0.05, seed, True)
              for k in (1, 2) for seed in range(8)]
@@ -389,12 +419,50 @@ def test_overflowing_gram_terms_keep_the_kernel_outcomes(monkeypatch, mode):
     assert [o.attempted for o in outcomes[0][1::2]] == [mode == "phase"] * 4
 
 
+@pytest.mark.parametrize("ensemble", ["gaussian_raw", "lemma1_family"])
+@pytest.mark.parametrize("mode, check", [("theorem1", True), ("phase", True), ("phase", False)])
+def test_run_unit_matches_trials_run_one_at_a_time(monkeypatch, ensemble, mode, check):
+    # a unit whose trials interleave several (m, epsilon) cells, noiseless
+    # ones too: its stacked draws, RIC pass and one lockstep call per cell
+    # give every outcome as drawing, checking and solving each trial alone
+    # does, whether or not the witness settles verdicts; a theorem1 cell
+    # whose trials all skip makes no lockstep call
+    if ensemble == "lemma1_family":
+        m_values, n = (3,), 3
+    else:
+        m_values, n = (60, 40, 8), 10
+    cfg = _small_config(m_values=m_values, n_values=(n,), k_values=(2,),
+                        epsilon_values=(0.05, 0.0), ensemble=ensemble,
+                        lemma1_deltas=(0.3, 0.5, 0.7))
+    cells = [(m, eps) for m in m_values for eps in cfg.epsilon_values]
+    tasks = [experiments._TrialTask(cfg, mode, m, n, 2, eps,
+                                    (cfg.master_seed ^ splitmix64(t)) & MASK64, check)
+             for t, (_, (m, eps)) in enumerate(itertools.product(range(5), cells))]
+    expected = run_unit_one_at_a_time(tasks)
+    solves, real_stack = [], experiments._omp_stack
+    monkeypatch.setattr(experiments, "_omp_stack",
+                        lambda AT, Y, rule: solves.append(AT.shape) or real_stack(AT, Y, rule))
+    assert experiments._run_unit(tasks) == expected
+    monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
+    assert experiments._run_unit(tasks) == expected
+    attempted = [sum(o.attempted for t, o in zip(tasks, expected) if (t.m, t.epsilon) == cell)
+                 for cell in cells]
+    assert solves == 2 * [(a, n, m) for a, (m, _) in zip(attempted, cells) if a]
+    if mode == "phase":
+        assert attempted == [5] * len(cells)
+    else:  # trials on both sides of the bound, and the m = 8 cells all skip
+        assert 0 < sum(attempted) < len(tasks)
+        assert ensemble == "lemma1_family" or attempted[-2:] == [0, 0]
+
+
 def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
     # spies on the draws and the solvers: a unit of trials that check no RIC
     # draws each of its matrices once into one stack of at most
     # min(len(tasks) // 16, _STACK_ENTRIES // (m * n)) of them (one at least)
-    # and makes one lockstep call on them; RIC-checked trials draw their
-    # unit's matrices first, then solve them one at a time
+    # and makes one lockstep call on them; a RIC-checked unit draws all its
+    # matrices first, then makes one lockstep call per cell on the cell's
+    # trials; no trial is drawn by gaussian_sensing_matrix or solved by
+    # omp_run
     events, drawn = [], []
     real_slot, real_stack = experiments._gaussian_draw, experiments._omp_stack
     real_draw, real_omp = experiments.gaussian_sensing_matrix, experiments.omp_run
@@ -422,6 +490,7 @@ def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
     monkeypatch.setattr(experiments, "_omp_stack", solve_stack)
     monkeypatch.setattr(experiments, "gaussian_sensing_matrix", draw)
     monkeypatch.setattr(experiments, "omp_run", solve)
+    stack_entries = experiments._STACK_ENTRIES
     # at 1,000 entries the cap binds for m * n = 384 (2 trials) and the
     # chunk of 64 // 16 = 4 trials, a whole cell, for the other cells
     monkeypatch.setattr(experiments, "_STACK_ENTRIES", 1000)
@@ -443,9 +512,20 @@ def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
              for t in range(cfg.trials * len(cfg.cells()))]
     assert sorted(drawn) == sorted(seeds)  # every trial drawn once
     events.clear()
+    units, run_unit = [], experiments._run_unit
+    monkeypatch.setattr(experiments, "_run_unit", lambda ts: units.append(ts) or run_unit(ts))
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", stack_entries)
     phase_table(replace(cfg, subset_budget=DEFAULT_SUBSET_BUDGET))
-    assert ("draw", "draw") in zip(events, events[1:])
-    assert events.count("draw") == events.count("solve") == cfg.trials * len(cfg.cells())
+    assert sum(map(len, units)) == cfg.trials * len(cfg.cells())
+    assert len(units) == 4  # one per (n, K), each of four cells
+    for unit in units:
+        assert all(t.check_conditions for t in unit)
+        cells = Counter((t.m, t.epsilon) for t in unit)  # in first-trial order
+        assert events[: len(unit)] == ["draw"] * len(unit)
+        solves = [("solve", (count, unit[0].n, m)) for (m, _), count in cells.items()]
+        assert events[len(unit) : len(unit) + len(cells)] == solves
+        del events[: len(unit) + len(cells)]
+    assert events == []
 
 
 def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
@@ -496,7 +576,15 @@ def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
         def map(self, fn, units, chunksize=1):
             return map(fn, units)
 
-    real_omp_run = experiments.omp_run
+    # the harness solves through the lockstep kernel, the replay through
+    # omp_run: both drop the support in the noisy cell
+    real_stack, real_omp_run = experiments._omp_stack, experiments.omp_run
+
+    def drop_stack_support_in_noisy_cells(AT, Y, rule):
+        runs = real_stack(AT, Y, rule)
+        if rule.kind == STOP_RESIDUAL:
+            return [run._replace(picks=run.picks[:0]) for run in runs]
+        return runs
 
     def drop_support_in_noisy_cells(A, y, rule, **kwargs):
         result = real_omp_run(A, y, rule, **kwargs)
@@ -513,6 +601,7 @@ def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
         instances.append(args)
         return real_instance(*args)
 
+    monkeypatch.setattr(experiments, "_omp_stack", drop_stack_support_in_noisy_cells)
     monkeypatch.setattr(experiments, "omp_run", drop_support_in_noisy_cells)
     monkeypatch.setattr(experiments, "ProblemInstance", instance)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
