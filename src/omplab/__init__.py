@@ -49,7 +49,6 @@ from .omp import (
     omp_result_json,
     omp_run,
     residual_bound_probe,
-    selection_margin,
     trace_csv_text,
     write_trace_csv,
 )

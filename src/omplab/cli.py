@@ -1,8 +1,9 @@
 """Command-line surface tying the library together.
 
-Exit codes: 0 success, 2 validation error, 3 capacity/budget error or a
-failed worker pool (a pool worker died, e.g. killed for lack of memory),
-4 guarantee violation (a proven property failed, i.e. an implementation bug).
+Exit codes: 0 success, 2 validation error, 3 capacity/budget error, an
+allocation that failed for lack of memory, or a failed worker pool (a pool
+worker died, e.g. killed for lack of memory), 4 guarantee violation (a
+proven property failed, i.e. an implementation bug).
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except BrokenProcessPool as exc:

@@ -154,13 +154,13 @@ def parse_matrix(text):
         raise ValueError("matrix dimensions must be positive")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} data lines, got {len(lines) - 1}")
-    out = np.empty((rows, cols), order="F")
-    for i, ln in enumerate(lines[1:]):
-        vals = ln.split()
+    # every row is checked before anything is allocated, so the header alone
+    # cannot ask for more memory than the text holds entries
+    data = [ln.split() for ln in lines[1:]]
+    for i, vals in enumerate(data):
         if len(vals) != cols:
             raise ValueError(f"row {i} has {len(vals)} entries, expected {cols}")
-        out[i, :] = [float(v) for v in vals]
-    return as_matrix(out)
+    return as_matrix([[float(v) for v in vals] for vals in data])
 
 
 def write_matrix(path, A):

@@ -19,6 +19,10 @@ same-shape trials in lockstep, every numpy call covering the whole stack.
 Per trial it makes the same BLAS calls as a stack of one, so each trial's
 run is bit for bit its own. ``omp_run`` is its view of one trial: it
 validates, runs a stack of one, and builds the trace and the refit.
+
+Given a true support, the run also reports each step's selection margin, the
+inequality the recovery proof turns on: the winning correlation against the
+best correlation of an unselected column outside the support.
 """
 
 from __future__ import annotations
@@ -81,13 +85,18 @@ class StopRule:
 
 @dataclass(frozen=True)
 class OmpIterationRecord:
-    """One iteration: selected column, winning correlation, residual norm."""
+    """One iteration: selected column, winning correlation, residual norm.
+    Given a true support, whether the pick is in it, and the largest
+    |a_j . r| over unselected columns outside it (0.0 where there is none),
+    taken on the residual the pick was made from; it equals ``correlation``
+    on a wrong pick. The trace CSV does not carry it."""
 
     iteration: int
     selected_index: int
     correlation: float
     residual_norm: float
     in_true_support: bool | None = None
+    off_support_correlation: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +123,9 @@ def omp_run(A, y, rule, true_support=None):
             ``max_iterations(K)`` requires K <= min(m, n). At most min(m, n)
             iterations run; the result then reports ``budget_exhausted``.
         true_support: optional ground-truth support used only to annotate the
-            trace; the solver never reads it for decisions.
+            trace, with each pick's membership and each step's best
+            off-support correlation; the solver never reads it for decisions.
+            Indices outside range(n) match no column.
 
     Returns:
         OmpResult. A rank-deficient refit is reported as
@@ -133,13 +144,14 @@ def omp_run(A, y, rule, true_support=None):
         raise ValueError(
             f"max_iterations({rule.k}) exceeds min(rows, cols) = {budget}"
         )
-    truth = None
+    truth = off = None
     if true_support is not None:
         truth = set(map(int, np.asarray(true_support).reshape(-1).tolist()))
+        off = ~np.isin(np.arange(n), list(truth))[None]
 
-    [run] = _omp_stack(A.T[None], y[None], rule)
+    [run] = _omp_stack(A.T[None], y[None], rule, off)
     support, estimate = _refit(n, run)
-    picks = run.picks.tolist()
+    offs = itertools.repeat(None) if off is None else run.off_correlations.tolist()
     records = tuple(
         OmpIterationRecord(
             iteration=i,
@@ -147,9 +159,11 @@ def omp_run(A, y, rule, true_support=None):
             correlation=c,
             residual_norm=r,
             in_true_support=None if truth is None else (j in truth),
+            off_support_correlation=o,
         )
-        for i, j, c, r in zip(
-            itertools.count(1), picks, run.correlations.tolist(), run.norms.tolist()
+        for i, j, c, r, o in zip(
+            itertools.count(1), run.picks.tolist(), run.correlations.tolist(),
+            run.norms.tolist(), offs,
         )
     )
     return OmpResult(
@@ -173,16 +187,18 @@ def _refit(n, run):
 
 
 class _StackRun(NamedTuple):
-    """One trial's run in ``_omp_stack``: the stop cause, the selected
-    indices in order, the winning correlations and the residual norms after
-    each selection, and the refit's Q^T y and upper-triangular R."""
+    """One trial's run in ``_omp_stack``: the stop cause, the refit's
+    upper-triangular R, the selected indices in order, the winning
+    correlations and the residual norms after each selection, the refit's
+    Q^T y, and with a mask the best off-support correlations."""
 
     stopped_by: str
+    R: np.ndarray
     picks: np.ndarray
     correlations: np.ndarray
     norms: np.ndarray
     qty: np.ndarray
-    R: np.ndarray
+    off_correlations: np.ndarray | None = None
 
 
 def _to_front(keep, arrays):
@@ -197,10 +213,17 @@ def _to_front(keep, arrays):
     return [a[:size] for a in arrays]
 
 
-def _omp_stack(AT, Y, rule):
+def _omp_stack(AT, Y, rule, off=None):
     """Orthogonal matching pursuit on a stack of same-shape trials, run in
     lockstep: trial t solves A_t x = Y[t], where AT[t] is A_t^T, C-ordered
     (A_t in Fortran order). Returns one ``_StackRun`` per trial.
+
+    ``off``, an optional (T, n) boolean mask of each trial's off-support
+    columns, makes every iteration also record per trial the largest
+    correlation over unselected masked columns, or 0.0 where there is none.
+    It is taken before the pick is marked, so it equals the winning
+    correlation on a wrong pick. A max is exact, so it too is bit for bit
+    the same in any stack; without a mask, nothing is computed.
 
     Every numpy call covers the live trials of the stack, and each hands
     BLAS, per trial, the call with the strides a stack of one makes: numpy's
@@ -209,7 +232,7 @@ def _omp_stack(AT, Y, rule):
     any stack. ``rule.met`` decides the stops on the vector of residual
     norms, before any selection; then the budget (k == min(m, n)) and the
     rank test stop trials one by one. When trials stop, the live ones move
-    forward in place in AT, Y and the kernel's own stacks (``_to_front``),
+    forward in place in AT, Y, ``off`` and the kernel's own stacks (``_to_front``),
     and the loop works on the prefix; a stack of one is never written.
     """
     T, n, m = AT.shape
@@ -221,6 +244,7 @@ def _omp_stack(AT, Y, rule):
     qty = np.empty((T, width))
     picks = np.empty((T, width), dtype=np.intp)
     corrs, norms = np.empty((T, width)), np.empty((T, width))
+    offs = None if off is None else np.empty((T, width))
     selected = np.zeros((T, n), dtype=bool)
     # The rank test compares the smallest and largest |R_ii|, the new rho
     # included; R's diagonal is the accepted rhos, so their extremes suffice.
@@ -248,14 +272,19 @@ def _omp_stack(AT, Y, rule):
                 if failed[p]:  # the failing iteration is not part of the run
                     i, cause = k - 1, STOPPED_RANK_FAILURE
                 run = (picks[p, :i], corrs[p, :i], norms[p, :i], qty[p, :i])
+                if offs is not None:
+                    run += (offs[p, :i],)
                 if p < keep.size:  # _to_front writes over this position
                     run = [a.copy() for a in run]
-                runs[trial[p]] = _StackRun(cause, *run, np.triu(R[p, :i, :i]))
+                runs[trial[p]] = _StackRun(cause, np.triu(R[p, :i, :i]), *run)
             if not keep.size:
                 return runs
-            AT, Y, r, QT, R, qty, picks, corrs, norms, selected, rho_min, rho_max, \
-                trial = _to_front(keep, (AT, Y, r, QT, R, qty, picks, corrs, norms,
-                                         selected, rho_min, rho_max, trial))
+            moved = (AT, Y, r, QT, R, qty, picks, corrs, norms, selected, rho_min, rho_max,
+                     trial) + (() if off is None else (off, offs))
+            AT, Y, r, QT, R, qty, picks, corrs, norms, selected, rho_min, rho_max, trial, \
+                *masked = _to_front(keep, moved)
+            if masked:
+                off, offs = masked
             offset, columns = offset[: keep.size], AT.reshape(-1, m)
             QF = QT.transpose(0, 2, 1)
 
@@ -265,6 +294,8 @@ def _omp_stack(AT, Y, rule):
         # against float noise and bars reselection even when all remaining
         # correlations are exactly zero
         np.putmask(corr, selected, -1.0)
+        if off is not None:  # selected columns read -1.0, below the initial 0.0
+            np.max(corr, axis=1, initial=0.0, where=off, out=offs[:, k])
         j = corr.argmax(axis=1, out=picks[:, k])  # first max: smallest index wins ties
         flat = offset + j
         corrs[:, k] = corr.take(flat)
@@ -292,43 +323,6 @@ def _omp_stack(AT, Y, rule):
         r = Y - (QF[:, :, : k + 1] @ qty[:, : k + 1, None])[:, :, 0]
         rnorm = np.sqrt(np.vecdot(r, r), out=norms[:, k])
         k += 1
-
-
-def selection_margin(A, residual, omega, S):
-    """Strongest in-support vs off-support correlation with ``residual``.
-
-    Args:
-        A: the sensing matrix.
-        residual: current residual vector.
-        omega: candidate true support, a proper subset of the column range.
-        S: already-selected indices, a subset of ``omega``.
-
-    Returns:
-        (lhs, rhs): lhs = max over omega minus S of |A_i . residual|,
-        rhs = max over the complement of omega of |A_j . residual|. A
-        positive gap certifies that a greedy step picks inside omega.
-    """
-    A = as_matrix(A)
-    residual = as_vector(residual, "residual")
-    if A.shape[0] != residual.size:
-        raise ValueError("residual length must match matrix rows")
-    omega = np.asarray(list(omega), dtype=np.intp)
-    S = np.asarray(list(S), dtype=np.intp)
-    if omega.size == 0 or np.unique(omega).size != omega.size:
-        raise ValueError("omega must be nonempty without duplicates")
-    if omega.min() < 0 or omega.max() >= A.shape[1]:
-        raise IndexError("omega index out of range")
-    if S.size and not np.all(np.isin(S, omega)):
-        raise ValueError("S must be a subset of omega")
-    comp = np.setdiff1d(np.arange(A.shape[1]), omega)
-    if comp.size == 0:
-        raise ValueError("omega must be a proper subset of the column range")
-    rest = np.setdiff1d(omega, S)
-    if rest.size == 0:
-        raise ValueError("omega minus S is empty")
-    lhs = float(np.abs(A[:, rest].T @ residual).max())
-    rhs = float(np.abs(A[:, comp].T @ residual).max())
-    return lhs, rhs
 
 
 @dataclass(frozen=True)

@@ -163,17 +163,19 @@ def omp_reference(A, y, max_iter=None, eps=None):
 
 def omp_run_numpy_loop(A, y, rule, true_support=None):
     """``omp_run`` with np.linalg.norm for every norm and the rank test read
-    off np.diag(R) each iteration; the package loop must match it bit for
-    bit (same trace, same estimate, same stop cause)."""
+    off np.diag(R) each iteration, and the off-support correlation taken by
+    indexing; the package loop must match it bit for bit (same trace
+    records, same estimate, same stop cause)."""
     A = as_matrix(A)
     y = as_vector(y, "y")
     m, n = A.shape
     budget = min(m, n)
     if rule.kind == STOP_MAX_ITERATIONS and rule.k > budget:
         raise ValueError("max_iterations exceeds min(rows, cols)")
-    truth = None
+    truth = off = None
     if true_support is not None:
         truth = set(int(i) for i in np.asarray(true_support).reshape(-1))
+        off = np.array([j not in truth for j in range(n)], dtype=bool)
     chosen = []
     records = []
     selected = np.zeros(n, dtype=bool)
@@ -194,6 +196,9 @@ def omp_run_numpy_loop(A, y, rule, true_support=None):
         corr[selected] = -1.0
         j = int(np.argmax(corr))
         winning = float(corr[j])
+        best_off = None
+        if off is not None:
+            best_off = float(np.max(corr[off & ~selected], initial=0.0))
         col = A[:, j]
         w = Q[:, :k].T @ col
         u = col - Q[:, :k] @ w
@@ -217,6 +222,7 @@ def omp_run_numpy_loop(A, y, rule, true_support=None):
             iteration=k, selected_index=j, correlation=winning,
             residual_norm=rnorm,
             in_true_support=None if truth is None else (j in truth),
+            off_support_correlation=best_off,
         ))
     if k:
         beta = np.linalg.solve(R[:k, :k], qty[:k])

@@ -360,6 +360,32 @@ def test_cli_broken_pool_exit_code(workspace, capsys, monkeypatch):
     assert "worker pool failed: a worker process" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_cli_oversized_matrix_header_exit_code(workspace, capsys):
+    A = workspace["dir"] / "huge.mat"
+    A.write_text("1 1000000000000\n1.0\n")
+    assert main(["ric", "--matrix", str(A), "--order", "1"]) == 2
+    args = ["omp", "--matrix", str(A), "--measurement", str(workspace["y"])]
+    assert main(args + ["--max-iter", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: row 0 has 1 entries, expected 1000000000000") == 2
+
+
+def test_cli_memory_error_exit_code(workspace, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(experiments, "_draw_stack", no_memory)
+    cfg = workspace["dir"] / "exp.cfg"
+    cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = 4\n")
+    out = workspace["dir"] / "out.csv"
+    args = ["validate-theorem1", "--config", str(cfg), "--out", str(out),
+            "--parallelism", "1"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == "capacity error: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
+
+
 def test_cli_sharpness(workspace, capsys):
     out = workspace["dir"] / "failure"
     code = main(

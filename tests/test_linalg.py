@@ -149,3 +149,9 @@ def test_matrix_parse_errors():
         parse_matrix("1\n1\n")
     with pytest.raises(ValueError):
         parse_vector(format_matrix(np.ones((2, 2))))
+
+
+def test_matrix_rows_are_checked_before_the_header_allocates():
+    # a header asking for 8 TB over a row of one entry fails on the row
+    with pytest.raises(ValueError, match="row 0 has 1 entries, expected 1000000000000"):
+        parse_matrix("1 1000000000000\n1.0\n")

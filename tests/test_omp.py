@@ -13,10 +13,8 @@ from omplab import (
     min_magnitude_bound,
     omp_result_json,
     omp_run,
-    projection_residual,
     random_sparse_signal,
     residual_bound_probe,
-    selection_margin,
     sharp_ric_bound,
     trace_csv_text,
 )
@@ -104,8 +102,8 @@ def test_matches_reference_implementation():
 
 
 def test_loop_matches_numpy_loop_bit_for_bit():
-    """Trace CSV and result JSON equal the numpy-norm loop's byte for byte,
-    across residual stops, budget exhaustion and rank failures."""
+    """Trace records, trace CSV and result JSON equal the numpy-norm loop's
+    bit for bit, across residual stops, budget exhaustion and rank failures."""
     rng = np.random.default_rng(13)
     causes = set()
     for trial in range(60):
@@ -124,6 +122,8 @@ def test_loop_matches_numpy_loop_bit_for_bit():
             want = omp_run_numpy_loop(A, y, rule, true_support=truth)
             assert trace_csv_text(got) == trace_csv_text(want)
             assert omp_result_json(got) == omp_result_json(want)
+            # the CSV does not carry the off-support correlations
+            assert got.trace == want.trace
             causes.add(got.stopped_by)
     assert causes == {"rule_met", "budget_exhausted", "rank_failure"}
 
@@ -231,41 +231,46 @@ def test_stop_rule_met():
 
 def test_selection_margin_zero_residual():
     A = gaussian_sensing_matrix(6, 9, seed=12)
-    lhs, rhs = selection_margin(A, np.zeros(6), [1, 3], [])
-    assert lhs == 0.0 and rhs == 0.0
+    res = omp_run(A, np.zeros(6), StopRule.max_iterations(1), true_support=[1, 3])
+    [rec] = res.trace
+    assert rec.correlation == 0.0 and rec.off_support_correlation == 0.0
 
 
 def test_selection_margin_lemma1():
     A, x, _ = lemma1_example_instance(0.5)
     y = A @ x.to_dense()
-    lhs, rhs = selection_margin(A, y, x.support, [])
-    assert lhs == pytest.approx(1.5, abs=1e-12)
-    assert rhs == pytest.approx(0.0, abs=1e-15)
+    res = omp_run(A, y, StopRule.max_iterations(2), true_support=x.support)
+    first = res.trace[0]
+    assert first.correlation == pytest.approx(1.5, abs=1e-12)
+    assert first.off_support_correlation == 0.0
 
 
 def test_selection_margin_positive_along_conditioned_run():
     A, x, inst = _conditioned_instance(seed=13)
-    y = inst.measurement
-    S = []
-    for _ in range(x.sparsity):
-        r = projection_residual(A[:, sorted(S)], y)
-        lhs, rhs = selection_margin(A, r, x.support, S)
-        assert lhs > rhs
-        corr = np.abs(A.T @ r)
-        corr[S] = -1.0
-        S.append(int(np.argmax(corr)))
-    assert np.array_equal(np.sort(S), x.support)
+    res = omp_run(A, inst.measurement, StopRule.max_iterations(x.sparsity),
+                  true_support=x.support)
+    for rec in res.trace:
+        assert rec.correlation > rec.off_support_correlation
+    assert np.array_equal(res.recovered_support, x.support)
 
 
-def test_selection_margin_validation():
-    A = gaussian_sensing_matrix(5, 6, seed=14)
-    r = np.ones(5)
-    with pytest.raises(ValueError):
-        selection_margin(A, r, [0, 1], [0, 1])
-    with pytest.raises(ValueError):
-        selection_margin(A, r, list(range(6)), [0])
-    with pytest.raises(ValueError):
-        selection_margin(A, r, [0, 1], [2])
+def test_selection_margin_needs_a_true_support():
+    A, x, _ = lemma1_example_instance(0.5)
+    res = omp_run(A, A @ x.to_dense(), StopRule.max_iterations(2))
+    assert [rec.off_support_correlation for rec in res.trace] == [None, None]
+
+
+def test_selection_margin_ignores_indices_outside_the_columns():
+    """-1 does not wrap to the last column and 7 does not raise: column 3,
+    the first pick, stays off the support, so its correlation is the
+    off-support best."""
+    y = np.array([1.0, 0.0, 0.0, 2.0])
+    res = omp_run(np.eye(4), y, StopRule.max_iterations(2), true_support=[-1, 0, 7])
+    first, second = res.trace
+    assert (first.selected_index, first.in_true_support) == (3, False)
+    assert first.off_support_correlation == first.correlation == 2.0
+    assert (second.selected_index, second.in_true_support) == (0, True)
+    assert second.off_support_correlation == 0.0
 
 
 def test_residual_probe_identity_instance():

@@ -136,9 +136,10 @@ def _stack_trial(kind, m, n, eps, rng):
 
 @st.composite
 def _omp_stacks(draw):
-    """(matrices, measurements, rule) of 1-6 same-shape trials of mixed kinds
-    under one rule: a residual threshold (0 for budget exhaustion) or an
-    iteration count."""
+    """(matrices, measurements, rule, supports) of 1-6 same-shape trials of
+    mixed kinds under one rule: a residual threshold (0 for budget
+    exhaustion) or an iteration count. supports is None, or one random true
+    support per trial, empty and full ones included."""
     m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     eps = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
@@ -149,18 +150,31 @@ def _omp_stacks(draw):
         rule = StopRule.residual_at_most(eps)
     else:
         rule = StopRule.max_iterations(draw(st.integers(1, min(m, n))))
-    return [A for A, _ in trials], [y for _, y in trials], rule
+    supports = None
+    if draw(st.booleans()):
+        supports = [rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                    for _ in trials]
+    return [A for A, _ in trials], [y for _, y in trials], rule, supports
 
 
-def _assert_stack_matches_single_runs(matrices, ys, rule):
+def _assert_stack_matches_single_runs(matrices, ys, rule, supports=None):
     """_omp_stack on the stack, each trial's run equals omp_run's, and the
-    numpy-norm loop's, alone, bit for bit. Returns the stop causes."""
+    numpy-norm loop's, alone, bit for bit; with supports, the off-support
+    correlations too. Returns the stop causes."""
     AT = np.stack([np.asfortranarray(A).T for A in matrices])
-    runs = _omp_stack(AT, np.stack(ys), rule)
-    for A, y, run in zip(matrices, ys, runs):
-        for alone in (omp_run(A, y, rule), omp_run_numpy_loop(A, y, rule)):
+    off = None
+    if supports is not None:
+        off = np.stack([~np.isin(np.arange(A.shape[1]), s) for A, s in zip(matrices, supports)])
+    runs = _omp_stack(AT, np.stack(ys), rule, off)
+    for A, y, run, truth in zip(matrices, ys, runs, supports or [None] * len(runs)):
+        for alone in (omp_run(A, y, rule, truth), omp_run_numpy_loop(A, y, rule, truth)):
             assert run.picks.tolist() == [rec.selected_index for rec in alone.trace]
             assert run.correlations.tolist() == [rec.correlation for rec in alone.trace]
+            offs = [rec.off_support_correlation for rec in alone.trace]
+            if truth is None:
+                assert run.off_correlations is None and set(offs) <= {None}
+            else:
+                assert run.off_correlations.tolist() == offs
             assert run.norms.tolist() == [rec.residual_norm for rec in alone.trace]
             assert run.stopped_by == alone.stopped_by
             support, estimate = _refit(A.shape[1], run)
