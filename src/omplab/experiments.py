@@ -5,7 +5,7 @@ Every experiment is a pure function of (config, master_seed). Trial t draws
 its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical across
 parallelism levels. A run executes in work units, each of which draws its
-trials' matrices into one stack per cell and solves each cell's trials in
+trials' matrices into one stack per m and solves each cell's trials in
 lockstep by one ``_omp_stack`` call. The trials that check the RIC
 condition, grouped by (n, K + 1) across cells, first take one Gram stack
 per unit from those matrices, which one witness call covers, and the trials
@@ -71,12 +71,12 @@ from .sensing import (
     ProblemInstance,
     SparseSignal,
     _gaussian_draw,
+    _keyed,
     gaussian_sensing_matrix,
     generate_measurement,
     lemma1_example_instance,
     load_problem_instance,
     noise_vector,
-    philox_generator,
     random_sparse_signal,
     save_problem_instance,
     splitmix64,
@@ -175,6 +175,8 @@ class ExperimentConfig:
             if k > n:
                 raise ValueError(f"cell (m={m}, n={n}, K={k}) has K > n")
         if self.ensemble == "lemma1_family":
+            if not self.lemma1_deltas:
+                raise ValueError("lemma1_deltas must be non-empty for lemma1_family")
             if not all(0.0 <= d < 1.0 for d in self.lemma1_deltas):
                 raise ValueError("lemma1_deltas must lie in [0, 1)")
             for m, n, k, _ in self.cells():
@@ -396,21 +398,27 @@ def _outcome(task, signal, floor, recovered, stopped_by):
 
 
 def _draw_stack(tasks):
-    """The matrices of trials of one cell, drawn into one (T, n, m) stack:
-    each A^T in C order, that is, A in Fortran order, the layout
-    ``gaussian_sensing_matrix`` returns. Gaussian draws share one scratch
-    buffer; a ``lemma1_family`` trial copies its drawn 3x3 into its slot."""
+    """The matrices of trials that share m and n, drawn into one (T, n, m)
+    stack: each A^T in C order, that is, A in Fortran order, the layout
+    ``gaussian_sensing_matrix`` returns. Gaussian draws are normalized in
+    chunks of ``_UNIT_ENTRIES // (m*n)`` matrices (one at least) through one
+    scratch buffer; a ``lemma1_family`` trial copies its drawn 3x3 into its
+    slot."""
     config, m, n = tasks[0].config, tasks[0].m, tasks[0].n
-    normalize = config.ensemble == "gaussian_normalized"
-    AT, scratch = np.empty((len(tasks), n, m)), np.empty((m, n))
-    for t, task in enumerate(tasks):
-        seed = _derived_seed(task.trial_seed, _MATRIX_TAG)
-        if config.ensemble == "lemma1_family":
-            rng = philox_generator(seed)
-            delta = config.lemma1_deltas[int(rng.integers(len(config.lemma1_deltas)))]
-            AT[t] = lemma1_example_instance(delta)[0].T
-        else:
-            _gaussian_draw(AT[t], scratch, seed, normalize)
+    seeds = [_derived_seed(task.trial_seed, _MATRIX_TAG) for task in tasks]
+    AT = np.empty((len(tasks), n, m))
+    if config.ensemble == "lemma1_family":
+        deltas = config.lemma1_deltas
+        for slot, seed in zip(AT, seeds):
+            delta = deltas[int(_keyed(seed).integers(len(deltas)))]
+            slot[...] = lemma1_example_instance(delta)[0].T
+        return AT
+    chunk = max(1, _UNIT_ENTRIES // (m * n))
+    scratch = np.empty((min(chunk, len(tasks)), m, n))
+    for s in range(0, len(tasks), chunk):
+        out = AT[s : s + chunk]
+        _gaussian_draw(out, scratch[: len(out)], seeds[s : s + chunk],
+                       config.ensemble == "gaussian_normalized")
     return AT
 
 
@@ -429,9 +437,10 @@ _STACK_ENTRIES = 2**18
 
 def _run_unit(tasks):
     """Outcomes of one work unit (see _work_units); a pool worker returns
-    only these. The unit's trials are drawn cell by cell, one (m, epsilon)
-    stack each (_draw_stack). A RIC-checked unit's trials share (n, K + 1):
-    their Grams form one stack and their RICs are checked trusted, since the
+    only these. The unit's trials are drawn one stack per m (_draw_stack),
+    since epsilon does not touch the matrix. A RIC-checked unit's trials
+    share (n, K + 1): each stack's Grams come from one stacked product, they
+    form one stack, and their RICs are checked trusted, since the
     callers check the order and budget first. One witness call covers the
     stack. A trial whose witness delta (_witness_deltas, at most the RIC)
     reaches 1/sqrt(K+1) keeps it; the others get their exact RICs from
@@ -440,34 +449,35 @@ def _run_unit(tasks):
     where the condition fails or no RIC is checked. Then one _omp_stack call
     per cell solves its trials in lockstep: every phase trial, and the
     theorem1 trials that hold the RIC condition; the others skip."""
-    cells = {}  # (m, epsilon): positions in tasks
+    draws = {}  # m: positions in tasks
     for i, task in enumerate(tasks):
-        cells.setdefault((task.m, task.epsilon), []).append(i)
-    stacks = [_draw_stack([tasks[i] for i in members]) for members in cells.values()]
+        draws.setdefault(task.m, []).append(i)
+    stacks = [_draw_stack([tasks[i] for i in members]) for members in draws.values()]
     floors = [math.inf] * len(tasks)
     if tasks[0].check_conditions:
         k = tasks[0].k
-        G = _grams([A for AT in stacks for A in AT.swapaxes(1, 2)])
+        G = np.concatenate([_grams(AT.swapaxes(1, 2)) for AT in stacks])
         deltas = _witness_deltas(G, k + 1)
         kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
         cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
         for s in range(0, len(kernel), cap):
             rows = kernel[s : s + cap]
             deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
-        for i, delta in zip(itertools.chain(*cells.values()), deltas.tolist()):
+        for i, delta in zip(itertools.chain(*draws.values()), deltas.tolist()):
             floors[i] = _magnitude_floor(delta, k, tasks[i].epsilon)
     outcomes = [_SKIPPED] * len(tasks)
-    for members, AT in zip(cells.values(), stacks):
-        keep = [tasks[i].mode == "phase" or floors[i] < math.inf for i in members]
-        solved = list(itertools.compress(members, keep))
-        if not solved:
-            continue
-        if len(solved) < len(AT):
-            AT = AT[keep]
-        draws = [_build_trial(tasks[i], A.T, floors[i]) for i, A in zip(solved, AT)]
-        runs = _omp_stack(AT, np.array([y for _, _, y in draws]), _stop_rule(tasks[solved[0]]))
-        for i, (signal, _, _), run in zip(solved, draws, runs):
-            outcomes[i] = _outcome(tasks[i], signal, floors[i], np.sort(run.picks), run.stopped_by)
+    for members, AT in zip(draws.values(), stacks):
+        cells = {}  # epsilon: rows of AT to solve
+        for row, i in enumerate(members):
+            if tasks[i].mode == "phase" or floors[i] < math.inf:
+                cells.setdefault(tasks[i].epsilon, []).append(row)
+        for rows in cells.values():
+            solved = [members[row] for row in rows]
+            cell = AT if len(rows) == len(AT) else AT[rows]
+            trials = [_build_trial(tasks[i], A.T, floors[i]) for i, A in zip(solved, cell)]
+            runs = _omp_stack(cell, np.array([y for _, _, y in trials]), _stop_rule(tasks[solved[0]]))
+            for i, (signal, _, _), run in zip(solved, trials, runs):
+                outcomes[i] = _outcome(tasks[i], signal, floors[i], np.sort(run.picks), run.stopped_by)
     return outcomes
 
 
@@ -908,7 +918,7 @@ def _sweep_instance(seed, i):
         off = np.ones(n, dtype=bool)
         off[signal.support] = False
         s1, rest = off.nonzero()[0][:1], signal.support
-    rng = philox_generator(_derived_seed(trial_seed, 0x77))
+    rng = _keyed(_derived_seed(trial_seed, 0x77))
     w = rng.standard_normal(m)
     return A, signal, w, s1, rest, rng.standard_normal(rest.size)
 

@@ -331,15 +331,15 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     count = math.comb(n, K)
     if count > budget:
         raise CapacityError(n, K, count, budget)
-    return _gram_rics(_grams([A]), K)[0]
+    return _gram_rics(_grams(A[None]), K)[0]
 
 
-def _grams(matrices):
-    """The stack of the Grams A^T A of validated matrices that share their
-    column count, refused if one overflows."""
+def _grams(A):
+    """The Grams A^T A of a (T, m, n) stack of validated matrices, from one
+    stacked matmul, each bit for bit its own ``A[t].T @ A[t]``; refused if
+    one overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = [A.T @ A for A in matrices]
-    G = G[0][None] if len(G) == 1 else np.stack(G)
+        G = A.swapaxes(1, 2) @ A
     if not np.isfinite(G).all():
         raise ValueError("A^T A overflows: the Gram matrix has non-finite entries")
     return G

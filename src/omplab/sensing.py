@@ -5,7 +5,10 @@ Randomness policy, shared package-wide: every generator takes an explicit
 counter-based PRNG) keyed directly with that seed, so streams are reproducible
 across platforms and insensitive to the order in which trials run. Derived
 seeds are produced with the SplitMix64 mixer, so parallel trials get
-independent streams from ``master_seed ^ splitmix64(trial_index)``.
+independent streams from ``master_seed ^ splitmix64(trial_index)``. Internal
+draws re-key one Philox generator per thread (``_keyed``) to the state that
+``philox_generator`` builds, so they read the same streams without building a
+generator per draw.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +78,25 @@ def philox_generator(seed):
     reads it."""
     _register_key()
     return np.random.Generator(np.random.Philox(_PhiloxKey(int(seed) & MASK64)))
+
+
+_THREAD = threading.local()
+
+
+def _keyed(seed):
+    """This thread's one Philox generator, re-keyed to the state
+    ``philox_generator(seed)`` builds: its counter and buffer zeroed, no
+    buffered uint32. Re-keying costs a fraction of building a generator.
+    Each caller draws its stream before the next ``_keyed`` call."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = philox_generator(0)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & MASK64, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +193,7 @@ def noise_vector(spec, m):
         raise ValueError("m must be positive")
     if spec.kind == "none" or spec.epsilon == 0.0:
         return np.zeros(m)
-    rng = philox_generator(spec.seed)
+    rng = _keyed(spec.seed)
     g = rng.standard_normal(m)
     norm = float(np.linalg.norm(g))
     while norm == 0.0:  # unreachable in practice, kept for strictness
@@ -199,40 +222,41 @@ def gaussian_sensing_matrix(m, n, seed, normalize_columns=True):
     restricted-isometry constants in a useful range at desk scale. With
     ``normalize_columns`` every column is rescaled to exact unit length.
 
-    This is the one-matrix view of ``_gaussian_draw``, which a stack of
-    draws shares.
+    This is the stack-of-one view of ``_gaussian_draw``, which stacks of
+    draws share.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    out = np.empty((n, m))
-    _gaussian_draw(out, np.empty((m, n)), seed, normalize_columns)
-    return out.T
+    out = np.empty((1, n, m))
+    _gaussian_draw(out, np.empty((1, m, n)), [seed], normalize_columns)
+    return out[0].T
 
 
-def _gaussian_draw(out, scratch, seed, normalize_columns):
-    """Write the m x n draw of ``gaussian_sensing_matrix`` into ``out``, an
-    (n, m) C-contiguous array (the matrix's Fortran layout, such as one slot
-    of a stack), through ``scratch``, an (m, n) C-contiguous buffer.
+def _gaussian_draw(out, scratch, seeds, normalize_columns):
+    """Write the m x n draws of ``gaussian_sensing_matrix`` for ``seeds``
+    into ``out``, a (T, n, m) C-contiguous stack (each matrix in Fortran
+    layout), through ``scratch``, a (T, m, n) C-contiguous buffer.
 
     The normals are drawn and scaled in place in C order, where the column
     norms' summation order is fixed. The norms are np.linalg.norm's formula,
-    sqrt(add.reduce(x * x, axis=0)), with the squares held in ``out``; the
-    column division then writes the transposed draw into ``out``. So the
-    peak is the two buffers, and every value is the same as a C-order
-    draw's normalized and copied to Fortran order.
+    sqrt(add.reduce(x * x, axis=1)) per matrix, with the squares held in
+    ``out``; the column division then writes the transposed draws into
+    ``out``. So the peak is the two buffers, and every value is the same as
+    a C-order draw's normalized alone and copied to Fortran order.
     """
-    m, n = scratch.shape
-    philox_generator(seed).standard_normal(out=scratch)
+    T, m, n = scratch.shape
+    for x, seed in zip(scratch, seeds):
+        _keyed(seed).standard_normal(out=x)
     scratch /= math.sqrt(m)
     if not normalize_columns:
-        np.copyto(out, scratch.T)
+        np.copyto(out, scratch.transpose(0, 2, 1))
         return
-    squares = out.reshape(m, n)  # out's memory, in scratch's layout
+    squares = out.reshape(T, m, n)  # out's memory, in scratch's layout
     np.multiply(scratch, scratch, out=squares)
-    norms = np.sqrt(np.add.reduce(squares, axis=0))
+    norms = np.sqrt(np.add.reduce(squares, axis=1))
     if np.any(norms == 0.0):
         raise ArithmeticError("drew a zero column; reseed")
-    np.divide(scratch.T, norms[:, None], out=out)
+    np.divide(scratch.transpose(0, 2, 1), norms[:, :, None], out=out)
 
 
 def lemma1_example_instance(delta):
@@ -273,7 +297,7 @@ def random_sparse_signal(n, K, min_mag, dynamic_range, seed, sign_pattern="rando
         raise ValueError("min_mag and min_mag * dynamic_range must be finite")
     if sign_pattern not in SIGN_PATTERNS:
         raise ValueError(f"sign_pattern must be one of {SIGN_PATTERNS}")
-    rng = philox_generator(seed)
+    rng = _keyed(seed)
     support = np.sort(rng.permutation(n)[:K])
     magnitudes = rng.uniform(min_mag, min_mag * dynamic_range, size=K)
     if sign_pattern == "random":

@@ -12,7 +12,7 @@ numpy's norm and an explicit rank test on the diagonal of R,
 ``gaussian_matrix_one_draw`` is the Gaussian draw as one C-order matrix
 normalized in place and copied to Fortran order, and
 ``run_unit_one_at_a_time`` is a harness work unit with every trial drawn,
-RIC-checked and solved alone.
+RIC-checked and solved alone. ``same_state`` compares bit-generator states.
 """
 
 import itertools
@@ -35,6 +35,16 @@ from omplab.sensing import (
     lemma1_example_instance,
     philox_generator,
 )
+
+
+def same_state(a, b):
+    """Whether two ``bit_generator.state`` dicts are equal, entry by entry,
+    with the same types and dtypes."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
 
 
 class _ZeroPivot(Exception):

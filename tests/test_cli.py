@@ -294,6 +294,22 @@ def test_cli_bad_sign_pattern_exit_code(workspace, capsys, monkeypatch):
     assert ran == []
 
 
+
+def test_cli_empty_lemma1_deltas_exit_code(workspace, capsys, monkeypatch):
+    # lemma1_family draws each matrix's delta from lemma1_deltas, so an empty
+    # list is refused by the config, before any trial runs
+    ran = []
+    monkeypatch.setattr(experiments, "_run_unit", ran.append)
+    cfg = workspace["dir"] / "family.cfg"
+    cfg.write_text("m = 3\nn = 3\nk = 2\nepsilon = 0\ntrials = 2\n"
+                   "ensemble = lemma1_family\nlemma1_deltas =\n")
+    out = workspace["dir"] / "out.csv"
+    for command in ("validate-theorem1", "phase"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "lemma1_deltas must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+    assert ran == []
+
 def test_cli_phase_rejects_noiseless_cell_with_k_above_min_mn(
     workspace, capsys, monkeypatch
 ):

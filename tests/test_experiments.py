@@ -35,7 +35,7 @@ from omplab.linalg import projection_residual
 from omplab.omp import STOP_RESIDUAL
 from omplab.sensing import MASK64, load_problem_instance
 
-from _oracles import run_unit_one_at_a_time
+from _oracles import gaussian_matrix_one_draw, run_unit_one_at_a_time
 
 
 def _small_config(**overrides):
@@ -318,7 +318,8 @@ def _no_witness(G, K):
 def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
     # the theorem1 bench grid (family 3): 6 groups of 18 trials per (n, K + 1),
     # each one unit, where kernel-sized units made 28 (the 18 C(24, 4) trials
-    # one per unit); kernel stacks keep at most 2**14 // C(n, K + 1) Grams
+    # one per unit), with one stacked Gram product per m (6 trials) and one
+    # witness call; kernel stacks keep at most 2**14 // C(n, K + 1) Grams
     cfg = _small_config(m_values=(12, 16, 20), n_values=(18, 24), k_values=(1, 2, 3),
                         epsilon_values=(0.0, 0.01, 0.05), trials=2, master_seed=3)
     grams, witness, kernel = [], [], []
@@ -332,7 +333,7 @@ def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
     theorem1_validation(cfg)
     groups = [(n, k + 1) for n in cfg.n_values for k in cfg.k_values]
     assert sorted(witness) == groups
-    assert grams == [2 * 3 * 3] * len(groups)
+    assert grams == [2 * 3] * (len(cfg.m_values) * len(groups))
     assert sum(-(-18 // max(1, experiments._UNIT_ENTRIES // math.comb(n, K)))
                for n, K in groups) == 28
     assert kernel
@@ -455,6 +456,38 @@ def test_run_unit_matches_trials_run_one_at_a_time(monkeypatch, ensemble, mode, 
         assert ensemble == "lemma1_family" or attempted[-2:] == [0, 0]
 
 
+
+@pytest.mark.parametrize("ensemble", ["gaussian_normalized", "gaussian_raw"])
+def test_draw_stack_chunks_match_the_one_draw_formula(monkeypatch, ensemble):
+    # _draw_stack normalizes _UNIT_ENTRIES // (m * n) matrices at a time (one
+    # at least): chunks of many, of 2 and of 1, at and on either side of the
+    # boundaries, each slot bit for bit the C-order draw normalized alone
+    chunks, real = [], experiments._gaussian_draw
+    monkeypatch.setattr(experiments, "_gaussian_draw",
+                        lambda out, scratch, seeds, normalize:
+                        chunks.append(len(seeds)) or real(out, scratch, seeds, normalize))
+    cfg = _small_config(ensemble=ensemble)
+    assert experiments._UNIT_ENTRIES == 2**14
+    for (m, n), T, expected in [
+        ((12, 18), 80, [75, 5]),  # many
+        ((1, 1), 3, [3]),
+        ((64, 128), 5, [2, 2, 1]),  # 2 * m * n = _UNIT_ENTRIES
+        ((63, 130), 3, [2, 1]),
+        ((65, 128), 2, [1, 1]),
+        ((128, 128), 3, [1, 1, 1]),  # m * n = _UNIT_ENTRIES
+        ((129, 128), 2, [1, 1]),
+    ]:
+        chunks.clear()
+        tasks = [experiments._TrialTask(cfg, "phase", m, n, 1, 0.0, splitmix64(t), False)
+                 for t in range(T)]
+        AT = experiments._draw_stack(tasks)
+        assert AT.shape == (T, n, m) and AT.flags.c_contiguous
+        assert chunks == expected
+        for slot, task in zip(AT, tasks):
+            seed = experiments._derived_seed(task.trial_seed, experiments._MATRIX_TAG)
+            want = gaussian_matrix_one_draw(m, n, seed, ensemble == "gaussian_normalized")
+            assert slot.T.tobytes(order="F") == want.tobytes(order="F")
+
 def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
     # spies on the draws and the solvers: a unit of trials that check no RIC
     # draws each of its matrices once into one stack of at most
@@ -467,10 +500,10 @@ def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
     real_slot, real_stack = experiments._gaussian_draw, experiments._omp_stack
     real_draw, real_omp = experiments.gaussian_sensing_matrix, experiments.omp_run
 
-    def slot_draw(out, scratch, seed, normalize):
-        events.append("draw")
-        drawn.append(seed)
-        return real_slot(out, scratch, seed, normalize)
+    def slot_draw(out, scratch, seeds, normalize):
+        events.extend(["draw"] * len(seeds))
+        drawn.extend(seeds)
+        return real_slot(out, scratch, seeds, normalize)
 
     def solve_stack(AT, Y, rule):
         events.append(("solve", AT.shape))

@@ -4,7 +4,8 @@ for exact_ric and its batched form against the unpruned reference on
 tie-heavy matrices, for the harness's witness deltas against the kernel's
 RICs, for verify_lemma1 and the batched
 selection-inequality kernel behind it against an explicit oracle, and for
-that kernel on stacks of instances against each instance alone.
+that kernel on stacks of instances against each instance alone, and for
+the re-keyed generator of internal draws against a freshly built one.
 
 Hypothesis runs derandomized and without an example database, so the suite
 stays deterministic. It still caches the constants it reads from source
@@ -19,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from omplab import (
@@ -31,14 +32,16 @@ from omplab import (
     exact_ric,
     lemma1_example_instance,
     omp_run,
+    philox_generator,
     ripcheck,
+    sensing,
     sharp_ric_bound,
     verify_lemma1,
 )
 from omplab.experiments import sharpness_probe
 from omplab.omp import _omp_stack, _refit
 
-from _oracles import omp_run_numpy_loop, ric_unpruned
+from _oracles import omp_run_numpy_loop, ric_unpruned, same_state
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -337,7 +340,8 @@ def test_batched_rics_match_unpruned_and_single_calls(stack, mode, lead):
     if mode == "cut":
         patches["_ENTRY_LIMIT"] = count * K
     with mock.patch.multiple(ripcheck, **patches) if patches else contextlib.nullcontext():
-        batched = ripcheck._gram_rics(ripcheck._grams([as_matrix(A) for A in matrices]), K)
+        G = np.concatenate([ripcheck._grams(as_matrix(A)[None]) for A in matrices])
+        batched = ripcheck._gram_rics(G, K)
         singles = [exact_ric(A, K) for A in matrices]
     assert len(batched) == len(matrices)
     for A, b, s in zip(matrices, batched, singles):
@@ -365,7 +369,7 @@ def _witness_stacks(draw):
             A /= np.linalg.norm(A, axis=0)
         elif kind == "huge":
             A[:, rng.integers(n)] *= 1e80
-        G = ripcheck._grams([as_matrix(A)])
+        G = ripcheck._grams(as_matrix(A)[None])
         scale = draw(st.sampled_from([None, 0.5, 0.99, 1.0, 1.01, 2.0]))
         if scale is not None and kind != "huge":
             delta = ripcheck._gram_rics(G, K)[0].delta
@@ -567,3 +571,41 @@ def test_stacked_lemma1_kernel_matches_single_instances(stack):
                                      deltas[t : t + 1], in_S)
         for got, want in zip((lhs[t], rhs[t], holds[t]), one):
             assert got.tobytes() == want[0].tobytes()
+
+
+_KEYS = st.sampled_from([0, 1, 7, 2**63, 2**64 - 1, 2**64, -1])
+_DRAWS = st.one_of(
+    st.tuples(st.just("normal"), st.integers(1, 5), st.integers(1, 5)),
+    st.tuples(st.just("permutation"), st.integers(1, 30)),
+    st.tuples(st.just("uniform"), st.integers(0, 7)),
+    st.tuples(st.just("integers"), st.integers(0, 7)),
+)
+
+
+def _draw(rng, op):
+    kind, *size = op
+    if kind == "normal":
+        return rng.standard_normal(out=np.empty(size))
+    if kind == "permutation":
+        return rng.permutation(size[0])
+    if kind == "uniform":
+        return rng.uniform(1.0, 10.0, size=size)
+    return rng.integers(0, 2, size=size)  # 32-bit draws: an odd size buffers one
+
+
+@_SETTINGS
+@given(st.lists(st.tuples(st.one_of(_KEYS, st.integers(-(2**65), 2**65)), st.lists(_DRAWS)),
+                min_size=1, max_size=6))
+@example([(5, [("integers", 3)]), (5, [("integers", 1)]), (6, [("normal", 2, 3)])])
+def test_keyed_generator_streams_match_fresh_generators(steps):
+    # keys interleaved, repeated, wrapped past 64 bits; each step re-keys the
+    # thread's generator, whatever the last step left buffered (a uint32 from
+    # an odd number of bounded integers, a partly read block), and its draws
+    # and final state equal a generator built from the key
+    for key, ops in steps:
+        rng, fresh = sensing._keyed(key), philox_generator(key)
+        assert same_state(rng.bit_generator.state, fresh.bit_generator.state)
+        for op in ops:
+            got, want = _draw(rng, op), _draw(fresh, op)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert same_state(rng.bit_generator.state, fresh.bit_generator.state)

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from omplab import ripcheck
+from omplab import ripcheck, sensing
 from omplab import (
     CapacityError,
     SparseSignal,
@@ -24,6 +24,7 @@ from omplab import (
     random_sparse_signal,
     ric_report_json,
     sharp_ric_bound,
+    splitmix64,
     verify_lemma1,
 )
 
@@ -348,7 +349,8 @@ def test_batched_rounds_cut_per_gram(monkeypatch):
             mp.setattr(ripcheck, "_UNBOUNDED", 0)
             mp.setattr(ripcheck, "_LEAD", int(rng.integers(1, 9)))
             mp.setattr(ripcheck, "_ENTRY_LIMIT", math.comb(n, K) * K)
-            batched = ripcheck._gram_rics(ripcheck._grams([as_matrix(A) for A in stack]), K)
+            G = np.concatenate([ripcheck._grams(as_matrix(A)[None]) for A in stack])
+            batched = ripcheck._gram_rics(G, K)
             singles = [exact_ric(A, K) for A in stack]
         for b, s in zip(batched, singles):
             assert (b.delta, b.lambda_min, b.lambda_max) == (s.delta, s.lambda_min, s.lambda_max)
@@ -380,6 +382,37 @@ def test_exact_ric_rejects_overflowing_gram():
             exact_ric(M, K)
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("m, n", [(5, 1), (1, 4), (4, 9), (12, 7), (20, 24)])
+def test_stacked_grams_match_one_matrix_products(m, n, normalize):
+    # one stacked matmul gives each Gram bit for bit as A.T @ A does alone,
+    # symmetric, for harness draws (a (T, n, m) stack read as its matrices)
+    # and for a validated matrix stacked alone, as exact_ric forms it
+    for T in (1, 2, 7):
+        seeds = [splitmix64(1000 * m + 10 * n + t) for t in range(T)]
+        AT = np.empty((T, n, m))
+        sensing._gaussian_draw(AT, np.empty((T, m, n)), seeds, normalize)
+        A = AT.swapaxes(1, 2)
+        G = ripcheck._grams(A)
+        assert G.shape == (T, n, n)
+        assert np.array_equal(G, G.swapaxes(1, 2))
+        for t in range(T):
+            assert G[t].tobytes() == (A[t].T @ A[t]).tobytes()
+            one = as_matrix(A[t])
+            assert ripcheck._grams(one[None])[0].tobytes() == (one.T @ one).tobytes()
+
+
+def test_stacked_grams_refuse_one_overflowing_matrix():
+    # one matrix of the stack with a column near 1e200 refuses the stack,
+    # with exact_ric's message and no overflow warning
+    AT = np.empty((3, 6, 4))
+    sensing._gaussian_draw(AT, np.empty((3, 4, 6)), [1, 2, 3], True)
+    AT[1, 2] *= 1e200  # column 2 of the second matrix
+    with pytest.raises(ValueError, match=r"A\^T A overflows: the Gram matrix has non-finite"):
+        ripcheck._grams(AT.swapaxes(1, 2))
+    assert np.isfinite(ripcheck._grams(AT[[0, 2]].swapaxes(1, 2))).all()
+
+
 @pytest.mark.parametrize("n, columns, scale, order, limit", [
     pytest.param(70, [3], 1e80, 1, None, id="1"),
     pytest.param(70, [3], 1e80, 2, None, id="2"),
@@ -409,7 +442,7 @@ def test_witness_sums_terms_past_the_float_maximum_quietly(monkeypatch):
     # two scaled columns, the only +inf pair, are its first choice
     A = np.array(gaussian_sensing_matrix(12, 20, seed=3))
     A[:, [3, 11]] *= 1e77
-    G = ripcheck._grams([as_matrix(A)])
+    G = ripcheck._grams(as_matrix(A)[None])
     assert np.isfinite(ripcheck._pair_squares(G)[0, 3, 3])
     subsets = []
     real = ripcheck._eigvals

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from omplab import (
 )
 from omplab import sensing
 
-from _oracles import gaussian_matrix_one_draw
+from _oracles import gaussian_matrix_one_draw, same_state
 
 
 def test_sparse_signal_basics():
@@ -97,23 +99,55 @@ def test_gaussian_matrix_determinism():
     assert not np.array_equal(A, C)
 
 
-def _same_state(a, b):
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b)
-    return type(a) is type(b) and a == b
-
-
 @pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1] + [splitmix64(i) for i in range(20)])
 def test_philox_generator_matches_keyed_philox(key):
     # the key object stands in for Philox(key=...)'s discarded SeedSequence:
     # the same state, and the same stream bit for bit
     got = philox_generator(key)
     want = np.random.Generator(np.random.Philox(key=key))
-    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+    assert same_state(got.bit_generator.state, want.bit_generator.state)
     assert got.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
-    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+    assert same_state(got.bit_generator.state, want.bit_generator.state)
+
+
+def test_keyed_draws_in_threads_match_serial_draws():
+    # each thread re-keys a generator of its own: signals drawn in two
+    # threads while matrices are drawn in two others, switching threads as
+    # often as the interpreter allows, equal the same calls made one by one
+    seeds = [splitmix64(i) for i in range(300)]
+
+    def signals():
+        return [random_sparse_signal(40, 6, 1.0, 10.0, seed) for seed in seeds]
+
+    def matrices():
+        return [gaussian_sensing_matrix(6, 8, seed) for seed in seeds]
+
+    draws = [signals, matrices, signals, matrices]
+    serial = [draw() for draw in draws]
+    results, start = [None] * len(draws), threading.Barrier(len(draws))
+
+    def run(slot):
+        start.wait(timeout=60)
+        results[slot] = draws[slot]()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(len(draws))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(serial[::2], results[::2]):
+        for x, y in zip(want, got, strict=True):
+            assert np.array_equal(x.support, y.support)
+            assert x.values.tobytes() == y.values.tobytes()
+    for want, got in zip(serial[1::2], results[1::2]):
+        for A, B in zip(want, got, strict=True):
+            assert A.tobytes(order="F") == B.tobytes(order="F")
 
 
 def test_philox_key_refuses_other_state_shapes():
@@ -142,14 +176,13 @@ def test_gaussian_matrix_matches_two_step_draw(shape, normalize):
 
 @pytest.mark.parametrize("normalize", [True, False])
 def test_one_matrix_and_stacked_draws_match_the_one_draw_formula(normalize):
-    """gaussian_sensing_matrix and the harness's slot draw (one scratch
-    buffer reused for a whole stack) are one code path, and both equal the
-    C-order draw normalized in place, bit for bit."""
+    """gaussian_sensing_matrix and the harness's stacked draw (one scratch
+    buffer for a whole stack) are one code path, and both equal the C-order
+    draw normalized in place, bit for bit."""
     for m, n in [(12, 70), (128, 14), (9, 1), (1, 5), (40, 40), (64, 256)]:
         seeds = [splitmix64(m * 1000 + n + t) for t in range(4)]
-        stack, scratch = np.empty((len(seeds), n, m)), np.empty((m, n))
-        for t, seed in enumerate(seeds):
-            sensing._gaussian_draw(stack[t], scratch, seed, normalize)
+        stack, scratch = np.empty((len(seeds), n, m)), np.empty((len(seeds), m, n))
+        sensing._gaussian_draw(stack, scratch, seeds, normalize)
         for t, seed in enumerate(seeds):
             want = gaussian_matrix_one_draw(m, n, seed, normalize)
             A = gaussian_sensing_matrix(m, n, seed, normalize_columns=normalize)
@@ -168,11 +201,11 @@ def test_zero_column_raises_in_every_draw(monkeypatch):
             out[:, 1] = 0.0
             return out
 
-    monkeypatch.setattr(sensing, "philox_generator", lambda seed: ZeroColumn())
+    monkeypatch.setattr(sensing, "_keyed", lambda seed: ZeroColumn())
     with pytest.raises(ArithmeticError, match="zero column"):
         gaussian_sensing_matrix(6, 4, seed=1)
     with pytest.raises(ArithmeticError, match="zero column"):
-        sensing._gaussian_draw(np.empty((4, 6)), np.empty((6, 4)), 1, True)
+        sensing._gaussian_draw(np.empty((1, 4, 6)), np.empty((1, 6, 4)), [1], True)
     assert np.array_equal(gaussian_sensing_matrix(6, 4, 1, normalize_columns=False),
                           np.outer(np.ones(6), [1, 0, 1, 1]) / math.sqrt(6))
 
