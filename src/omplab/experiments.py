@@ -227,7 +227,8 @@ def parse_config(text):
     """Parse the flat ``key = value`` config format (lists are comma-separated).
 
     Required keys: m, n, k, epsilon, trials. Lines starting with '#' and
-    blank lines are ignored; unknown and repeated keys are an error.
+    blank lines are ignored; unknown and repeated keys are an error, and so
+    is a value that does not parse, named by its key and line.
     """
     kwargs = {}
     seen = {}
@@ -248,7 +249,10 @@ def parse_config(text):
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
         name, parse = _CONFIG_KEYS[key]
-        kwargs[name] = parse(value)
+        try:
+            kwargs[name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r} on line {lineno}: {exc}") from None
     missing = [k for k in ("m", "n", "k", "epsilon", "trials") if k not in seen]
     if missing:
         raise ValueError(f"config is missing required keys: {missing}")

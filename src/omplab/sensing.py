@@ -5,15 +5,15 @@ Randomness policy, shared package-wide: every generator takes an explicit
 counter-based PRNG) keyed directly with that seed, so streams are reproducible
 across platforms and insensitive to the order in which trials run. Derived
 seeds are produced with the SplitMix64 mixer, so parallel trials get
-independent streams from ``master_seed ^ splitmix64(trial_index)``. Internal
-draws re-key one Philox generator per thread (``_keyed``) to the state that
-``philox_generator`` builds, so they read the same streams without building a
+independent streams from ``master_seed ^ splitmix64(trial_index)``. One
+function, ``_philox_state``, writes the keyed state: ``philox_generator`` sets
+it on a new generator, and internal draws re-key one Philox generator per
+thread (``_keyed``) to it, so they read the same streams without building a
 generator per draw.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -45,57 +45,39 @@ def splitmix64(value):
     return (z ^ (z >> 31)) & MASK64
 
 
-class _PhiloxKey:
-    """The seed sequence ``philox_generator`` hands Philox: its state is the
-    key words ``[key, 0]``, which is what ``Philox(key=key)`` sets. That call
-    also builds a ``SeedSequence(None)`` from OS entropy and discards it.
-    Registered as an ``ISeedSequence`` on first use (``_register_key``)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a Philox key is two uint64 words")
-        return np.array([self.key, 0], dtype=np.uint64)
-
-
-@functools.cache
-def _register_key():
-    """Make _PhiloxKey an ISeedSequence, once. A module-level subclass would
-    import ``numpy.random`` with omplab, which otherwise does not."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_PhiloxKey)
+def _philox_state(seed):
+    """The Philox state keyed directly with ``seed`` (wrapped to 64 bits):
+    key words ``[seed, 0]``, counter and buffer zero, no buffered uint32.
+    It is the state ``Philox(key=seed)`` starts in."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & MASK64, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def philox_generator(seed):
     """Generator backed by Philox 4x64-10 keyed directly with ``seed``: the
-    state and stream of ``Philox(key=seed)``. Its ``bit_generator.seed_seq``
-    is the key, a ``_PhiloxKey``, where that call leaves None; nothing here
-    reads it."""
-    _register_key()
-    return np.random.Generator(np.random.Philox(_PhiloxKey(int(seed) & MASK64)))
+    state and stream of ``Philox(key=seed)``, set from ``_philox_state``. Its
+    ``bit_generator.seed_seq`` is a fixed ``SeedSequence(0)``, built without
+    OS entropy, where that call leaves None; nothing reads it."""
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = _philox_state(seed)
+    return rng
 
 
 _THREAD = threading.local()
 
 
 def _keyed(seed):
-    """This thread's one Philox generator, re-keyed to the state
-    ``philox_generator(seed)`` builds: its counter and buffer zeroed, no
-    buffered uint32. Re-keying costs a fraction of building a generator.
-    Each caller draws its stream before the next ``_keyed`` call."""
+    """This thread's one Philox generator, re-keyed to ``_philox_state(seed)``,
+    the state ``philox_generator(seed)`` starts in. Re-keying costs a fraction
+    of building a generator. Each caller draws its stream before the next
+    ``_keyed`` call."""
     rng = getattr(_THREAD, "rng", None)
     if rng is None:
         rng = _THREAD.rng = philox_generator(0)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & MASK64, 0)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    rng.bit_generator.state = _philox_state(seed)
     return rng
 
 
@@ -264,8 +246,8 @@ def lemma1_example_instance(delta):
 
     Returns (A, signal, S) where A = diag(sqrt(1+delta), sqrt(1-delta),
     sqrt(1+delta)), the signal is 2-sparse with support {0, 1} and unit
-    values, and S = {0} is the partial selection used by the selection-margin
-    identity checks.
+    values, and S = {0} is the partial selection that ``verify_lemma1``,
+    demo 01 and the tests take.
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")

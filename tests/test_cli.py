@@ -242,6 +242,10 @@ def test_cli_bad_config_exit_code(workspace, capsys):
     cfg.write_text("m = 10\n")
     out = workspace["dir"] / "out.csv"
     assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = ten\n")
+    assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config key 'trials' on line 5: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_non_finite_config_exit_code(workspace, capsys):

@@ -84,6 +84,17 @@ def test_parse_config_errors():
         parse_config("m = 12\nn = 14\nk = 1\nepsilon = 0\ntrials = 5\nfoo = 1\n")
     with pytest.raises(ValueError):
         parse_config("just some words\n")
+    base = "m = 12\nn = 14\nk = 1\nepsilon = 0\n"
+    for text, match in (
+        (base + "trials = ten\n", "config key 'trials' on line 5: invalid literal"),
+        ("m = 8, x\nn = 14\nk = 1\nepsilon = 0\ntrials = 5\n",
+         "config key 'm' on line 1: invalid literal"),
+        (base + "trials = 5\nmaster_seed = 1e3\n", "config key 'master_seed' on line 6: "),
+        (base + "trials = 5\n# comment\n\nmargin_factor = big\n",
+         "config key 'margin_factor' on line 8: could not convert"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            parse_config(text)
 
 
 def test_parse_config_rejects_repeated_key():

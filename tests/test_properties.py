@@ -32,7 +32,6 @@ from omplab import (
     exact_ric,
     lemma1_example_instance,
     omp_run,
-    philox_generator,
     ripcheck,
     sensing,
     sharp_ric_bound,
@@ -601,9 +600,11 @@ def test_keyed_generator_streams_match_fresh_generators(steps):
     # keys interleaved, repeated, wrapped past 64 bits; each step re-keys the
     # thread's generator, whatever the last step left buffered (a uint32 from
     # an odd number of bounded integers, a partly read block), and its draws
-    # and final state equal a generator built from the key
+    # and final state equal numpy's own Philox keyed with the key wrapped to
+    # 64 bits
     for key, ops in steps:
-        rng, fresh = sensing._keyed(key), philox_generator(key)
+        rng = sensing._keyed(key)
+        fresh = np.random.Generator(np.random.Philox(key=key % 2**64))
         assert same_state(rng.bit_generator.state, fresh.bit_generator.state)
         for op in ops:
             got, want = _draw(rng, op), _draw(fresh, op)

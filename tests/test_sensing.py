@@ -99,15 +99,24 @@ def test_gaussian_matrix_determinism():
     assert not np.array_equal(A, C)
 
 
-@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1] + [splitmix64(i) for i in range(20)])
+@pytest.mark.parametrize(
+    "key",
+    [0, 1, 2**63, 2**64 - 1, -1, -(2**63), 2**64 + 5, 2**65 + 1]
+    + [splitmix64(i) for i in range(20)],
+)
 def test_philox_generator_matches_keyed_philox(key):
-    # the key object stands in for Philox(key=...)'s discarded SeedSequence:
-    # the same state, and the same stream bit for bit
+    # the same state as Philox keyed with the key wrapped to 64 bits, and the
+    # same stream bit for bit
     got = philox_generator(key)
-    want = np.random.Generator(np.random.Philox(key=key))
+    want = np.random.Generator(np.random.Philox(key=key % 2**64))
     assert same_state(got.bit_generator.state, want.bit_generator.state)
     assert got.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
     assert same_state(got.bit_generator.state, want.bit_generator.state)
+
+
+def test_philox_generator_draws_no_os_entropy():
+    # the generator is built on a fixed SeedSequence(0), not one from OS entropy
+    assert philox_generator(5).bit_generator.seed_seq.entropy == 0
 
 
 def test_keyed_draws_in_threads_match_serial_draws():
@@ -148,14 +157,6 @@ def test_keyed_draws_in_threads_match_serial_draws():
     for want, got in zip(serial[1::2], results[1::2]):
         for A, B in zip(want, got, strict=True):
             assert A.tobytes(order="F") == B.tobytes(order="F")
-
-
-def test_philox_key_refuses_other_state_shapes():
-    seq = philox_generator(5).bit_generator.seed_seq
-    assert seq.generate_state(2, np.uint64).tolist() == [5, 0]
-    for n_words, dtype in ((4, np.uint64), (2, np.uint32), (1, np.uint64)):
-        with pytest.raises(ValueError, match="two uint64 words"):
-            seq.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("shape", [(12, 70), (128, 14), (9, 1), (1, 5), (40, 40)])
