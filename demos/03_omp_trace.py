@@ -10,7 +10,6 @@ proof's residual bounds are checked along the trace.
 """
 
 from omplab import (
-    NoiseSpec,
     StopRule,
     check_theorem1_conditions,
     exact_ric,
@@ -35,7 +34,7 @@ while True:
 
 floor = 1.05 * min_magnitude_bound(delta, K, eps)
 x = random_sparse_signal(n, K, max(floor, 0.5), 8.0, seed=seed + 1)
-inst = generate_measurement(A, x, NoiseSpec("l2_sphere", eps, seed=seed + 2))
+inst = generate_measurement(A, x, eps, seed=seed + 2)
 verdict = check_theorem1_conditions(A, x, eps)
 print(f"design {m} x {n}, K = {K}, eps = {eps}, exact RIC = {delta:.4f} "
       f"(bound {sharp_ric_bound(K):.4f})")

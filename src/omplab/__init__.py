@@ -71,7 +71,6 @@ from .ripcheck import (
     verify_lemma1,
 )
 from .sensing import (
-    NoiseSpec,
     ProblemInstance,
     SparseSignal,
     format_signal,

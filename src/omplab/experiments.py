@@ -67,7 +67,6 @@ from .ripcheck import (
 from .sensing import (
     MASK64,
     SIGN_PATTERNS,
-    NoiseSpec,
     ProblemInstance,
     SparseSignal,
     _gaussian_draw,
@@ -378,24 +377,18 @@ def _build_trial(task, A, floor):
         _derived_seed(task.trial_seed, _SIGNAL_TAG),
         sign_pattern=config.sign_pattern,
     )
-    noise = NoiseSpec(
-        kind="l2_sphere",
-        epsilon=task.epsilon,
-        seed=_derived_seed(task.trial_seed, _NOISE_TAG),
-    )
-    v = noise_vector(noise, A.shape[0])
+    v = noise_vector(A.shape[0], task.epsilon, _derived_seed(task.trial_seed, _NOISE_TAG))
     return signal, v, A @ signal.to_dense() + v
 
 
-def _outcome(task, signal, floor, recovered, stopped_by):
+def _outcome(signal, floor, recovered, stopped_by):
     """A solved trial's outcome from its run's sorted support and stop cause:
-    success is the exact support (in exactly K iterations for theorem1), and
-    the conditions held if the signal's magnitudes clear ``floor``."""
+    success is the exact support (so exactly K iterations), and the
+    conditions held if the signal's magnitudes clear ``floor``."""
     return _TrialOutcome(
         held=signal.min_magnitude() > floor,
         attempted=True,
-        success=bool(np.array_equal(recovered, signal.support))
-        and (task.mode == "phase" or recovered.size == task.k),
+        success=bool(np.array_equal(recovered, signal.support)),
         iterations=recovered.size,
         rank_failure=stopped_by == STOPPED_RANK_FAILURE,
     )
@@ -481,7 +474,7 @@ def _run_unit(tasks):
             trials = [_build_trial(tasks[i], A.T, floors[i]) for i, A in zip(solved, cell)]
             runs = _omp_stack(cell, np.array([y for _, _, y in trials]), _stop_rule(tasks[solved[0]]))
             for i, (signal, _, _), run in zip(solved, trials, runs):
-                outcomes[i] = _outcome(tasks[i], signal, floors[i], np.sort(run.picks), run.stopped_by)
+                outcomes[i] = _outcome(signal, floors[i], np.sort(run.picks), run.stopped_by)
     return outcomes
 
 
@@ -683,21 +676,22 @@ MAX_SHARPNESS_K = 1024
 class FailureInstance:
     """A verified counterexample: RIC at or above the sharp bound, greedy miss.
 
-    The verified RIC may not sit below the sharp bound (such an instance
-    would contradict the guarantee), and ``omp_trace``, the noiseless
-    K-iteration run on y = A x that the instance makes itself, must recover
-    something other than the signal support. This is the package's one
-    counterexample verdict: the probe and the loader both construct through
-    it.
+    The instance makes ``sharp_bound``, 1/sqrt(K+1) of the signal's K, and
+    ``omp_trace``, the noiseless K-iteration run on y = A x, itself. The
+    verified RIC may not sit below that bound (such an instance would
+    contradict the guarantee), and the run must recover something other
+    than the signal support. This is the package's one counterexample
+    verdict: the probe and the loader both construct through it.
     """
 
     matrix: np.ndarray
     signal: SparseSignal
     verified_delta: float
-    sharp_bound: float
+    sharp_bound: float = field(init=False)
     omp_trace: object = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sharp_bound", sharp_ric_bound(self.signal.sparsity))
         if self.verified_delta < self.sharp_bound - 1e-10:
             raise ValueError(
                 "verified delta sits below the sharp bound; not a valid counterexample"
@@ -746,14 +740,14 @@ def sharpness_probe(K, t):
     )
     delta = exact_ric(A, K + 1).delta
     try:
-        return FailureInstance(A, signal, delta, sharp)
+        return FailureInstance(A, signal, delta)
     except ValueError:
         return None
 
 
 def save_failure_instance(directory, fi):
     """Serialize a FailureInstance as an instance directory plus trace/report."""
-    instance = generate_measurement(fi.matrix, fi.signal, NoiseSpec(kind="none"))
+    instance = generate_measurement(fi.matrix, fi.signal)
     _write_record(directory, instance, fi.omp_trace, {
         "verified_delta": fi.verified_delta,
         "sharp_bound": fi.sharp_bound,
@@ -771,7 +765,6 @@ def load_failure_instance(directory):
         matrix=instance.matrix,
         signal=instance.signal,
         verified_delta=float(report["verified_delta"]),
-        sharp_bound=float(report["sharp_bound"]),
     )
 
 
@@ -882,7 +875,7 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
             violations += [(i, "lemma1", d) for d, ok in zip(lemma1, holds) if not ok]
         if violations:
             A, signal = _sweep_instance(seed, i)[:2]
-            instance = generate_measurement(A, signal, NoiseSpec(kind="none"))
+            instance = generate_measurement(A, signal)
             directory = os.path.join(failure_dir, f"instance_{i}")
             _write_record(directory, instance)
             raise GuaranteeViolation(

@@ -33,7 +33,6 @@ from .linalg import (
 
 MASK64 = (1 << 64) - 1
 
-NOISE_KINDS = ("none", "l2_sphere")
 SIGN_PATTERNS = ("random", "positive")
 
 
@@ -128,20 +127,6 @@ class SparseSignal:
         return dense
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise model: 'none' or 'l2_sphere' (||v|| = eps, uniform direction)."""
-
-    kind: str
-    epsilon: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
-        as_epsilon(self.epsilon)
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A measurement y = A x + v together with its ingredients."""
@@ -168,31 +153,32 @@ class ProblemInstance:
         object.__setattr__(self, "measurement", y)
 
 
-def noise_vector(spec, m):
-    """Draw the noise vector described by ``spec`` for an m-row instance:
-    a Gaussian direction from the spec's seed, scaled to norm eps."""
+def noise_vector(m, epsilon, seed):
+    """Noise for an m-row instance: a Gaussian direction drawn from ``seed``,
+    scaled to norm ``epsilon`` (zeros when ``epsilon`` is 0)."""
     if m < 1:
         raise ValueError("m must be positive")
-    if spec.kind == "none" or spec.epsilon == 0.0:
+    if as_epsilon(epsilon) == 0.0:
         return np.zeros(m)
-    rng = _keyed(spec.seed)
+    rng = _keyed(seed)
     g = rng.standard_normal(m)
     norm = float(np.linalg.norm(g))
     while norm == 0.0:  # unreachable in practice, kept for strictness
         g = rng.standard_normal(m)
         norm = float(np.linalg.norm(g))
-    return g * (spec.epsilon / norm)
+    return g * (epsilon / norm)
 
 
-def generate_measurement(A, signal, noise_spec):
-    """Form y = A x + v with v drawn per ``noise_spec``."""
+def generate_measurement(A, signal, epsilon=0.0, seed=0):
+    """Form y = A x + v with v = ``noise_vector(rows, epsilon, seed)``; the
+    default is the noiseless y = A x."""
     A = as_matrix(A)
     if A.shape[1] != signal.dimension:
         raise ValueError(
             f"matrix has {A.shape[1]} columns but signal dimension is "
             f"{signal.dimension}"
         )
-    v = noise_vector(noise_spec, A.shape[0])
+    v = noise_vector(A.shape[0], epsilon, seed)
     y = A @ signal.to_dense() + v
     return ProblemInstance(matrix=A, signal=signal, noise=v, measurement=y)
 

@@ -305,6 +305,6 @@ def run_unit_one_at_a_time(tasks):
             continue
         signal, _, y = experiments._build_trial(task, A, floor)
         result = omp_run(A, y, experiments._stop_rule(task), true_support=signal.support)
-        outcomes.append(experiments._outcome(task, signal, floor, result.recovered_support,
+        outcomes.append(experiments._outcome(signal, floor, result.recovered_support,
                                              result.stopped_by))
     return outcomes

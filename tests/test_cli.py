@@ -10,7 +10,6 @@ import pytest
 
 from omplab import experiments
 from omplab import (
-    NoiseSpec,
     SparseSignal,
     gaussian_sensing_matrix,
     generate_measurement,
@@ -26,7 +25,7 @@ from omplab.cli import main
 def workspace(tmp_path):
     A = gaussian_sensing_matrix(10, 14, seed=31)
     x = random_sparse_signal(14, 2, 1.0, 5.0, seed=32)
-    inst = generate_measurement(A, x, NoiseSpec(kind="l2_sphere", epsilon=0.05, seed=33))
+    inst = generate_measurement(A, x, 0.05, seed=33)
     paths = {
         "A": tmp_path / "A.mat",
         "x": tmp_path / "x.sig",

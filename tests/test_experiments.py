@@ -748,6 +748,17 @@ def test_sharpness_probe_finds_and_roundtrips(tmp_path, monkeypatch):
     assert len(calls) == 1  # the reloaded instance's own run; verify reads it
 
 
+def test_load_failure_instance_refuses_a_delta_below_the_bound(tmp_path):
+    # the bound comes from the signal's K, never from the record
+    d = tmp_path / "failure"
+    save_failure_instance(d, sharpness_probe(2, 0.7))
+    report = json.loads((d / "report.json").read_text())
+    report.update(verified_delta=0.1, sharp_bound=0.0)
+    (d / "report.json").write_text(json.dumps(report))
+    with pytest.raises(ValueError, match="below the sharp bound"):
+        load_failure_instance(d)
+
+
 def test_sharpness_probe_builds_on_k_t_grid(tmp_path):
     for K in range(2, 9):
         sharp = sharp_ric_bound(K)

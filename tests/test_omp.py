@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from omplab import (
-    NoiseSpec,
     SparseSignal,
     StopRule,
     check_theorem1_conditions,
@@ -31,9 +30,7 @@ def _conditioned_instance(seed, m=64, n=16, K=2, eps=0.05):
             continue
         floor = 1.0 if eps == 0.0 else 1.05 * min_magnitude_bound(delta, K, eps)
         x = random_sparse_signal(n, K, max(floor, 1e-6), 10.0, seed=seed + attempt)
-        inst = generate_measurement(
-            A, x, NoiseSpec(kind="l2_sphere", epsilon=eps, seed=seed + attempt)
-        )
+        inst = generate_measurement(A, x, eps, seed=seed + attempt)
         verdict = check_theorem1_conditions(A, x, eps)
         if verdict.overall:
             return A, x, inst
@@ -132,9 +129,7 @@ def test_residual_rule_matches_reference():
     for trial in range(10):
         A = gaussian_sensing_matrix(16, 24, seed=80 + trial)
         x = random_sparse_signal(24, 3, 1.0, 5.0, seed=90 + trial)
-        inst = generate_measurement(
-            A, x, NoiseSpec(kind="l2_sphere", epsilon=0.1, seed=trial)
-        )
+        inst = generate_measurement(A, x, 0.1, seed=trial)
         res = omp_run(A, inst.measurement, StopRule.residual_at_most(0.1))
         sel, _, norms = omp_reference(A, inst.measurement, eps=0.1)
         assert [r.selected_index for r in res.trace] == sel
@@ -275,7 +270,7 @@ def test_selection_margin_ignores_indices_outside_the_columns():
 
 def test_residual_probe_identity_instance():
     x = SparseSignal(dimension=5, support=[2], values=[3.0])
-    inst = generate_measurement(np.eye(5), x, NoiseSpec(kind="none"))
+    inst = generate_measurement(np.eye(5), x)
     res = omp_run(
         np.eye(5), inst.measurement, StopRule.max_iterations(1),
         true_support=x.support,
@@ -288,7 +283,7 @@ def test_residual_probe_identity_instance():
 
 def test_residual_probe_lemma1():
     A, x, _ = lemma1_example_instance(0.5)
-    inst = generate_measurement(A, x, NoiseSpec(kind="none"))
+    inst = generate_measurement(A, x)
     res = omp_run(
         A, inst.measurement, StopRule.max_iterations(2), true_support=x.support
     )
@@ -315,7 +310,7 @@ def test_residual_probe_batch_conditioned():
 
 def test_residual_probe_validation():
     A, x, _ = lemma1_example_instance(0.3)
-    inst = generate_measurement(A, x, NoiseSpec(kind="none"))
+    inst = generate_measurement(A, x)
     anonymous = omp_run(A, inst.measurement, StopRule.max_iterations(2))
     with pytest.raises(ValueError):
         residual_bound_probe(inst, anonymous, delta_k1=0.3)

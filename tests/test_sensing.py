@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from omplab import (
-    NoiseSpec,
     ProblemInstance,
     SparseSignal,
     format_signal,
@@ -53,14 +52,14 @@ def test_sparse_signal_validation():
 
 def test_measurement_identity_no_noise():
     x = SparseSignal(dimension=3, support=[0], values=[1.0])
-    inst = generate_measurement(np.eye(3), x, NoiseSpec(kind="none"))
+    inst = generate_measurement(np.eye(3), x)
     assert np.array_equal(inst.measurement, [1.0, 0.0, 0.0])
     assert np.array_equal(inst.noise, np.zeros(3))
 
 
 def test_measurement_lemma1_product():
     A, x, _ = lemma1_example_instance(0.5)
-    inst = generate_measurement(A, x, NoiseSpec(kind="none"))
+    inst = generate_measurement(A, x)
     assert np.allclose(
         inst.measurement, [np.sqrt(1.5), np.sqrt(0.5), 0.0], atol=0, rtol=0
     )
@@ -68,22 +67,30 @@ def test_measurement_lemma1_product():
 
 def test_sphere_noise_norm_across_seeds():
     for seed in range(1000):
-        v = noise_vector(NoiseSpec(kind="l2_sphere", epsilon=0.1, seed=seed), 7)
+        v = noise_vector(7, 0.1, seed)
         assert abs(np.linalg.norm(v) - 0.1) <= 1e-12
 
 
 def test_noise_determinism_and_zero_eps():
-    spec = NoiseSpec(kind="l2_sphere", epsilon=0.2, seed=99)
-    assert np.array_equal(noise_vector(spec, 6), noise_vector(spec, 6))
-    assert np.array_equal(
-        noise_vector(NoiseSpec(kind="l2_sphere", epsilon=0.0, seed=1), 4), np.zeros(4)
-    )
-    for kind in ("gaussian", "l2_ball"):
-        with pytest.raises(ValueError):
-            NoiseSpec(kind=kind, epsilon=0.1)
+    assert np.array_equal(noise_vector(6, 0.2, 99), noise_vector(6, 0.2, 99))
+    assert np.array_equal(noise_vector(4, 0.0, 1), np.zeros(4))
+    A = np.eye(4)
+    x = SparseSignal(dimension=4, support=[0], values=[1.0])
     for bad in (-0.1, float("inf")):
         with pytest.raises(ValueError):
-            NoiseSpec(kind="l2_sphere", epsilon=bad)
+            noise_vector(4, bad, 1)
+        with pytest.raises(ValueError):
+            generate_measurement(A, x, bad)
+
+
+def test_noise_vector_matches_the_keyed_sphere_formula():
+    # bit for bit the draw of Philox keyed with the seed (wrapped to 64 bits),
+    # scaled to norm eps, so swapping m, eps or seed shows
+    for seed in (0, 5, -1, 2**64 + 5):
+        for m in (1, 7):
+            g = np.random.Generator(np.random.Philox(key=seed % 2**64)).standard_normal(m)
+            assert np.array_equal(noise_vector(m, 0.3, seed), g * (0.3 / np.linalg.norm(g)))
+            assert np.array_equal(noise_vector(m, 0.0, seed), np.zeros(m))
 
 
 def test_gaussian_matrix_normalized_columns():
@@ -296,7 +303,7 @@ def test_signal_text_roundtrip():
 def test_instance_directory_roundtrip(tmp_path):
     A = gaussian_sensing_matrix(6, 10, seed=3)
     x = random_sparse_signal(10, 3, 1.0, 4.0, seed=8)
-    inst = generate_measurement(A, x, NoiseSpec(kind="l2_sphere", epsilon=0.05, seed=2))
+    inst = generate_measurement(A, x, 0.05, seed=2)
     d = tmp_path / "inst"
     save_problem_instance(d, inst)
     back = load_problem_instance(d)
