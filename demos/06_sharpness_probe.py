@@ -19,7 +19,6 @@ from omplab import (
     save_failure_instance,
     sharp_ric_bound,
     sharpness_probe,
-    verify_failure_instance,
 )
 
 K = 2
@@ -34,8 +33,8 @@ for t in (0.62, 0.7, 0.9):
           f"{first}, recovered {fi.omp_trace.recovered_support.tolist()}")
     with tempfile.TemporaryDirectory() as d:
         save_failure_instance(d, fi)
-        check = verify_failure_instance(load_failure_instance(d))
-        print(f"         round-trip re-verification: {check['ok']}")
+        back = load_failure_instance(d)
+        print(f"         round-trip re-verification: {back.verified_delta == fi.verified_delta}")
     print("         Gram of the witnessing design (column 0 is off-support):")
     G = fi.matrix.T @ fi.matrix
     for row in np.round(G, 4) + 0.0:  # + 0.0 turns -0.0 into 0.0

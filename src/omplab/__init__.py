@@ -20,7 +20,6 @@ from .experiments import (
     save_failure_instance,
     sharpness_probe,
     theorem1_validation,
-    verify_failure_instance,
     write_rows_csv,
 )
 from .linalg import (

@@ -676,28 +676,32 @@ MAX_SHARPNESS_K = 1024
 class FailureInstance:
     """A verified counterexample: RIC at or above the sharp bound, greedy miss.
 
-    The instance makes ``sharp_bound``, 1/sqrt(K+1) of the signal's K, and
-    ``omp_trace``, the noiseless K-iteration run on y = A x, itself. The
-    verified RIC may not sit below that bound (such an instance would
-    contradict the guarantee), and the run must recover something other
-    than the signal support. This is the package's one counterexample
-    verdict: the probe and the loader both construct through it.
+    The instance computes ``verified_delta``, the exact order-(K+1) RIC of
+    its own matrix, ``sharp_bound``, 1/sqrt(K+1) of the signal's K, and
+    ``omp_trace``, the noiseless K-iteration run on y = A x. The RIC may not
+    sit below that bound (such an instance would contradict the guarantee),
+    and the run must recover something other than the signal support. This
+    is the package's one counterexample verdict: the probe and the loader
+    both construct through it. The RIC enumerates C(n, K+1) subsets within
+    the default subset budget and raises CapacityError above it.
     """
 
     matrix: np.ndarray
     signal: SparseSignal
-    verified_delta: float
+    verified_delta: float = field(init=False)
     sharp_bound: float = field(init=False)
     omp_trace: object = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sharp_bound", sharp_ric_bound(self.signal.sparsity))
+        K = self.signal.sparsity
+        object.__setattr__(self, "verified_delta", exact_ric(self.matrix, K + 1).delta)
+        object.__setattr__(self, "sharp_bound", sharp_ric_bound(K))
         if self.verified_delta < self.sharp_bound - 1e-10:
             raise ValueError(
                 "verified delta sits below the sharp bound; not a valid counterexample"
             )
         y = self.matrix @ self.signal.to_dense()
-        rule = StopRule.max_iterations(self.signal.sparsity)
+        rule = StopRule.max_iterations(K)
         trace = omp_run(self.matrix, y, rule, true_support=self.signal.support)
         if np.array_equal(trace.recovered_support, self.signal.support):
             raise ValueError("trace recovers the true support; not a failure")
@@ -738,9 +742,8 @@ def sharpness_probe(K, t):
     signal = SparseSignal(
         dimension=K + 1, support=np.arange(1, K + 1), values=np.ones(K)
     )
-    delta = exact_ric(A, K + 1).delta
     try:
-        return FailureInstance(A, signal, delta)
+        return FailureInstance(A, signal)
     except ValueError:
         return None
 
@@ -757,34 +760,15 @@ def save_failure_instance(directory, fi):
 
 
 def load_failure_instance(directory):
-    """Reload a FailureInstance, which re-runs the solver to rebuild the trace."""
-    instance = load_problem_instance(directory)
-    with open(os.path.join(directory, "report.json")) as fh:
-        report = json.load(fh)
-    return FailureInstance(
-        matrix=instance.matrix,
-        signal=instance.signal,
-        verified_delta=float(report["verified_delta"]),
-    )
+    """Reload a FailureInstance from its instance directory alone.
 
-
-def verify_failure_instance(fi):
-    """Re-verify a FailureInstance's RIC from scratch.
-
-    Returns a dict with the recomputed RIC, whether it matches the stored
-    value to 1e-10, and whether the noiseless K-iteration run still misses
-    the support, read off the instance's own run; ``ok`` is the conjunction.
+    The constructor recomputes the RIC and re-runs the solver; ``report.json``
+    is written for readers and never read back, so a record without one
+    loads. A record whose C(n, K+1) exceeds the default subset budget raises
+    CapacityError.
     """
-    K = fi.signal.sparsity
-    delta = exact_ric(fi.matrix, K + 1).delta
-    delta_matches = abs(delta - fi.verified_delta) <= 1e-10
-    still_fails = not np.array_equal(fi.omp_trace.recovered_support, fi.signal.support)
-    return {
-        "delta_recomputed": delta,
-        "delta_matches": delta_matches,
-        "still_fails": still_fails,
-        "ok": bool(delta_matches and still_fails),
-    }
+    instance = load_problem_instance(directory)
+    return FailureInstance(instance.matrix, instance.signal)
 
 
 # ---------------------------------------------------------------------------

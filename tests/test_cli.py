@@ -6,6 +6,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from omplab import experiments
@@ -19,6 +20,7 @@ from omplab import (
     write_vector,
 )
 from omplab.cli import main
+from omplab.omp import STOP_RESIDUAL
 
 
 @pytest.fixture()
@@ -334,6 +336,69 @@ def test_cli_phase_rejects_noiseless_cell_with_k_above_min_mn(
     cfg.write_text("m = 8\nn = 30\nk = 12\nepsilon = 0.05\ntrials = 2\n")
     assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("ric", "2 2\n1.0 nan\n0.0 1.0\n", "matrix contains non-finite entries"),
+    ("ric", "0 3\n", "matrix dimensions must be positive"),
+    ("ric", "2 3\n1.0 2.0 3.0\n", "expected 2 data lines, got 1"),
+    ("check", "3\n0 1.0\n", "signal header must be 'n K'"),
+    ("check", "14 2\n0 1.0\n", "expected 2 entries, got 1"),
+    ("check", "14 1\n0 1 2\n", "signal entries must be 'index value'"),
+    ("check", "", "empty signal text"),
+    ("check", "0 0\n", "dimension must be positive"),
+    ("check", "13 1\n0 1.0\n", "matrix columns must match signal dimension"),
+])
+def test_cli_malformed_input_exit_code(workspace, capsys, command, text, message):
+    bad = workspace["dir"] / "bad.txt"
+    bad.write_text(text)
+    if command == "ric":
+        argv = ["ric", "--matrix", str(bad), "--order", "1"]
+    else:
+        argv = ["check", "--matrix", str(workspace["A"]), "--signal", str(bad), "--eps", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_lemmas_guarantee_violation_exit_code(tmp_path, capsys, monkeypatch):
+    def one_failing_row(A, omega, x, delta_k1, in_S):
+        lhs, rhs = np.zeros((len(A), len(in_S))), np.zeros((len(A), len(in_S)))
+        lhs[:, -1] = -1.0
+        return lhs, rhs, lhs >= rhs - 1e-10
+
+    monkeypatch.setattr(experiments, "_lemma1_sides", one_failing_row)
+    monkeypatch.chdir(tmp_path)
+    assert main(["lemmas", "--seed", "7", "--instances", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("guarantee violation: lemma violations [(0, 'lemma1', ")
+    assert captured.out == ""
+    assert [d.name for d in (tmp_path / "lemma-sweep-failures").iterdir()] == ["instance_0"]
+
+
+def test_cli_validate_theorem1_guarantee_violation_exit_code(tmp_path, capsys, monkeypatch):
+    real_stack = experiments._omp_stack
+
+    def drop_stack_support_in_noisy_cells(AT, Y, rule):
+        runs = real_stack(AT, Y, rule)
+        if rule.kind == STOP_RESIDUAL:
+            return [run._replace(picks=run.picks[:0]) for run in runs]
+        return runs
+
+    monkeypatch.setattr(experiments, "_omp_stack", drop_stack_support_in_noisy_cells)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(
+        "m = 12\nn = 14\nk = 1\nepsilon = 0.0, 0.05\ntrials = 6\nmaster_seed = 11\n"
+    )
+    argv = ["validate-theorem1", "--config", "exp.cfg", "--out", "out.csv", "--parallelism", "1"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("guarantee violation: recovery guarantee violated in cell "
+                          "(12, 14, 1, 0.05), trial ")
+    records = [d.name for d in (tmp_path / "theorem1-failures").iterdir()]
+    assert len(records) == 1 and records[0].startswith("cell_m12_n14_K1_eps0.05_trial")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_nan_eps_exit_code(workspace, capsys):

@@ -17,6 +17,7 @@ from omplab import (
     SparseSignal,
     exact_ric,
     gaussian_sensing_matrix,
+    generate_measurement,
     lemma_sweep,
     load_failure_instance,
     parse_config,
@@ -27,13 +28,12 @@ from omplab import (
     sharpness_probe,
     splitmix64,
     theorem1_validation,
-    verify_failure_instance,
     verify_lemma1,
 )
 from omplab.experiments import EXPERIMENT_CSV_HEADER
 from omplab.linalg import projection_residual
 from omplab.omp import STOP_RESIDUAL
-from omplab.sensing import MASK64, load_problem_instance
+from omplab.sensing import MASK64, load_problem_instance, save_problem_instance
 
 from _oracles import gaussian_matrix_one_draw, run_unit_one_at_a_time
 
@@ -735,27 +735,58 @@ def test_sharpness_probe_finds_and_roundtrips(tmp_path, monkeypatch):
     d = tmp_path / "failure"
     save_failure_instance(d, fi)
     calls = []
-    real = experiments.omp_run
-    monkeypatch.setattr(experiments, "omp_run", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+
+    def counted(name):
+        real = getattr(experiments, name)
+        return lambda *a, **kw: calls.append(name) or real(*a, **kw)
+
+    for name in ("omp_run", "exact_ric"):
+        monkeypatch.setattr(experiments, name, counted(name))
     back = load_failure_instance(d)
     assert np.array_equal(back.matrix, fi.matrix)
     assert back.verified_delta == fi.verified_delta
     assert np.array_equal(
         back.omp_trace.recovered_support, fi.omp_trace.recovered_support
     )
-    check = verify_failure_instance(back)
-    assert check["ok"] and check["still_fails"]
-    assert len(calls) == 1  # the reloaded instance's own run; verify reads it
+    assert not np.array_equal(back.omp_trace.recovered_support, back.signal.support)
+    # the reloaded instance's own RIC and run, each computed once
+    assert sorted(calls) == ["exact_ric", "omp_run"]
+
+
+def test_load_failure_instance_reads_no_report(tmp_path):
+    # the RIC and the bound come from the matrix and the signal's K, never
+    # from the record: an edited report changes nothing, a missing one is
+    # not needed
+    fi = sharpness_probe(2, 0.7)
+    d = tmp_path / "failure"
+    save_failure_instance(d, fi)
+    report = json.loads((d / "report.json").read_text())
+    report.update(verified_delta=0.99, sharp_bound=0.0)
+    (d / "report.json").write_text(json.dumps(report))
+    back = load_failure_instance(d)
+    assert back.verified_delta == fi.verified_delta
+    assert back.sharp_bound == fi.sharp_bound
+    (d / "report.json").unlink()
+    assert load_failure_instance(d).verified_delta == fi.verified_delta
 
 
 def test_load_failure_instance_refuses_a_delta_below_the_bound(tmp_path):
-    # the bound comes from the signal's K, never from the record
+    # a consistent record, so the instance loads; its RIC (0) is what is refused
     d = tmp_path / "failure"
-    save_failure_instance(d, sharpness_probe(2, 0.7))
-    report = json.loads((d / "report.json").read_text())
-    report.update(verified_delta=0.1, sharp_bound=0.0)
-    (d / "report.json").write_text(json.dumps(report))
+    signal = SparseSignal(3, [1, 2], [1.0, 1.0])
+    save_problem_instance(d, generate_measurement(np.eye(3), signal))
+    assert np.array_equal(load_problem_instance(d).matrix, np.eye(3))
     with pytest.raises(ValueError, match="below the sharp bound"):
+        load_failure_instance(d)
+
+
+def test_load_failure_instance_raises_capacity_error_above_the_budget(tmp_path):
+    # C(40, 6) = 3,838,380 order-6 subsets exceed the default budget, and the
+    # loader computes the RIC the record would otherwise have claimed
+    d = tmp_path / "failure"
+    signal = SparseSignal(40, [0, 1, 2, 3, 4], [1.0] * 5)
+    save_problem_instance(d, generate_measurement(gaussian_sensing_matrix(3, 40, 1), signal))
+    with pytest.raises(CapacityError):
         load_failure_instance(d)
 
 
@@ -770,7 +801,11 @@ def test_sharpness_probe_builds_on_k_t_grid(tmp_path):
             assert fi.omp_trace.trace[0].selected_index == 0, (K, t)
             d = tmp_path / f"K{K}_{i}"
             save_failure_instance(d, fi)
-            assert verify_failure_instance(load_failure_instance(d))["ok"], (K, t)
+            back = load_failure_instance(d)
+            assert back.verified_delta == fi.verified_delta, (K, t)
+            assert not np.array_equal(
+                back.omp_trace.recovered_support, back.signal.support
+            ), (K, t)
 
 
 def test_sharpness_probe_exact_tie_returns_none():
@@ -783,7 +818,7 @@ def test_sharpness_probe_exact_tie_returns_none():
 def test_failure_instance_rejects_what_is_not_a_counterexample():
     fi = sharpness_probe(2, 0.9)
     with pytest.raises(ValueError, match="below the sharp bound"):
-        replace(fi, verified_delta=fi.sharp_bound - 1e-9)
+        replace(fi, matrix=np.eye(3))
     # the instance's own K-step run on this matrix recovers this signal
     with pytest.raises(ValueError, match="recovers the true support"):
         replace(fi, signal=SparseSignal(3, [0, 1], [1.0, 1.0]))
@@ -987,6 +1022,41 @@ def test_lemma_sweep_violation_serializes_instance(monkeypatch, tmp_path):
     ]
     instance = load_problem_instance(record)
     assert not np.any(instance.noise)
+
+
+@pytest.mark.parametrize("slot, lemma", [(1, "lemma3"), (2, "lemma4")])
+def test_lemma_sweep_energy_violation_serializes_instance(monkeypatch, tmp_path, slot, lemma):
+    # instance 2 (128 x 14) reports a correlation-energy (slot 1) or
+    # projected-energy (slot 2) margin of -1
+    checks = experiments._sweep_checks
+
+    def one_negative_margin(seed, chunk, subsets):
+        results = checks(seed, chunk, subsets)
+        for j, i in enumerate(chunk):
+            if i == 2:
+                results[j] = (*results[j][:slot], -1.0, *results[j][slot + 1:])
+        return results
+
+    monkeypatch.setattr(experiments, "_sweep_checks", one_negative_margin)
+    with pytest.raises(GuaranteeViolation, match="instance_2") as caught:
+        lemma_sweep(7, 5, failure_dir=tmp_path)
+    assert f"[(2, '{lemma}', -1.0)]" in str(caught.value)
+    assert [d.name for d in tmp_path.iterdir()] == ["instance_2"]
+    instance = load_problem_instance(tmp_path / "instance_2")
+    assert np.array_equal(instance.matrix, experiments._sweep_instance(7, 2)[0])
+
+
+def test_lemma_sweep_skips_the_selection_inequality_at_ric_above_one(monkeypatch):
+    # a 4 x 18 design at K = 3 has order-4 RICs well above 1, where the
+    # selection inequality claims nothing: both of its instances are skipped
+    shapes = list(experiments._SWEEP_SHAPES)
+    shapes[2] = ("gaussian", 4, 18, 3)
+    monkeypatch.setattr(experiments, "_SWEEP_SHAPES", tuple(shapes))
+    for i in (2, 7):
+        assert exact_ric(experiments._sweep_instance(1, i)[0], 4).delta > 2.0
+    report = lemma_sweep(1, 10)
+    assert (report.lemma1_skipped, report.lemma1_checks) == (2, 20)
+    assert report.violations == 0
 
 
 def test_lemma_sweep_deterministic():

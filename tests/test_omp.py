@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from omplab import (
+    GuaranteeViolation,
     SparseSignal,
     StopRule,
     check_theorem1_conditions,
@@ -306,6 +309,18 @@ def test_residual_probe_batch_conditioned():
         )
         records = residual_bound_probe(inst, res, delta_k1=delta)
         assert all(r.holds for r in records)
+
+
+def test_residual_probe_reports_a_final_residual_above_eps():
+    A, x, inst = _conditioned_instance(seed=7000)
+    delta = exact_ric(A, x.sparsity + 1).delta
+    res = omp_run(A, inst.measurement, StopRule.max_iterations(2), true_support=x.support)
+    assert all(r.holds for r in residual_bound_probe(inst, res, delta_k1=delta))
+    eps = float(np.linalg.norm(inst.noise))
+    final = replace(res.trace[-1], residual_norm=eps + 1.0)
+    broken = replace(res, trace=(*res.trace[:-1], final))
+    with pytest.raises(GuaranteeViolation, match=r"violated at iterations \[2\]"):
+        residual_bound_probe(inst, broken, delta_k1=delta)
 
 
 def test_residual_probe_validation():
