@@ -1,9 +1,11 @@
 """Command-line surface tying the library together.
 
-Exit codes: 0 success, 2 validation error, 3 capacity/budget error, an
-allocation that failed for lack of memory, or a failed worker pool (a pool
-worker died, e.g. killed for lack of memory), 4 guarantee violation (a
-proven property failed, i.e. an implementation bug).
+Exit codes: 0 success, 2 validation error (including a random matrix draw
+with a zero column), 3 capacity/budget error, an allocation that failed for
+lack of memory, or a failed worker pool (a pool worker died, e.g. killed for
+lack of memory), 4 guarantee violation (a proven property failed, i.e. an
+implementation bug). `main` is the one place that decides them: a command
+function returns nothing and reports a failure by raising.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ def _cmd_ric(args):
     A = read_matrix(args.matrix)
     report = exact_ric(A, args.order, budget=args.budget)
     print(ric_report_json(report))
-    return EXIT_OK
 
 
 def _cmd_omp(args):
@@ -59,7 +60,6 @@ def _cmd_omp(args):
     if args.trace:
         write_trace_csv(args.trace, result)
     print(omp_result_json(result))
-    return EXIT_OK
 
 
 def _cmd_check(args):
@@ -67,29 +67,28 @@ def _cmd_check(args):
     signal = read_signal(args.signal)
     verdict = check_theorem1_conditions(A, signal, args.eps)
     print(condition_verdict_json(verdict))
-    return EXIT_OK
+
+
+def _run_grid(args, harness):
+    """Read the config, apply --parallelism, run the harness, write the CSV."""
+    config = read_config(args.config)
+    if args.parallelism is not None:
+        config = replace(config, parallelism=args.parallelism)
+    rows = harness(config)
+    write_rows_csv(args.out, rows)
+    return rows
 
 
 def _cmd_validate_theorem1(args):
-    config = read_config(args.config)
-    if args.parallelism is not None:
-        config = replace(config, parallelism=args.parallelism)
-    rows = theorem1_validation(config)
-    write_rows_csv(args.out, rows)
+    rows = _run_grid(args, theorem1_validation)
     held = sum(r.conditions_held_count or 0 for r in rows)
     print(f"wrote {len(rows)} cells to {args.out}; "
           f"{held} condition-holding trials, 0 failures")
-    return EXIT_OK
 
 
 def _cmd_phase(args):
-    config = read_config(args.config)
-    if args.parallelism is not None:
-        config = replace(config, parallelism=args.parallelism)
-    rows = phase_table(config)
-    write_rows_csv(args.out, rows)
+    rows = _run_grid(args, phase_table)
     print(f"wrote {len(rows)} cells to {args.out}")
-    return EXIT_OK
 
 
 def _cmd_sharpness(args):
@@ -98,30 +97,17 @@ def _cmd_sharpness(args):
     if args.budget is not None and args.budget < 1:
         raise ValueError("--budget must be positive")
     found = sharpness_probe(args.k, args.t)
-    if found is None:
-        print(json.dumps({"found": False, "k": args.k, "t": args.t}, indent=2))
-        return EXIT_OK
-    save_failure_instance(args.out, found)
-    print(
-        json.dumps(
-            {
-                "found": True,
-                "k": args.k,
-                "t": args.t,
-                "verified_delta": found.verified_delta,
-                "sharp_bound": found.sharp_bound,
-                "directory": args.out,
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK
+    report = {"found": found is not None, "k": args.k, "t": args.t}
+    if found is not None:
+        save_failure_instance(args.out, found)
+        report.update(verified_delta=found.verified_delta,
+                      sharp_bound=found.sharp_bound, directory=args.out)
+    print(json.dumps(report, indent=2))
 
 
 def _cmd_lemmas(args):
     report = lemma_sweep(args.seed, args.instances)
     print(json.dumps(asdict(report), indent=2))
-    return EXIT_OK
 
 
 def build_parser():
@@ -153,20 +139,16 @@ def build_parser():
     p.add_argument("--eps", type=float, required=True)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser(
-        "validate-theorem1",
-        help="Monte Carlo validation of the recovery guarantee",
-    )
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--parallelism", type=int, default=None)
-    p.set_defaults(func=_cmd_validate_theorem1)
-
-    p = sub.add_parser("phase", help="unconditioned success-rate table")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--parallelism", type=int, default=None)
-    p.set_defaults(func=_cmd_phase)
+    for name, func, help_text in (
+        ("validate-theorem1", _cmd_validate_theorem1,
+         "Monte Carlo validation of the recovery guarantee"),
+        ("phase", _cmd_phase, "unconditioned success-rate table"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--parallelism", type=int, default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "sharpness", help="build and verify a greedy-failure instance at RIC = t"
@@ -191,7 +173,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -201,9 +183,11 @@ def main(argv=None):
     except GuaranteeViolation as exc:
         print(f"guarantee violation: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
-    except (ValueError, IndexError, SingularSystemError, OSError) as exc:
+    except (ValueError, IndexError, ArithmeticError, SingularSystemError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -47,6 +47,16 @@ def same_state(a, b):
     return type(a) is type(b) and a == b
 
 
+class ZeroColumn:
+    """A generator whose normals are 1, except column 1, which is 0."""
+
+    def standard_normal(self, size=None, out=None):
+        out = np.ones(size) if out is None else out
+        out[...] = 1.0
+        out[:, 1] = 0.0
+        return out
+
+
 class _ZeroPivot(Exception):
     pass
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omplab import experiments
+from omplab import experiments, sensing
 from omplab import (
     SparseSignal,
     gaussian_sensing_matrix,
@@ -21,6 +21,8 @@ from omplab import (
 )
 from omplab.cli import main
 from omplab.omp import STOP_RESIDUAL
+
+from _oracles import ZeroColumn
 
 
 @pytest.fixture()
@@ -247,6 +249,10 @@ def test_cli_bad_config_exit_code(workspace, capsys):
     assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config key 'trials' on line 5: " in capsys.readouterr().err
     assert not out.exists()
+    cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = 2\n")
+    assert main(["phase", "--config", str(cfg), "--out", str(out), "--parallelism", "0"]) == 2
+    assert "parallelism must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_non_finite_config_exit_code(workspace, capsys):
@@ -348,6 +354,7 @@ def test_cli_phase_rejects_noiseless_cell_with_k_above_min_mn(
     ("check", "", "empty signal text"),
     ("check", "0 0\n", "dimension must be positive"),
     ("check", "13 1\n0 1.0\n", "matrix columns must match signal dimension"),
+    ("check", "14 0\n", "signal must have nonempty support"),
 ])
 def test_cli_malformed_input_exit_code(workspace, capsys, command, text, message):
     bad = workspace["dir"] / "bad.txt"
@@ -399,6 +406,22 @@ def test_cli_validate_theorem1_guarantee_violation_exit_code(tmp_path, capsys, m
     records = [d.name for d in (tmp_path / "theorem1-failures").iterdir()]
     assert len(records) == 1 and records[0].startswith("cell_m12_n14_K1_eps0.05_trial")
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_zero_column_draw_exit_code(workspace, capsys, monkeypatch):
+    # a draw with a zero column cannot be normalized; the command exits 2
+    # with the draw's message, not a traceback
+    monkeypatch.setattr(sensing, "_keyed", lambda seed: ZeroColumn())
+    cfg = workspace["dir"] / "exp.cfg"
+    cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.05\ntrials = 2\n")
+    out = workspace["dir"] / "out.csv"
+    for argv in (["phase", "--config", str(cfg), "--out", str(out), "--parallelism", "1"],
+                 ["lemmas", "--seed", "1", "--instances", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: drew a zero column; reseed\n"
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_nan_eps_exit_code(workspace, capsys):

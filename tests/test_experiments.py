@@ -92,6 +92,13 @@ def test_parse_config_errors():
         (base + "trials = 5\nmaster_seed = 1e3\n", "config key 'master_seed' on line 6: "),
         (base + "trials = 5\n# comment\n\nmargin_factor = big\n",
          "config key 'margin_factor' on line 8: could not convert"),
+        ("m =\nn = 14\nk = 1\nepsilon = 0\ntrials = 5\n", "m_values must be non-empty"),
+        (base + "trials = 5\nmin_mag_policy = other\n", "min_mag_policy must be one of"),
+        (base + "trials = 5\nparallelism = 0\n", "parallelism must be positive"),
+        ("m = 0\nn = 14\nk = 1\nepsilon = 0\ntrials = 5\n", "m, n and K must all be positive"),
+        ("m = 12\nn = 14\nk = 0\nepsilon = 0\ntrials = 5\n", "m, n and K must all be positive"),
+        ("m = 3\nn = 3\nk = 2\nepsilon = 0\ntrials = 5\nensemble = lemma1_family\n"
+         "lemma1_deltas = 0.2, 1.5\n", r"lemma1_deltas must lie in \[0, 1\)"),
     ):
         with pytest.raises(ValueError, match=match):
             parse_config(text)

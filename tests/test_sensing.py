@@ -8,21 +8,30 @@ import pytest
 from omplab import (
     ProblemInstance,
     SparseSignal,
+    StopRule,
+    as_matrix,
+    as_vector,
+    chang_wu_min_mag_bound,
+    chang_wu_ric_bound,
+    format_matrix,
     format_signal,
     gaussian_sensing_matrix,
     generate_measurement,
     lemma1_example_instance,
     load_problem_instance,
     noise_vector,
+    omp_run,
     parse_signal,
     philox_generator,
     random_sparse_signal,
     save_problem_instance,
     splitmix64,
+    verify_lemma1,
+    write_vector,
 )
 from omplab import sensing
 
-from _oracles import gaussian_matrix_one_draw, same_state
+from _oracles import ZeroColumn, gaussian_matrix_one_draw, same_state
 
 
 def test_sparse_signal_basics():
@@ -48,6 +57,35 @@ def test_sparse_signal_validation():
         SparseSignal(dimension=3, support=[0, 3], values=[1.0, 1.0])
     with pytest.raises(ValueError):
         SparseSignal(dimension=3, support=[0], values=[0.0])
+
+
+_X8 = SparseSignal(8, [1, 2], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_matrix(np.ones(3)), "must be 2-D"),
+    (lambda: as_matrix(np.ones((0, 3))), "at least one row"),
+    (lambda: as_vector(np.ones((2, 2))), "must be 1-D"),
+    (lambda: omp_run(np.eye(3), [1.0, np.nan, 0.0], StopRule.max_iterations(1)),
+     "y contains non-finite entries"),
+    (lambda: format_matrix(np.ones((2, 0))), "zero-column"),
+    (lambda: verify_lemma1(np.ones((4, 7)), _X8, [1]), "matrix columns must match"),
+    (lambda: verify_lemma1(np.eye(8), _X8, [1, 1]), "S contains duplicates"),
+    (lambda: chang_wu_ric_bound(0), "K must be at least 1"),
+    (lambda: chang_wu_min_mag_bound(0.1, 0, 0.1), "K must be at least 1"),
+    (lambda: chang_wu_min_mag_bound(1.0, 2, 0.1), r"delta must lie in \[0, 1\)"),
+    (lambda: SparseSignal(8, [1, 2], [1.0]), "equal length"),
+    (lambda: ProblemInstance(np.ones((4, 7)), _X8, np.zeros(4), np.zeros(4)),
+     "matrix columns must match"),
+    (lambda: noise_vector(0, 0.1, 1), "m must be positive"),
+    (lambda: generate_measurement(np.ones((4, 7)), _X8),
+     "matrix has 7 columns but signal dimension is 8"),
+    (lambda: gaussian_sensing_matrix(0, 3, 1), "matrix dimensions must be positive"),
+    (lambda: random_sparse_signal(0, 1, 1.0, 2.0, 1), "n must be positive"),
+])
+def test_library_refuses_malformed_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_measurement_identity_no_noise():
@@ -200,15 +238,6 @@ def test_one_matrix_and_stacked_draws_match_the_one_draw_formula(normalize):
 
 
 def test_zero_column_raises_in_every_draw(monkeypatch):
-    class ZeroColumn:
-        """A generator whose normals are 1, except column 1, which is 0."""
-
-        def standard_normal(self, size=None, out=None):
-            out = np.ones(size) if out is None else out
-            out[...] = 1.0
-            out[:, 1] = 0.0
-            return out
-
     monkeypatch.setattr(sensing, "_keyed", lambda seed: ZeroColumn())
     with pytest.raises(ArithmeticError, match="zero column"):
         gaussian_sensing_matrix(6, 4, seed=1)
@@ -312,6 +341,10 @@ def test_instance_directory_roundtrip(tmp_path):
     assert np.array_equal(back.signal.values, inst.signal.values)
     assert np.array_equal(back.noise, inst.noise)
     assert np.array_equal(back.measurement, inst.measurement)
+    # a noise file with the wrong length is outside input, refused on load
+    write_vector(d / "v.vec", np.zeros(5))
+    with pytest.raises(ValueError, match="noise and measurement must have matrix.rows entries"):
+        load_problem_instance(d)
 
 
 def test_splitmix64_fixed_algorithm():
