@@ -1,11 +1,12 @@
 """Command-line surface tying the library together.
 
 Exit codes: 0 success, 2 validation error (including a random matrix draw
-with a zero column), 3 capacity/budget error, an allocation that failed for
-lack of memory, or a failed worker pool (a pool worker died, e.g. killed for
-lack of memory), 4 guarantee violation (a proven property failed, i.e. an
-implementation bug). `main` is the one place that decides them: a command
-function returns nothing and reports a failure by raising.
+with a zero column or a zero noise direction), 3 capacity/budget error, an
+allocation that failed for lack of memory, or a failed worker pool (a pool
+worker died, e.g. killed for lack of memory), 4 guarantee violation (a
+proven property failed, i.e. an implementation bug). `main` is the one place
+that decides them: a command function returns nothing and reports a failure
+by raising.
 """
 
 from __future__ import annotations

@@ -61,16 +61,20 @@ class StopRule:
 
     @classmethod
     def max_iterations(cls, k):
-        if int(k) < 1:
-            raise ValueError("iteration count must be positive")
-        return cls(kind=STOP_MAX_ITERATIONS, k=int(k))
+        return cls(kind=STOP_MAX_ITERATIONS, k=k)
 
     @classmethod
     def residual_at_most(cls, epsilon):
-        return cls(kind=STOP_RESIDUAL, epsilon=float(as_epsilon(epsilon)))
+        return cls(kind=STOP_RESIDUAL, epsilon=epsilon)
 
     def __post_init__(self):
-        if self.kind not in (STOP_MAX_ITERATIONS, STOP_RESIDUAL):
+        if self.kind == STOP_MAX_ITERATIONS:
+            if not (1 <= self.k < math.inf and self.k == int(self.k)):
+                raise ValueError(f"iteration count must be a positive integer, got {self.k!r}")
+            object.__setattr__(self, "k", int(self.k))
+        elif self.kind == STOP_RESIDUAL:
+            object.__setattr__(self, "epsilon", float(as_epsilon(self.epsilon)))
+        else:
             raise ValueError(f"unknown stop rule kind {self.kind!r}")
 
     def met(self, iterations, residual_norm):

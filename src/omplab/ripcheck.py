@@ -76,8 +76,9 @@ class CapacityError(Exception):
 class RicReport:
     """Exact order-K RIC plus the witnessing subset's Gram eigenvalue extremes.
 
-    ``subsets_examined`` is C(n, K); ``subsets_eigensolved`` counts the Gram
-    matrices handed to the eigensolver, at most that many.
+    ``subsets_examined`` is C(n, K); ``subsets_eigensolved`` counts the
+    subsets whose Grams were eigensolved to find delta, at most that many
+    (the witness's second eigensolve, for its extremes, is not counted).
     """
 
     order: int
@@ -232,16 +233,17 @@ def _bounded_blocks(G, K, count):
 
 
 def _eigvals(G, t, sub):
-    """Eigenvalues of G[t[i]] restricted to the subset sub[i], for each i, in
-    batched LAPACK ``eigvalsh`` calls on at most ``_ENTRY_LIMIT`` Gram entries
-    (or one Gram) each."""
+    """The extreme eigenvalues (lo, hi) of G[t[i]] restricted to the subset
+    sub[i], for each i, from batched LAPACK ``eigvalsh`` calls on at most
+    ``_ENTRY_LIMIT`` Gram entries (or one Gram) each."""
     batch = max(1, _ENTRY_LIMIT // sub.shape[1] ** 2)
-    w = []
+    lo, hi = np.empty(len(sub)), np.empty(len(sub))
     for s in range(0, len(sub), batch):
         rows, cols = sub[s : s + batch, :, None], sub[s : s + batch, None, :]
         grams = G[0][rows, cols] if len(G) == 1 else G[t[s : s + batch, None, None], rows, cols]
-        w.append(np.linalg.eigvalsh(grams))
-    return w[0] if len(w) == 1 else np.concatenate(w)
+        w = np.linalg.eigvalsh(grams)
+        lo[s : s + batch], hi[s : s + batch] = w[:, 0], w[:, -1]
+    return lo, hi
 
 
 def _witness_deltas(G, K):
@@ -264,8 +266,8 @@ def _witness_deltas(G, K):
             c = first[step] if step < 2 else np.where(chosen, -np.inf, gain).argmax(axis=1)
             chosen[t, c] = True
             gain += P[t, c]
-    w = _eigvals(G, t, chosen.nonzero()[1].reshape(T, K))
-    return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+    lo, hi = _eigvals(G, t, chosen.nonzero()[1].reshape(T, K))
+    return np.maximum(hi - 1.0, 1.0 - lo)
 
 
 def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
@@ -286,9 +288,11 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     are eigensolved first (batched LAPACK ``eigvalsh`` calls on at most
     ``_ENTRY_LIMIT`` Gram entries each), which sets the incumbent: the largest
     delta found so far, carried across blocks. The other subsets are
-    eigensolved only if b_S + g_S >= incumbent, with the rounding guard
-    g_S = c K u (1 + b_S), c = ``_GUARD_C`` = 64 and u = 2**-53. Each subset
-    is eigensolved at most once.
+    eigensolved in one more round, and only if b_S + g_S >= incumbent, with
+    the rounding guard g_S = c K u (1 + b_S), c = ``_GUARD_C`` = 64 and
+    u = 2**-53. Each subset is eigensolved at most once in that search; the
+    witness is eigensolved once more at the end, for the report's
+    ``lambda_min`` and ``lambda_max``.
 
     The guard makes the pruning exact for the computed values, not just the
     true ones. A term of F_S**2 costs at most three roundings (a subtraction
@@ -368,15 +372,16 @@ def _gram_rics(G, K):
 
 def _bounded_ric(G, K, count, blocks):
     """RicReports of the stack G from its bounded ``blocks`` (see exact_ric):
-    one block for a stack, or the blocks of one streamed Gram. Each round
-    eigensolves, per Gram, the first rows of its block that can still reach
-    its incumbent (the ``_LEAD`` largest bounds first), all Grams in one
-    batch, so every Gram eigensolves the subsets it would alone."""
+    one block for a stack, or the blocks of one streamed Gram. Each block
+    takes at most two rounds, all Grams in one batch: the ``_LEAD`` largest
+    bounds of each Gram (in block 0, or in a later block of a streamed Gram
+    with more rows left), then every row that can still reach its Gram's
+    incumbent. So every Gram eigensolves the subsets it would alone. Each
+    report's eigenvalue extremes are read once, from its witness subset."""
     T = len(G)
     guard = _GUARD_C * K * _U
-    batch = max(1, _ENTRY_LIMIT // (K * K))  # subsets per Gram and round
     best = np.full(T, -np.inf)
-    best_subset, best_lo, best_hi = [None] * T, [None] * T, [None] * T
+    best_subset = [None] * T
     solved = np.zeros(T, dtype=int)
     for block, (prefix, tails, bound) in enumerate(blocks):
         bound = bound.reshape(T, -1)
@@ -386,49 +391,34 @@ def _bounded_ric(G, K, count, blocks):
         todo = reach >= best[:, None]
         rows = bound.shape[1]
         flat = todo.reshape(-1)  # pair (t, r) is entry f = t * rows + r
-        starts = np.arange(0, T * rows, rows)
         if not block and rows > _LEAD:  # no incumbent yet: every row is todo
-            f = np.argpartition(bound, -_LEAD, axis=1)[:, -_LEAD:][:, :batch]
-            f = (f + starts[:, None]).ravel()
+            f = np.argpartition(bound, -_LEAD, axis=1)[:, -_LEAD:]
+            f = (f + np.arange(0, T * rows, rows)[:, None]).ravel()
         else:
             f = flat.nonzero()[0]
             if not f.size:
                 continue
             if block and f.size > _LEAD:  # a later block of one streamed Gram
-                f = f[np.argpartition(bound[0][f], -_LEAD)[-_LEAD:]][:batch]
-            else:
-                f = _first_rows(f, rows, batch)
+                f = f[np.argpartition(bound[0][f], -_LEAD)[-_LEAD:]]
         deltas = np.full((T, rows), -np.inf)
-        # a solved pair's bound and reach are never read again, so they keep
-        # its eigenvalue extremes: no more (T, rows) arrays per block
-        lo, hi = bound.reshape(-1), reach.reshape(-1)
         while f.size:
             t, r = np.divmod(f, rows)
             sub = np.empty((f.size, K), dtype=np.intp)
             sub[:, : prefix.size] = prefix
             sub[:, prefix.size :] = tails[r]
-            w = _eigvals(G, t, sub)
-            lo[f], hi[f] = w[:, 0], w[:, -1]
-            deltas.reshape(-1)[f] = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+            lo, hi = _eigvals(G, t, sub)
+            deltas.reshape(-1)[f] = np.maximum(hi - 1.0, 1.0 - lo)
             solved += np.bincount(t, minlength=T)
             flat[f] = False
             todo &= reach >= np.maximum(best, deltas.max(axis=1))[:, None]
-            f = _first_rows(flat.nonzero()[0], rows, batch)
+            f = flat.nonzero()[0]
         top = deltas.argmax(axis=1)  # the smallest row of each largest delta
         for t in (deltas.max(axis=1) > best).nonzero()[0]:
             best[t] = deltas[t, top[t]]
             best_subset[t] = np.concatenate((prefix, tails[top[t]]))
-            best_lo[t], best_hi[t] = lo[starts[t] + top[t]], hi[starts[t] + top[t]]
-    return [RicReport(int(K), float(best[t]), best_subset[t], float(best_lo[t]),
-                      float(best_hi[t]), count, int(solved[t])) for t in range(T)]
-
-
-def _first_rows(f, rows, batch):
-    """The first ``batch`` of the sorted entries f = t * rows + r of each t."""
-    if f.size > batch:
-        t = f // rows
-        f = f[np.arange(f.size) - np.searchsorted(t, t) < batch]
-    return f
+    lo, hi = _eigvals(G, np.arange(T), np.array(best_subset))
+    return [RicReport(int(K), float(best[t]), best_subset[t], float(lo[t]), float(hi[t]),
+                      count, int(solved[t])) for t in range(T)]
 
 
 def sharp_ric_bound(K):

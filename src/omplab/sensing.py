@@ -93,10 +93,13 @@ class SparseSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        n = int(self.dimension)
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        sup = np.asarray(self.support, dtype=np.intp).reshape(-1)
+        n = self.dimension
+        if not (1 <= n < math.inf and n == int(n)):
+            raise ValueError("dimension must be positive and integral")
+        sup = np.asarray(self.support).reshape(-1)
+        if sup.dtype.kind == "f" and not (np.isfinite(sup) & (sup == np.trunc(sup))).all():
+            raise ValueError("support indices must be integral")
+        sup = sup.astype(np.intp, copy=False)
         val = np.asarray(self.values, dtype=float).reshape(-1)
         if sup.size != val.size:
             raise ValueError("support and values must have equal length")
@@ -107,7 +110,7 @@ class SparseSignal:
                 raise ValueError("support must be strictly increasing")
             if not np.isfinite(val).all() or (val == 0.0).any():
                 raise ValueError("values must be finite and nonzero")
-        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "dimension", int(n))
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "values", val)
 
@@ -155,17 +158,17 @@ class ProblemInstance:
 
 def noise_vector(m, epsilon, seed):
     """Noise for an m-row instance: a Gaussian direction drawn from ``seed``,
-    scaled to norm ``epsilon`` (zeros when ``epsilon`` is 0)."""
+    scaled to norm ``epsilon`` (zeros when ``epsilon`` is 0). A zero draw
+    has no direction and raises ArithmeticError, as a zero matrix column
+    does."""
     if m < 1:
         raise ValueError("m must be positive")
     if as_epsilon(epsilon) == 0.0:
         return np.zeros(m)
-    rng = _keyed(seed)
-    g = rng.standard_normal(m)
+    g = _keyed(seed).standard_normal(m)
     norm = float(np.linalg.norm(g))
-    while norm == 0.0:  # unreachable in practice, kept for strictness
-        g = rng.standard_normal(m)
-        norm = float(np.linalg.norm(g))
+    if norm == 0.0:
+        raise ArithmeticError("drew a zero noise direction; reseed")
     return g * (epsilon / norm)
 
 

@@ -57,6 +57,25 @@ class ZeroColumn:
         return out
 
 
+class ZeroNoise:
+    """The Philox generator of a seed, except that its first normals drawn by
+    size, as a noise direction is, are all 0, so code that redraws moves on
+    (matrix draws fill ``out``)."""
+
+    def __init__(self, seed):
+        self._rng = philox_generator(seed)
+        self._zero = True
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None and self._zero:
+            self._zero = False
+            return np.zeros(size)
+        return self._rng.standard_normal(size, out=out)
+
+
 class _ZeroPivot(Exception):
     pass
 

@@ -22,7 +22,7 @@ from omplab import (
 from omplab.cli import main
 from omplab.omp import STOP_RESIDUAL
 
-from _oracles import ZeroColumn
+from _oracles import ZeroColumn, ZeroNoise
 
 
 @pytest.fixture()
@@ -421,6 +421,13 @@ def test_cli_zero_column_draw_exit_code(workspace, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.err == "error: drew a zero column; reseed\n"
         assert captured.out == ""
+    assert not out.exists()
+    # a zero noise direction at epsilon > 0 is refused the same way
+    monkeypatch.setattr(sensing, "_keyed", ZeroNoise)
+    assert main(["phase", "--config", str(cfg), "--out", str(out), "--parallelism", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: drew a zero noise direction; reseed\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

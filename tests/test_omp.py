@@ -211,6 +211,21 @@ def test_stop_rule_validation():
             StopRule.residual_at_most(bad)
     with pytest.raises(ValueError):
         StopRule(kind="until_bored")
+    # the constructor checks what the classmethods check, and refuses a
+    # non-integral count instead of truncating it
+    y = np.ones(4)
+    for rule in (lambda: StopRule("max_iterations", k=0),
+                 lambda: StopRule("max_iterations"),
+                 lambda: StopRule("max_iterations", k=2.7),
+                 lambda: StopRule.max_iterations(2.7),
+                 lambda: StopRule("max_iterations", k=float("nan")),
+                 lambda: StopRule("max_iterations", k=float("inf")),
+                 lambda: StopRule("residual_at_most", epsilon=float("nan")),
+                 lambda: StopRule("residual_at_most", epsilon=-1.0)):
+        with pytest.raises(ValueError):
+            omp_run(np.eye(4), y, rule())
+    assert StopRule("max_iterations", k=3.0) == StopRule.max_iterations(3)
+    assert type(StopRule.max_iterations(np.int64(3)).k) is int
     A = np.eye(3)
     with pytest.raises(ValueError):
         omp_run(A, np.ones(3), StopRule.max_iterations(4))

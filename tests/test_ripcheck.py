@@ -333,9 +333,9 @@ def test_whole_enumerations_match_unpruned():
 
 def test_batched_rounds_cut_per_gram(monkeypatch):
     # every enumeration bounded, and eigvalsh calls capped at C(n, K) // K
-    # Grams, which is also what one Gram may take per round: a round must
-    # take the first rows of each Gram, not the first rows of the stack, or a
-    # Gram whose rows are split across rounds prunes more than it would alone
+    # Grams, so a round that gathers several Grams' subsets is split across
+    # calls: each Gram must still eigensolve, prune, tie-break and report
+    # exactly what it would alone
     rng = np.random.default_rng(2024)
     for _ in range(100):
         n = int(rng.integers(4, 11))
@@ -356,6 +356,25 @@ def test_batched_rounds_cut_per_gram(monkeypatch):
             assert (b.delta, b.lambda_min, b.lambda_max) == (s.delta, s.lambda_min, s.lambda_max)
             assert np.array_equal(b.witness_subset, s.witness_subset)
             assert b.subsets_eigensolved == s.subsets_eigensolved
+
+
+def test_bounded_block_takes_its_lead_then_one_round(monkeypatch):
+    # every subset of a scaled identity ties, so no bound prunes: the 84
+    # subsets are eigensolved in two rounds, the 16 lead subsets and then the
+    # other 68, however few Grams an eigvalsh call may take, and the witness
+    # once more for its extremes
+    A = np.diag(math.sqrt(1.5) * np.ones(9))
+    monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", math.comb(9, 3) * 3)
+    sizes = []
+    real = ripcheck._eigvals
+    monkeypatch.setattr(ripcheck, "_eigvals", lambda G, t, sub: sizes.append(len(sub)) or real(G, t, sub))
+    r = exact_ric(A, 3)
+    assert sizes == [16, 68, 1]
+    assert r.subsets_eigensolved == r.subsets_examined == 84
+    delta, witness, lo, hi = ric_unpruned(A, 3)
+    assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
+    assert np.array_equal(r.witness_subset, witness)
+    assert np.array_equal(witness, [0, 1, 2])
 
 
 def test_exact_ric_budget_and_validation():

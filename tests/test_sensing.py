@@ -31,7 +31,7 @@ from omplab import (
 )
 from omplab import sensing
 
-from _oracles import ZeroColumn, gaussian_matrix_one_draw, same_state
+from _oracles import ZeroColumn, ZeroNoise, gaussian_matrix_one_draw, same_state
 
 
 def test_sparse_signal_basics():
@@ -46,6 +46,10 @@ def test_sparse_signal_empty_allowed():
     assert x.sparsity == 0
     assert x.min_magnitude() == np.inf
     assert np.array_equal(x.to_dense(), np.zeros(4))
+    # integral floats are integers
+    y = SparseSignal(dimension=4.0, support=[1.0, 2.0], values=[1.0, 2.0])
+    assert type(y.dimension) is int and y.support.dtype == np.intp
+    assert np.array_equal(y.support, [1, 2])
 
 
 def test_sparse_signal_validation():
@@ -75,6 +79,11 @@ _X8 = SparseSignal(8, [1, 2], [1.0, 1.0])
     (lambda: chang_wu_min_mag_bound(0.1, 0, 0.1), "K must be at least 1"),
     (lambda: chang_wu_min_mag_bound(1.0, 2, 0.1), r"delta must lie in \[0, 1\)"),
     (lambda: SparseSignal(8, [1, 2], [1.0]), "equal length"),
+    (lambda: SparseSignal(4.9, [1, 2], [1.0, 2.0]), "dimension must be positive and integral"),
+    (lambda: SparseSignal(4, [1.7, 2.2], [1.0, 2.0]), "support indices must be integral"),
+    (lambda: SparseSignal(4.9, [1.7, 2.2], [1.0, 2.0]), "dimension must be positive and integral"),
+    (lambda: SparseSignal(4, [1, np.nan], [1.0, 2.0]), "support indices must be integral"),
+    (lambda: SparseSignal(4, [1, np.inf], [1.0, 2.0]), "support indices must be integral"),
     (lambda: ProblemInstance(np.ones((4, 7)), _X8, np.zeros(4), np.zeros(4)),
      "matrix columns must match"),
     (lambda: noise_vector(0, 0.1, 1), "m must be positive"),
@@ -245,6 +254,15 @@ def test_zero_column_raises_in_every_draw(monkeypatch):
         sensing._gaussian_draw(np.empty((1, 4, 6)), np.empty((1, 6, 4)), [1], True)
     assert np.array_equal(gaussian_sensing_matrix(6, 4, 1, normalize_columns=False),
                           np.outer(np.ones(6), [1, 0, 1, 1]) / math.sqrt(6))
+
+
+def test_zero_noise_direction_raises(monkeypatch):
+    # a zero noise draw has no direction to scale; like a zero column, it is
+    # refused, not redrawn
+    monkeypatch.setattr(sensing, "_keyed", ZeroNoise)
+    with pytest.raises(ArithmeticError, match="drew a zero noise direction; reseed"):
+        noise_vector(5, 0.1, 1)
+    assert np.array_equal(noise_vector(5, 0.0, 1), np.zeros(5))
 
 
 def test_gaussian_matrix_sample_statistics():
