@@ -6,24 +6,27 @@ its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical across
 parallelism levels. A run executes in work units, each of which draws its
 trials' matrices into one stack per m and solves each cell's trials in
-lockstep by one ``_omp_stack`` call. The trials that check the RIC
-condition, grouped by (n, K + 1) across cells, first take one Gram stack
-per unit from those matrices, which one witness call covers, and the trials
-it leaves open reach the RIC kernel in stacks sized for its bound entries;
-a theorem1 trial that fails the condition is not solved. The other trials
-run cell by cell. A serial run executes the units in-process; above
-parallelism 1 one process pool, shared by every cell, receives the same
-units, the largest first (by m*n, then K), so that its workers finish
-together. Results are reduced in trial order. Harness trials
-validate at the public entry points and trust their own draws: the config
-refuses what a draw would (an unknown sign pattern, a fixed floor whose
-magnitude range overflows) before any trial runs, a trial forms y = A x + v
-itself and is handed its RIC: a unit's matrices go straight to a witness
-subset each, which can settle "at or above 1/sqrt(K+1)", and then to the RIC
-kernel. Only a theorem1 failure, replayed for its record, computes its RIC
-alone and becomes a ProblemInstance. ``FailureInstance`` is the one
-counterexample verdict: apart from the exact tie at t = 1/sqrt(K+1),
-``sharpness_probe`` returns None exactly when it refuses.
+lockstep by one ``_omp_stack`` call. One budget rule decides which cells
+check the RIC condition: those whose order-(K+1) enumeration has subsets
+and fits the subset budget (theorem1 refuses any other cell). Their trials,
+grouped by (n, K + 1) across cells, first take one Gram stack per unit from
+those matrices, and one certify stage (``_certify``) gives their deltas:
+one witness call covers the stack, which can settle "at or above
+1/sqrt(K+1)", and the Grams it leaves open reach the RIC kernel in stacks
+sized for its bound entries; a theorem1 trial that fails the condition is
+not solved. The other trials run cell by cell. A serial run executes the
+units in-process; above parallelism 1 one process pool, shared by every
+cell, receives the same units, the largest first (by m*n, then K), so that
+its workers finish together. Results are reduced in trial order. Harness
+trials validate at the public entry points and trust their own draws: the
+config refuses what a draw would (an unknown sign pattern, a fixed floor
+whose magnitude range overflows) before any trial runs, and a trial forms
+y = A x + v itself and is handed its delta. Only a theorem1 failure,
+replayed for its record, becomes a ProblemInstance; its delta comes from
+``_certify`` on its one re-drawn matrix, the code that decided its verdict.
+``FailureInstance`` is the one counterexample verdict: apart from the exact
+tie at t = 1/sqrt(K+1), ``sharpness_probe`` returns None exactly when it
+refuses.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -55,7 +58,7 @@ from .omp import (
 )
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
-    CapacityError,
+    _check_budget,
     _gram_rics,
     _grams,
     _lemma1_sides,
@@ -432,20 +435,33 @@ _UNIT_ENTRIES = 2**14
 _STACK_ENTRIES = 2**18
 
 
+def _certify(G, k):
+    """The order-(k + 1) delta of each Gram of the stack G, trusted: its
+    callers check the order and the subset budget first. One witness call
+    covers the stack. A Gram whose witness delta (_witness_deltas, at most
+    the RIC) reaches 1/sqrt(k + 1) keeps it, which decides its verdict; the
+    others get their exact RICs from kernel calls on at most
+    ``_UNIT_ENTRIES // C(n, k + 1)`` Grams each (one at least), each delta
+    bit for bit as if computed alone."""
+    deltas = _witness_deltas(G, k + 1)
+    kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
+    cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
+    for s in range(0, len(kernel), cap):
+        rows = kernel[s : s + cap]
+        deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
+    return deltas
+
+
 def _run_unit(tasks):
     """Outcomes of one work unit (see _work_units); a pool worker returns
     only these. The unit's trials are drawn one stack per m (_draw_stack),
     since epsilon does not touch the matrix. A RIC-checked unit's trials
     share (n, K + 1): each stack's Grams come from one stacked product, they
-    form one stack, and their RICs are checked trusted, since the
-    callers check the order and budget first. One witness call covers the
-    stack. A trial whose witness delta (_witness_deltas, at most the RIC)
-    reaches 1/sqrt(K+1) keeps it; the others get their exact RICs from
-    kernel calls on at most ``_UNIT_ENTRIES // C(n, K + 1)`` Grams each (one
-    at least). Each delta becomes the trial's floor (_magnitude_floor), +inf
-    where the condition fails or no RIC is checked. Then one _omp_stack call
-    per cell solves its trials in lockstep: every phase trial, and the
-    theorem1 trials that hold the RIC condition; the others skip."""
+    form one stack, and _certify gives each its delta. Each delta becomes
+    the trial's floor (_magnitude_floor), +inf where the condition fails or
+    no RIC is checked. Then one _omp_stack call per cell solves its trials
+    in lockstep: every phase trial, and the theorem1 trials that hold the
+    RIC condition; the others skip."""
     draws = {}  # m: positions in tasks
     for i, task in enumerate(tasks):
         draws.setdefault(task.m, []).append(i)
@@ -454,13 +470,7 @@ def _run_unit(tasks):
     if tasks[0].check_conditions:
         k = tasks[0].k
         G = np.concatenate([_grams(AT.swapaxes(1, 2)) for AT in stacks])
-        deltas = _witness_deltas(G, k + 1)
-        kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
-        cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
-        for s in range(0, len(kernel), cap):
-            rows = kernel[s : s + cap]
-            deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
-        for i, delta in zip(itertools.chain(*draws.values()), deltas.tolist()):
+        for i, delta in zip(itertools.chain(*draws.values()), _certify(G, k).tolist()):
             floors[i] = _magnitude_floor(delta, k, tasks[i].epsilon)
     outcomes = [_SKIPPED] * len(tasks)
     for members, AT in zip(draws.values(), stacks):
@@ -530,13 +540,14 @@ def _map_trials(tasks, parallelism):
 def _run_cells(config, mode):
     """Run every trial of the run in one ``_map_trials`` call; returns
     ``(cell, tasks, outcomes)`` per cell in cell order. Trial j of cell ci has
-    global index t = ci * trials + j. Theorem1 trials always check the
-    conditions; phase trials only where the order-(K+1) enumeration has
-    subsets (K < n) and fits the subset budget."""
+    global index t = ci * trials + j. One rule decides every cell's RIC
+    check: its trials check the conditions where the order-(K+1)
+    enumeration has subsets (K < n) and fits the subset budget. Theorem1
+    refuses every cell that would not, before it gets here."""
     cells = config.cells()
     tasks = []
     for ci, (m, n, k, eps) in enumerate(cells):
-        check = mode == "theorem1" or 0 < math.comb(n, k + 1) <= config.subset_budget
+        check = 0 < math.comb(n, k + 1) <= config.subset_budget
         for j in range(config.trials):
             t = ci * config.trials + j
             trial_seed = (config.master_seed ^ splitmix64(t)) & MASK64
@@ -595,30 +606,29 @@ def _write_record(directory, instance, result=None, report=None):
 def theorem1_validation(config):
     """Validate the support-recovery guarantee cell by cell.
 
-    Per trial: draw the matrix, compute the exact order-(K+1) RIC, skip and
-    count trials violating the RIC condition, draw the signal at the
+    Every cell needs K + 1 <= n, and its C(n, K + 1) subsets within the
+    subset budget (CapacityError otherwise), before any trial runs. Per
+    trial: draw the matrix, certify its order-(K+1) RIC (``_certify``: exact
+    below 1/sqrt(K+1), a witness delta may stand in at or above it), skip
+    and count trials violating the RIC condition, draw the signal at the
     magnitude floor, add sphere noise, run the solver and record whether the
     exact support came back in exactly K iterations. Once every trial has
     run, the first condition-holding trial that failed (cells in order, then
-    trials in order) is serialized under ``config.failure_dir`` and raises
-    GuaranteeViolation: the conditional success rate must be exactly 1.0.
+    trials in order) is replayed alone, its delta again from ``_certify``,
+    serialized under ``config.failure_dir``, and raises GuaranteeViolation:
+    the conditional success rate must be exactly 1.0.
     """
     for m, n, k, _ in config.cells():
         if k + 1 > n:
             raise ValueError(f"cell (m={m}, n={n}, K={k}) needs K+1 <= n")
-        count = math.comb(n, k + 1)
-        if count > config.subset_budget:
-            raise CapacityError(
-                n, k + 1, count, config.subset_budget,
-                context=f"required by cell (m={m}, n={n}, K={k})",
-            )
+        _check_budget(n, k + 1, config.subset_budget, f"required by cell (m={m}, n={n}, K={k})")
     rows = []
     for cell, tasks, outcomes in _run_cells(config, "theorem1"):
         for j, outcome in enumerate(outcomes):
             if outcome.held and not outcome.success:
                 m, n, k, eps = cell
                 A = _draw_stack(tasks[j : j + 1])[0].T
-                delta = exact_ric(A, k + 1, budget=config.subset_budget).delta
+                delta, = _certify(_grams(A[None]), k).tolist()
                 signal, v, y = _build_trial(tasks[j], A, _magnitude_floor(delta, k, eps))
                 result = omp_run(A, y, _stop_rule(tasks[j]), true_support=signal.support)
                 instance = ProblemInstance(A, signal, v, y)

@@ -332,10 +332,16 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
         raise ValueError(f"order must lie in [1, {n}], got {K}")
     if budget < 1:
         raise ValueError(f"subset budget must be positive, got {budget}")
+    _check_budget(n, K, budget)
+    return _gram_rics(_grams(A[None]), K)[0]
+
+
+def _check_budget(n, K, budget, context=None):
+    """Refuse, as CapacityError, an enumeration of C(n, K) subsets beyond
+    ``budget``; ``context`` names what requires it."""
     count = math.comb(n, K)
     if count > budget:
-        raise CapacityError(n, K, count, budget)
-    return _gram_rics(_grams(A[None]), K)[0]
+        raise CapacityError(n, K, count, budget, context)
 
 
 def _grams(A):
@@ -562,15 +568,13 @@ def _lemma1_sides(A, omega, x, delta_k1, in_S):
 
 def chang_wu_ric_bound(K):
     """Prior best RIC threshold (sqrt(4K+1) - 1) / (2K)."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    sharp_ric_bound(K)  # rejects K < 1
     return (math.sqrt(4.0 * K + 1.0) - 1.0) / (2.0 * K)
 
 
 def chang_wu_min_mag_bound(delta, K, epsilon):
     """Prior magnitude floor; +inf when its denominator is non-positive."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    sharp_ric_bound(K)  # rejects K < 1
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     as_epsilon(epsilon)

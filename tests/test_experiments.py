@@ -171,11 +171,17 @@ def test_theorem1_validation_counts():
             assert row.conditional_success_rate is None
 
 
-def test_theorem1_validation_budget_error():
+def test_theorem1_validation_budget_error(monkeypatch):
+    # the cell is refused before any trial runs
+    units, run_unit = [], experiments._run_unit
+    monkeypatch.setattr(experiments, "_run_unit", lambda ts: units.append(ts) or run_unit(ts))
     cfg = _small_config(subset_budget=10)
     with pytest.raises(CapacityError) as err:
         theorem1_validation(cfg)
-    assert "cell" in str(err.value)
+    assert str(err.value) == ("C(14, 2) = 91 subsets exceeds the enumeration budget 10 "
+                              "(required by cell (m=12, n=14, K=1))")
+    assert (err.value.n, err.value.K, err.value.count, err.value.budget) == (14, 2, 91, 10)
+    assert units == []
 
 
 def test_theorem1_lemma1_family_nonvacuous():
@@ -331,6 +337,28 @@ def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
 
 def _no_witness(G, K):
     return np.full(len(G), -np.inf)
+
+
+def test_certify_is_exact_below_the_bound_and_the_same_alone(monkeypatch):
+    # 12 x 14 Gaussian Grams at K = 1, the _small_config grid, on both sides
+    # of 1/sqrt(2): below it every delta is exact_ric's, bit for bit; at or
+    # above it a witness delta may stand in, never above the exact RIC; with
+    # no witness every delta is exact_ric's; and each Gram's delta is the
+    # same alone as in the stack
+    cfg = _small_config()
+    tasks = [experiments._TrialTask(cfg, "theorem1", 12, 14, 1, 0.0, seed, True)
+             for seed in range(40)]
+    AT = experiments._draw_stack(tasks)
+    G = ripcheck._grams(AT.swapaxes(1, 2))
+    exact = [exact_ric(A.T, 2).delta for A in AT]
+    bound = sharp_ric_bound(1)
+    deltas = experiments._certify(G, 1).tolist()
+    assert 0 < sum(delta < bound for delta in deltas) < len(deltas)
+    for delta, ric in zip(deltas, exact):
+        assert delta == ric if delta < bound else bound <= delta <= ric
+    assert deltas == [experiments._certify(G[t : t + 1], 1)[0] for t in range(len(G))]
+    monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
+    assert experiments._certify(G, 1).tolist() == exact
 
 
 def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):

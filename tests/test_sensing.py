@@ -13,6 +13,7 @@ from omplab import (
     as_vector,
     chang_wu_min_mag_bound,
     chang_wu_ric_bound,
+    comparison_report,
     format_matrix,
     format_signal,
     gaussian_sensing_matrix,
@@ -77,6 +78,7 @@ _X8 = SparseSignal(8, [1, 2], [1.0, 1.0])
     (lambda: verify_lemma1(np.eye(8), _X8, [1, 1]), "S contains duplicates"),
     (lambda: chang_wu_ric_bound(0), "K must be at least 1"),
     (lambda: chang_wu_min_mag_bound(0.1, 0, 0.1), "K must be at least 1"),
+    (lambda: comparison_report(0, 0.1, 0.1), "K must be at least 1"),
     (lambda: chang_wu_min_mag_bound(1.0, 2, 0.1), r"delta must lie in \[0, 1\)"),
     (lambda: SparseSignal(8, [1, 2], [1.0]), "equal length"),
     (lambda: SparseSignal(4.9, [1, 2], [1.0, 2.0]), "dimension must be positive and integral"),

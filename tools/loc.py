@@ -5,6 +5,7 @@ outside module, class and function docstrings. Statements are `ast`
 statements, docstrings not counted. Only the standard library is used.
 
 Run from the repository root: ``python3 tools/loc.py`` (or pass a directory).
+The totals come first, then each file's three counts, one line per file.
 """
 
 import ast
@@ -40,9 +41,15 @@ def count(path):
 
 def main(argv):
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).parents[1] / "src" / "omplab")
-    totals = [sum(column) for column in zip(*map(count, sorted(root.glob("*.py"))))]
+    paths = sorted(root.glob("*.py"))
+    counts = [count(path) for path in paths]
+    totals = [sum(column) for column in zip(*counts)]
     for name, value in zip(("lines", "code lines", "statements"), totals):
         print(f"{name:>10}: {value:,}")
+    print()
+    print(f"{'lines':>7} {'code':>7} {'stmts':>7}  file")
+    for path, (lines, code, statements) in zip(paths, counts):
+        print(f"{lines:>7,} {code:>7,} {statements:>7,}  {path.name}")
 
 
 if __name__ == "__main__":
