@@ -1,8 +1,9 @@
 """Command-line surface tying the library together.
 
 Exit codes: 0 success, 2 validation error (including a random matrix draw
-with a zero column or a zero noise direction), 3 capacity/budget error, an
-allocation that failed for lack of memory, or a failed worker pool (a pool
+with a zero column or a zero noise direction), 3 capacity/budget error (a
+subset budget, or the ceiling on a run's trials), an allocation that
+failed for lack of memory, or a failed worker pool (a pool
 worker died, e.g. killed for lack of memory), 4 guarantee violation (a
 proven property failed, i.e. an implementation bug). `main` is the one place
 that decides them: a command function returns nothing and reports a failure
@@ -12,6 +13,7 @@ by raising.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -170,9 +172,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` reads, built once per process: a program may call
+    ``main`` many times, and each build costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (CapacityError, MemoryError) as exc:

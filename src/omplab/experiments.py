@@ -537,14 +537,26 @@ def _map_trials(tasks, parallelism):
     return outcomes
 
 
+#: Most trials in one run. A run holds every trial's task and outcome, about
+#: 350 bytes a trial (tracemalloc), until its last trial is done: about
+#: 0.35 GB at this ceiling.
+MAX_RUN_TRIALS = 1_000_000
+
+
 def _run_cells(config, mode):
     """Run every trial of the run in one ``_map_trials`` call; returns
     ``(cell, tasks, outcomes)`` per cell in cell order. Trial j of cell ci has
     global index t = ci * trials + j. One rule decides every cell's RIC
     check: its trials check the conditions where the order-(K+1)
     enumeration has subsets (K < n) and fits the subset budget. Theorem1
-    refuses every cell that would not, before it gets here."""
+    refuses every cell that would not, before it gets here. A run of more
+    than ``MAX_RUN_TRIALS`` trials is refused, as MemoryError, before any
+    task is built."""
     cells = config.cells()
+    total = len(cells) * config.trials
+    if total > MAX_RUN_TRIALS:
+        raise MemoryError(f"{len(cells)} cells of {config.trials} trials are {total} trials, "
+                          f"above the ceiling of {MAX_RUN_TRIALS} trials per run")
     tasks = []
     for ci, (m, n, k, eps) in enumerate(cells):
         check = 0 < math.comb(n, k + 1) <= config.subset_budget

@@ -184,16 +184,20 @@ def _table_squares(P, table, tails):
     return squares
 
 
-def _bounded_blocks(G, K, count):
+def _bounded_blocks(G, K, count, best):
     """Yield (prefix, tails, bounds): the K-subsets (*prefix, *tail) of
     range(n) in lexicographic order and their bounds b_S (see exact_ric),
-    per matrix of the stack G (one row of bounds per Gram). Within
-    ``_ENTRY_LIMIT``, one block, the cached table and its tail index; beyond
-    it, for a single Gram G, one per prefix of the shortest length L whose
-    tails, the (K - L)-subsets of range(L, n), fit: one table built uncached,
-    so memory stays bounded whatever K is. A prefix's sums past the float
-    maximum are +inf bounds, unreported, in an np.errstate that closes before
-    each ``yield``: a waiting generator would carry it into its consumer."""
+    one row of bounds per Gram of the stack G. Within ``_ENTRY_LIMIT``, one
+    block, the cached table and its tail index; beyond it, for a stack of
+    one Gram, one per prefix of the shortest length L whose tails, the
+    (K - L)-subsets of range(L, n), fit: one table built uncached, so memory
+    stays bounded whatever K is. A streamed block is built once its
+    predecessors are consumed, and keeps only the tails whose bounds can
+    reach the incumbent ``best[0]`` as it then stands (see exact_ric): a
+    block none of whose tails can is not yielded. A prefix's sums past the
+    float maximum are +inf bounds, unreported, in an np.errstate that closes
+    before each ``yield``: a waiting generator would carry it into its
+    consumer."""
     n = G.shape[-1]
     offset = np.abs(G.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1, keepdims=True)
     spread = math.sqrt((K - 1) / K)
@@ -211,7 +215,7 @@ def _bounded_blocks(G, K, count):
         squares = _table_squares(_pair_squares(G), table, tails)
         yield np.empty(0, dtype=np.intp), table, bounds(squares)
         return
-    P = np.triu(_pair_squares(G))  # a prefix's row sums read below the diagonal
+    P = np.triu(_pair_squares(G[0]))  # a prefix's row sums read below the diagonal
     L = 1
     while math.comb(n - L, K - L) * (K - L) > _ENTRY_LIMIT:
         L += 1
@@ -219,16 +223,33 @@ def _bounded_blocks(G, K, count):
     lower_squares = _table_squares(P[L:, L:], lower, lower_tails)
     del lower_tails  # not held through the blocks' eigensolves
     lower += L
+    guard = float(_GUARD_C * K * _U)  # Python floats: inf - inf is NaN, unreported
     for prefix in itertools.combinations(range(n - K + L), L):
         start = len(lower) - math.comb(n - prefix[-1] - 1, K - L)
         prefix = np.array(prefix, dtype=np.intp)
-        tails = lower[start:]
+        rows = slice(start, None)
+        # F*, the least F_S whose bound reaches the incumbent lowered by the
+        # guard, the filter's margin (see exact_ric); -inf in block 0
+        need = (float(best[0]) * (1.0 - guard) - guard) / (1.0 + guard)
+        if K > 1:
+            need = max(need, (need - float(offset[0, 0])) / spread)
         with np.errstate(over="ignore"):
             col = P[prefix].sum(axis=0)  # what the prefix adds to each element
-            squares = np.full(len(tails), col[prefix].sum())
+            head = float(col[prefix].sum())
+            if need > 0.0:
+                tau = need * need
+                # the K - L largest terms the prefix adds past its last element
+                top = float(np.sort(col[prefix[-1] + 1 :])[::-1][: K - L].sum())
+                limit = tau - head - top
+                if 0.0 < limit and 2.0 * tau < math.inf:
+                    rows = start + np.flatnonzero(lower_squares[start:] >= limit)
+                    if not rows.size:
+                        continue
+            tails = lower[rows]
+            squares = np.full((1, len(tails)), head)
             for column in tails.T:
                 squares += col.take(column)
-            squares += lower_squares[start:]
+            squares += lower_squares[rows]
         yield prefix, tails, bounds(squares)
 
 
@@ -311,6 +332,33 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     it can be neither the maximum nor tied with it, and the result is
     bit-identical to eigensolving every subset.
 
+    A streamed block is filtered before its bounds are summed, once an
+    incumbent d exists. A subset (*p, *tail) of a block with prefix p of
+    length L has F_S**2 = h + sum(col[c], c in tail) + l, where h is the
+    prefix's own sum, col[c] what the prefix adds to element c, and l the
+    tail's stored sum, all non-negative; so F_S**2 <= h + t + l, with t the
+    sum of the K - L largest col[c] past p. The guarded test needs b_S >= x =
+    (d (1 - g) - g) / (1 + g), g = c K u, with d lowered by g, the filter's
+    relative margin; as b_S = min(F_S, o + s F_S), that needs F_S >= F* =
+    max(x, (x - o) / s) (F* = x at K = 1). So a block keeps only the tails
+    with l >= tau - h - t, tau = F***2, and sums and bounds them as it would
+    all of them, bit for bit and in order, so its rounds pick the same
+    subsets. Nothing is filtered unless x > 0, tau - h - t
+    > 0 and 2 tau is finite, so an inf - inf NaN filters nothing.
+
+    The margin makes the filter drop only subsets the guarded test drops.
+    For a dropped tail, l < fl(fl(tau - h) - t) gives h + t + l < (1 + u)**2
+    tau. The computed t is at least (1 + u)**-(K - L - 1) times the exact sum
+    of its terms, and F_S**2 adds the same floats h, col[c] and l in K - L + 1
+    additions, so its computed value is below (1 + u)**(2K) tau < 2 tau:
+    finite. min(F, o + s F) grows at most in proportion to F, as o >= 0, and
+    is at most (1 + u)**2 x at the computed F*. So with the roundings of tau,
+    of F_S, s F_S and o + s F_S, the computed b_S is below (1 + u)**(K + 6)
+    x; with those of x and of b_S + g (1 + b_S), the computed test value is
+    below (1 + u)**(K + 12) (1 - g) d < d, as g = 64 K u > (K + 12) u.
+    Underflow, possible only in s F_S, adds at most 2**-1074, far inside the
+    margin, since x > 0 needs d > g.
+
     Ties on delta are broken by the lexicographically smallest witness subset
     (enumeration is lexicographic, the argmax of a block takes its smallest
     row, and only strictly larger deltas replace the incumbent).
@@ -372,12 +420,12 @@ def _gram_rics(G, K):
         return [RicReport(int(K), float(deltas[t, i]), table[i].copy(), float(w[t, i, 0]),
                           float(w[t, i, -1]), count, count) for t, i in enumerate(rows)]
     if count * K > _ENTRY_LIMIT:
-        return [_bounded_ric(g[None], K, count, _bounded_blocks(g, K, count))[0] for g in G]
-    return _bounded_ric(G, K, count, _bounded_blocks(G, K, count))
+        return [_bounded_ric(g[None], K, count)[0] for g in G]
+    return _bounded_ric(G, K, count)
 
 
-def _bounded_ric(G, K, count, blocks):
-    """RicReports of the stack G from its bounded ``blocks`` (see exact_ric):
+def _bounded_ric(G, K, count):
+    """RicReports of the stack G from its ``_bounded_blocks`` (see exact_ric):
     one block for a stack, or the blocks of one streamed Gram. Each block
     takes at most two rounds, all Grams in one batch: the ``_LEAD`` largest
     bounds of each Gram (in block 0, or in a later block of a streamed Gram
@@ -389,8 +437,7 @@ def _bounded_ric(G, K, count, blocks):
     best = np.full(T, -np.inf)
     best_subset = [None] * T
     solved = np.zeros(T, dtype=int)
-    for block, (prefix, tails, bound) in enumerate(blocks):
-        bound = bound.reshape(T, -1)
+    for block, (prefix, tails, bound) in enumerate(_bounded_blocks(G, K, count, best)):
         reach = bound + 1.0  # bound + guard * (1 + bound)
         reach *= guard
         reach += bound

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omplab import experiments, sensing
+from omplab import cli, experiments, sensing
 from omplab import (
     SparseSignal,
     gaussian_sensing_matrix,
@@ -498,6 +498,62 @@ def test_cli_memory_error_exit_code(workspace, capsys, monkeypatch):
     assert main(args) == 3
     assert capsys.readouterr().err == "capacity error: Unable to allocate 7.28 TiB for an array\n"
     assert not out.exists()
+
+
+def test_cli_refuses_a_run_above_the_trial_ceiling(workspace, capsys, monkeypatch):
+    # 2 cells of 1e9 trials would build about 0.7 TB of trial tasks; the run
+    # is refused with exit 3 before any task is built (building one fails
+    # the test instead of allocating)
+    def no_task(*args, **kwargs):
+        raise AssertionError("a trial task was built")
+
+    monkeypatch.setattr(experiments, "_TrialTask", no_task)
+    cfg = workspace["dir"] / "exp.cfg"
+    cfg.write_text("m = 10\nn = 12\nk = 1, 2\nepsilon = 0.0\ntrials = 1000000000\n")
+    out = workspace["dir"] / "out.csv"
+    for command in ("validate-theorem1", "phase"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "capacity error: 2 cells of 1000000000 trials are 2000000000 trials, "
+            "above the ceiling of 1000000 trials per run\n")
+        assert not out.exists()
+
+
+def test_trial_ceiling_admits_a_run_at_it(workspace, capsys, monkeypatch):
+    # the ceiling counts every cell's trials: 2 cells of 2 trials run under a
+    # ceiling of 4, and are refused under a ceiling of 3
+    cfg = workspace["dir"] / "exp.cfg"
+    cfg.write_text("m = 10\nn = 12\nk = 1, 2\nepsilon = 0.0\ntrials = 2\n")
+    out = workspace["dir"] / "out.csv"
+    args = ["phase", "--config", str(cfg), "--out", str(out)]
+    monkeypatch.setattr(experiments, "MAX_RUN_TRIALS", 4)
+    assert main(args) == 0
+    out.unlink()
+    monkeypatch.setattr(experiments, "MAX_RUN_TRIALS", 3)
+    assert main(args) == 3
+    assert "above the ceiling of 3 trials per run" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_builds_its_parser_once(workspace, capsys, monkeypatch):
+    # main reuses one parser per process, while build_parser keeps handing
+    # out fresh ones with the same help; exit codes are unchanged
+    assert cli.build_parser() is not cli.build_parser()
+    help_text = cli.build_parser().format_help()
+    assert cli._parser().format_help() == help_text
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    args = ["ric", "--matrix", str(workspace["A"]), "--order", "2"]
+    assert main(args) == 0
+    assert main(args) == 0
+    assert main(["ric", "--matrix", str(workspace["A"]), "--order", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ric", "--order", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == help_text
 
 
 def test_cli_sharpness(workspace, capsys):

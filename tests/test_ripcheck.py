@@ -201,7 +201,8 @@ def test_subset_enumeration_matches_itertools(monkeypatch, streamed, size):
                     assert np.array_equal(table[tails[j - 2], K - j + 1 :], level[:, 1:])
             continue
         monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", size)
-        blocks = list(ripcheck._bounded_blocks(np.eye(n), K, len(expected)))
+        blocks = list(ripcheck._bounded_blocks(np.eye(n)[None], K, len(expected),
+                                               np.full(1, -np.inf)))
         for prefix, tails, _ in blocks:
             assert prefix.size + tails.shape[1] == K
             assert tails.size <= size
@@ -218,6 +219,80 @@ def test_streamed_exact_ric_caches_nothing(monkeypatch):
         monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
         exact_ric(A, 4)
     assert ripcheck._cached_table.cache_info() == before
+
+
+def test_streamed_eigensolve_counts_hold(monkeypatch):
+    # streamed blocks are filtered on their tails' stored sums before their
+    # bounds are summed; the filter may drop only rows the guarded reach test
+    # drops, so every streamed enumeration eigensolves the subsets it did
+    # before the filter existed (these counts): C(13, 4) streamed by
+    # prefixes of length 4, 3, 2 and 1, and C(32, 5) by first elements
+    A = gaussian_sensing_matrix(9, 13, seed=3)
+    for limit, count in ((0, 4), (20, 13), (200, 16), (1000, 16)):
+        with monkeypatch.context() as mp:
+            mp.setattr(ripcheck, "_ENTRY_LIMIT", limit)
+            assert exact_ric(A, 4).subsets_eigensolved == count
+    for m, count in ((20, 32), (128, 269)):
+        r = exact_ric(gaussian_sensing_matrix(m, 32, seed=0), 5)
+        assert r.subsets_examined * 5 > ripcheck._ENTRY_LIMIT
+        assert r.subsets_eigensolved == count
+
+
+def _later_rows(G, K, incumbent):
+    """{subset: bound} over every streamed block after the first, with the
+    incumbent set to ``incumbent`` once block 0 is consumed."""
+    best = np.full(1, -np.inf)
+    blocks = ripcheck._bounded_blocks(G, K, math.comb(G.shape[-1], K), best)
+    next(blocks)
+    best[0] = incumbent
+    return {tuple(S): b for prefix, tails, bounds in blocks
+            for S, b in zip(_rows(prefix, tails).tolist(), bounds[0], strict=True)}
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_streamed_filter_keeps_every_row_the_reach_test_keeps(monkeypatch, normalize):
+    # unit-norm columns put F* on (x - o) / s, raw ones on x (see exact_ric).
+    # Each incumbent is some row's own guarded reach value, which that row
+    # reaches with no slack but the filter's margin; every row reaching it
+    # must be yielded, with the bound it has unfiltered, bit for bit
+    K = 4
+    A = gaussian_sensing_matrix(12, 11, seed=5, normalize_columns=normalize)
+    G = ripcheck._grams(as_matrix(A)[None])
+    guard = ripcheck._GUARD_C * K * ripcheck._U
+    filtered = False
+    for limit in (0, 10, 100, 400):  # C(11, 4) by prefixes of length 4, 3, 2, 1
+        with monkeypatch.context() as mp:
+            mp.setattr(ripcheck, "_ENTRY_LIMIT", limit)
+            whole = _later_rows(G, K, -np.inf)
+            bounds = np.array(list(whole.values()))
+            reach = bounds + 1.0  # as _bounded_ric computes it
+            reach *= guard
+            reach += bounds
+            reaches = dict(zip(whole, reach))
+            for incumbent in np.sort(reach)[:: len(reach) // 24]:
+                kept = _later_rows(G, K, incumbent)
+                assert {S for S, r in reaches.items() if r >= incumbent} <= kept.keys()
+                assert all(kept[S] == whole[S] for S in kept)
+                filtered |= len(kept) < len(whole)
+    assert filtered
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("limit, count", [(1000, 165), (200, 172), (20, 173), (0, 167)])
+def test_streamed_huge_column_matches_unpruned(monkeypatch, normalize, limit, count):
+    # a column scaled by 1e80 squares its Gram terms to +inf and makes the
+    # incumbent about 1e160, whose threshold squares to +inf: inf - inf is a
+    # NaN limit, which must keep every row. C(12, 4) streamed by prefixes of
+    # length 1, 2, 3 and 4 (an entry limit of 0); the counts are those before
+    # the filter existed
+    A = np.array(gaussian_sensing_matrix(10, 12, seed=8, normalize_columns=normalize))
+    A[:, 5] *= 1e80
+    monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
+    delta, witness, lo, hi = ric_unpruned(A, 4)
+    r = exact_ric(A, 4)
+    assert (r.delta, r.lambda_min, r.lambda_max) == (delta, lo, hi)
+    assert np.array_equal(r.witness_subset, witness)
+    assert r.subsets_eigensolved == count
 
 
 def test_high_order_exact_ric_runs_without_recursion():
@@ -247,9 +322,11 @@ def _block_bounds(monkeypatch, G, K):
         with monkeypatch.context() as mp:
             mp.setattr(ripcheck, "_UNBOUNDED", 0)
             mp.setattr(ripcheck, "_ENTRY_LIMIT", limit)
-            blocks = list(ripcheck._bounded_blocks(G, K, math.comb(n, K)))
+            # no incumbent, so every row of every block is yielded
+            blocks = list(ripcheck._bounded_blocks(G[None], K, math.comb(n, K),
+                                                   np.full(1, -np.inf)))
         for prefix, tails, bounds in blocks:
-            for S, b in zip(_rows(prefix, tails), bounds):
+            for S, b in zip(_rows(prefix, tails), bounds[0], strict=True):
                 G_S = G[np.ix_(S, S)]
                 M = np.tril(G_S) + np.tril(G_S, -1).T - np.eye(K)
                 F = np.linalg.norm(M, "fro")
