@@ -10,20 +10,22 @@ lockstep by one ``_omp_stack`` call. One budget rule decides which cells
 check the RIC condition: those whose order-(K+1) enumeration has subsets
 and fits the subset budget (theorem1 refuses any other cell). Their trials,
 grouped by (n, K + 1) across cells, first take one Gram stack per unit from
-those matrices, and one certify stage (``_certify``) gives their deltas:
-one witness call covers the stack, which can settle "at or above
-1/sqrt(K+1)", and the Grams it leaves open reach the RIC kernel in stacks
-sized for its bound entries; a theorem1 trial that fails the condition is
-not solved. The other trials run cell by cell. A serial run executes the
-units in-process; above parallelism 1 one process pool, shared by every
-cell, receives the same units, the largest first (by m*n, then K), so that
-its workers finish together. Results are reduced in trial order. Harness
-trials validate at the public entry points and trust their own draws: the
-config refuses what a draw would (an unknown sign pattern, a fixed floor
-whose magnitude range overflows) before any trial runs, and a trial forms
-y = A x + v itself and is handed its delta. Only a theorem1 failure,
-replayed for its record, becomes a ProblemInstance; its delta comes from
-``_certify`` on its one re-drawn matrix, the code that decided its verdict.
+those matrices, and one certify stage (``_certify``) gives their deltas
+and magnitude floors: one witness call covers the stack, which can settle
+"at or above 1/sqrt(K+1)", and the Grams it leaves open reach the RIC
+kernel in stacks sized for its bound entries; a theorem1 trial that fails
+the condition is not solved. The other trials run cell by cell. A serial
+run executes the units in-process; above parallelism 1 one process pool,
+shared by every cell, receives the same units, the largest first (by m*n,
+then K), so that its workers finish together. Results are reduced in trial
+order. Harness trials validate at the public entry points and trust their
+own draws: the config refuses what a draw would (an unknown sign pattern, a
+fixed floor whose magnitude range overflows) before any trial runs, and a
+trial forms y = A x + v itself and is handed its floor. Each trial's
+record keeps its delta and floor, so only a theorem1 failure, replayed for
+its record, becomes a ProblemInstance, and the replay reads both off the
+record: it computes no RIC, and its delta is the one that decided its
+verdict.
 ``FailureInstance`` is the one counterexample verdict: apart from the exact
 tie at t = 1/sqrt(K+1), ``sharpness_probe`` returns None exactly when it
 refuses.
@@ -97,6 +99,13 @@ def _derived_seed(trial_seed, tag):
     return splitmix64((trial_seed ^ tag) & MASK64)
 
 
+#: Most trials in one run. A run holds every trial's task and record until
+#: its last trial is done: a tracemalloc peak of 425 bytes a trial on a
+#: 20,000-trial theorem1 run and 521 on a phase run (m = 12, n = 14, K = 1,
+#: epsilon 0 and 0.05), so about 0.5 GB at this ceiling.
+MAX_RUN_TRIALS = 1_000_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Reproducible sweep description.
@@ -116,7 +125,9 @@ class ExperimentConfig:
     A floor whose magnitude range (times ``dynamic_range``) overflows is
     refused here, before any trial runs: ``min_mag_fixed``, or under
     ``theorem_bound`` the smallest floor, ``margin_factor * 2 eps``, of
-    any epsilon.
+    any epsilon. So is a run of more than ``MAX_RUN_TRIALS`` trials, as
+    MemoryError, counted from the four lengths before any cell list is
+    built.
     """
 
     m_values: tuple
@@ -171,6 +182,11 @@ class ExperimentConfig:
             if self.min_mag_policy == "theorem_bound" and math.isinf(
                     2.0 * eps * self.margin_factor * self.dynamic_range):
                 raise ValueError("margin_factor * 2 * epsilon * dynamic_range must be finite")
+        cells = math.prod(map(len, (self.m_values, self.n_values, self.k_values,
+                                    self.epsilon_values)))
+        if cells * self.trials > MAX_RUN_TRIALS:  # before any cell list is built
+            raise MemoryError(f"{cells} cells of {self.trials} trials are {cells * self.trials} "
+                              f"trials, above the ceiling of {MAX_RUN_TRIALS} trials per run")
         for m, n, k, _ in self.cells():
             if m < 1 or n < 1 or k < 1:
                 raise ValueError("m, n and K must all be positive")
@@ -340,16 +356,18 @@ class _TrialTask:
 
 @dataclass(frozen=True)
 class _TrialOutcome:
-    held: bool
-    attempted: bool
-    success: bool
-    iterations: int
-    rank_failure: bool
+    """One trial's record; the defaults are a theorem1 trial skipped for
+    failing the RIC condition. ``delta``, the trial's exact order-(K+1) RIC
+    where its magnitude ``floor`` is finite (None elsewhere), and ``floor``,
+    +inf where no guarantee applies, are never written to a CSV."""
 
-
-#: The outcome of a theorem1 trial skipped for failing the RIC condition.
-_SKIPPED = _TrialOutcome(held=False, attempted=False, success=False, iterations=0,
-                         rank_failure=False)
+    held: bool = False
+    attempted: bool = False
+    success: bool = False
+    iterations: int = 0
+    rank_failure: bool = False
+    delta: float | None = None
+    floor: float = math.inf
 
 
 def _stop_rule(task):
@@ -382,19 +400,6 @@ def _build_trial(task, A, floor):
     )
     v = noise_vector(A.shape[0], task.epsilon, _derived_seed(task.trial_seed, _NOISE_TAG))
     return signal, v, A @ signal.to_dense() + v
-
-
-def _outcome(signal, floor, recovered, stopped_by):
-    """A solved trial's outcome from its run's sorted support and stop cause:
-    success is the exact support (so exactly K iterations), and the
-    conditions held if the signal's magnitudes clear ``floor``."""
-    return _TrialOutcome(
-        held=signal.min_magnitude() > floor,
-        attempted=True,
-        success=bool(np.array_equal(recovered, signal.support)),
-        iterations=recovered.size,
-        rank_failure=stopped_by == STOPPED_RANK_FAILURE,
-    )
 
 
 def _draw_stack(tasks):
@@ -435,56 +440,71 @@ _UNIT_ENTRIES = 2**14
 _STACK_ENTRIES = 2**18
 
 
-def _certify(G, k):
-    """The order-(k + 1) delta of each Gram of the stack G, trusted: its
-    callers check the order and the subset budget first. One witness call
-    covers the stack. A Gram whose witness delta (_witness_deltas, at most
-    the RIC) reaches 1/sqrt(k + 1) keeps it, which decides its verdict; the
-    others get their exact RICs from kernel calls on at most
-    ``_UNIT_ENTRIES // C(n, k + 1)`` Grams each (one at least), each delta
-    bit for bit as if computed alone."""
+def _certify(G, k, epsilons):
+    """The order-(k + 1) delta of each Gram of the stack G, and its
+    magnitude floor (_magnitude_floor) at its trial's epsilon, +inf where
+    the RIC condition fails; trusted: its callers check the order and the
+    subset budget first. One witness call covers the stack. A Gram whose
+    witness delta (_witness_deltas, at most the RIC) reaches 1/sqrt(k + 1)
+    keeps it, which decides its verdict; the others get their exact RICs
+    from kernel calls on at most ``_UNIT_ENTRIES // C(n, k + 1)`` Grams each
+    (one at least), each delta bit for bit as if computed alone."""
     deltas = _witness_deltas(G, k + 1)
     kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
     cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
     for s in range(0, len(kernel), cap):
         rows = kernel[s : s + cap]
         deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
-    return deltas
+    deltas = deltas.tolist()
+    return deltas, [_magnitude_floor(d, k, eps) for d, eps in zip(deltas, epsilons)]
+
+
+def _solve(AT, trials):
+    """The records of one cell's trials, each a (task, delta, floor) whose
+    matrix is its row of the stack AT: each trial is built (_build_trial)
+    and one _omp_stack call solves them in lockstep. That call reorders AT
+    in place, so nothing reads it after. Success is the exact support (so
+    exactly K iterations), and the conditions held if the signal's
+    magnitudes clear the floor."""
+    built = [_build_trial(task, A.T, floor) for (task, _, floor), A in zip(trials, AT)]
+    runs = _omp_stack(AT, np.array([y for _, _, y in built]), _stop_rule(trials[0][0]))
+    return [_TrialOutcome(signal.min_magnitude() > floor, True,
+                          bool(np.array_equal(np.sort(run.picks), signal.support)),
+                          run.picks.size, run.stopped_by == STOPPED_RANK_FAILURE,
+                          delta if floor < math.inf else None, floor)
+            for (_, delta, floor), (signal, _, _), run in zip(trials, built, runs)]
 
 
 def _run_unit(tasks):
-    """Outcomes of one work unit (see _work_units); a pool worker returns
-    only these. The unit's trials are drawn one stack per m (_draw_stack),
-    since epsilon does not touch the matrix. A RIC-checked unit's trials
-    share (n, K + 1): each stack's Grams come from one stacked product, they
-    form one stack, and _certify gives each its delta. Each delta becomes
-    the trial's floor (_magnitude_floor), +inf where the condition fails or
-    no RIC is checked. Then one _omp_stack call per cell solves its trials
-    in lockstep: every phase trial, and the theorem1 trials that hold the
-    RIC condition; the others skip."""
+    """Records of one work unit (see _work_units); a pool worker returns
+    only these. Its three stages: the draw, one stack per m (_draw_stack),
+    since epsilon does not touch the matrix; the certify stage, where a
+    RIC-checked unit's trials share (n, K + 1), each stack's Grams come from
+    one stacked product, they form one stack, and _certify gives each its
+    delta and floor (the floor +inf where no RIC is checked); and the solve,
+    one _solve call per cell: every phase trial, and the theorem1 trials
+    that hold the RIC condition; the others skip."""
     draws = {}  # m: positions in tasks
     for i, task in enumerate(tasks):
         draws.setdefault(task.m, []).append(i)
     stacks = [_draw_stack([tasks[i] for i in members]) for members in draws.values()]
-    floors = [math.inf] * len(tasks)
+    certified = [(None, math.inf)] * len(tasks)  # (delta, floor) per trial
     if tasks[0].check_conditions:
-        k = tasks[0].k
+        drawn = list(itertools.chain(*draws.values()))
         G = np.concatenate([_grams(AT.swapaxes(1, 2)) for AT in stacks])
-        for i, delta in zip(itertools.chain(*draws.values()), _certify(G, k).tolist()):
-            floors[i] = _magnitude_floor(delta, k, tasks[i].epsilon)
-    outcomes = [_SKIPPED] * len(tasks)
+        for i, pair in zip(drawn, zip(*_certify(G, tasks[0].k, [tasks[i].epsilon for i in drawn]))):
+            certified[i] = pair
+    outcomes = [_TrialOutcome()] * len(tasks)
     for members, AT in zip(draws.values(), stacks):
         cells = {}  # epsilon: rows of AT to solve
         for row, i in enumerate(members):
-            if tasks[i].mode == "phase" or floors[i] < math.inf:
+            if tasks[i].mode == "phase" or certified[i][1] < math.inf:
                 cells.setdefault(tasks[i].epsilon, []).append(row)
         for rows in cells.values():
             solved = [members[row] for row in rows]
             cell = AT if len(rows) == len(AT) else AT[rows]
-            trials = [_build_trial(tasks[i], A.T, floors[i]) for i, A in zip(solved, cell)]
-            runs = _omp_stack(cell, np.array([y for _, _, y in trials]), _stop_rule(tasks[solved[0]]))
-            for i, (signal, _, _), run in zip(solved, trials, runs):
-                outcomes[i] = _outcome(signal, floors[i], np.sort(run.picks), run.stopped_by)
+            for i, record in zip(solved, _solve(cell, [(tasks[i], *certified[i]) for i in solved])):
+                outcomes[i] = record
     return outcomes
 
 
@@ -537,26 +557,15 @@ def _map_trials(tasks, parallelism):
     return outcomes
 
 
-#: Most trials in one run. A run holds every trial's task and outcome, about
-#: 350 bytes a trial (tracemalloc), until its last trial is done: about
-#: 0.35 GB at this ceiling.
-MAX_RUN_TRIALS = 1_000_000
-
-
 def _run_cells(config, mode):
     """Run every trial of the run in one ``_map_trials`` call; returns
     ``(cell, tasks, outcomes)`` per cell in cell order. Trial j of cell ci has
     global index t = ci * trials + j. One rule decides every cell's RIC
     check: its trials check the conditions where the order-(K+1)
     enumeration has subsets (K < n) and fits the subset budget. Theorem1
-    refuses every cell that would not, before it gets here. A run of more
-    than ``MAX_RUN_TRIALS`` trials is refused, as MemoryError, before any
-    task is built."""
+    refuses every cell that would not, before it gets here. The config has
+    refused a run of more than ``MAX_RUN_TRIALS`` trials."""
     cells = config.cells()
-    total = len(cells) * config.trials
-    if total > MAX_RUN_TRIALS:
-        raise MemoryError(f"{len(cells)} cells of {config.trials} trials are {total} trials, "
-                          f"above the ceiling of {MAX_RUN_TRIALS} trials per run")
     tasks = []
     for ci, (m, n, k, eps) in enumerate(cells):
         check = 0 < math.comb(n, k + 1) <= config.subset_budget
@@ -626,9 +635,9 @@ def theorem1_validation(config):
     magnitude floor, add sphere noise, run the solver and record whether the
     exact support came back in exactly K iterations. Once every trial has
     run, the first condition-holding trial that failed (cells in order, then
-    trials in order) is replayed alone, its delta again from ``_certify``,
-    serialized under ``config.failure_dir``, and raises GuaranteeViolation:
-    the conditional success rate must be exactly 1.0.
+    trials in order) is replayed alone, with the delta and floor its record
+    keeps, serialized under ``config.failure_dir``, and raises
+    GuaranteeViolation: the conditional success rate must be exactly 1.0.
     """
     for m, n, k, _ in config.cells():
         if k + 1 > n:
@@ -640,8 +649,7 @@ def theorem1_validation(config):
             if outcome.held and not outcome.success:
                 m, n, k, eps = cell
                 A = _draw_stack(tasks[j : j + 1])[0].T
-                delta, = _certify(_grams(A[None]), k).tolist()
-                signal, v, y = _build_trial(tasks[j], A, _magnitude_floor(delta, k, eps))
+                signal, v, y = _build_trial(tasks[j], A, outcome.floor)
                 result = omp_run(A, y, _stop_rule(tasks[j]), true_support=signal.support)
                 instance = ProblemInstance(A, signal, v, y)
                 directory = os.path.join(
@@ -649,7 +657,7 @@ def theorem1_validation(config):
                     f"cell_m{m}_n{n}_K{k}_eps{eps}_trial{j}",
                 )
                 _write_record(directory, instance, result, {
-                    "delta": delta,
+                    "delta": outcome.delta,
                     "ric_bound": sharp_ric_bound(k),
                     "epsilon": eps,
                     "recovered_support": [int(i) for i in result.recovered_support],

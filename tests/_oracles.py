@@ -311,9 +311,12 @@ def gaussian_matrix_one_draw(m, n, seed, normalize_columns=True):
 def run_unit_one_at_a_time(tasks):
     """``experiments._run_unit`` one trial at a time: each matrix drawn
     alone by ``gaussian_sensing_matrix`` (or as its ``lemma1_family`` 3x3),
-    a RIC-checked trial's floor from its own ``exact_ric``, and each solved
-    trial run alone by ``omp_run``; a theorem1 trial whose RIC condition
-    fails skips. The stacked unit must match it outcome for outcome."""
+    a RIC-checked trial's delta from its own ``exact_ric`` and its floor
+    from ``_magnitude_floor``, and each solved trial run alone by
+    ``omp_run``; a theorem1 trial whose RIC condition fails skips. Every
+    field of each record is built here from those results, the delta kept
+    only where the floor is finite. The stacked unit must match it record
+    for record."""
     outcomes = []
     for task in tasks:
         config = task.config
@@ -326,14 +329,25 @@ def run_unit_one_at_a_time(tasks):
             A = gaussian_sensing_matrix(
                 task.m, task.n, seed,
                 normalize_columns=config.ensemble == "gaussian_normalized")
-        floor = math.inf
+        delta, floor = None, math.inf
         if task.check_conditions:
-            floor = _magnitude_floor(exact_ric(A, task.k + 1).delta, task.k, task.epsilon)
+            ric = exact_ric(A, task.k + 1).delta
+            floor = _magnitude_floor(ric, task.k, task.epsilon)
+            delta = ric if floor < math.inf else None
         if task.mode == "theorem1" and floor == math.inf:
-            outcomes.append(experiments._SKIPPED)
+            outcomes.append(experiments._TrialOutcome(
+                held=False, attempted=False, success=False, iterations=0,
+                rank_failure=False, delta=None, floor=math.inf))
             continue
         signal, _, y = experiments._build_trial(task, A, floor)
         result = omp_run(A, y, experiments._stop_rule(task), true_support=signal.support)
-        outcomes.append(experiments._outcome(signal, floor, result.recovered_support,
-                                             result.stopped_by))
+        outcomes.append(experiments._TrialOutcome(
+            held=float(np.abs(signal.values).min()) > floor,
+            attempted=True,
+            success=result.recovered_support.tolist() == signal.support.tolist(),
+            iterations=result.iterations,
+            rank_failure=result.stopped_by == "rank_failure",
+            delta=delta,
+            floor=floor,
+        ))
     return outcomes

@@ -501,22 +501,35 @@ def test_cli_memory_error_exit_code(workspace, capsys, monkeypatch):
 
 
 def test_cli_refuses_a_run_above_the_trial_ceiling(workspace, capsys, monkeypatch):
-    # 2 cells of 1e9 trials would build about 0.7 TB of trial tasks; the run
-    # is refused with exit 3 before any task is built (building one fails
-    # the test instead of allocating)
+    # 2 cells of 1e9 trials would build about 0.7 TB of trial tasks, and a
+    # 4 KB config of 200 values per key 1.6e9 cells of about 80 bytes: each
+    # run is refused with exit 3 before any task is built or the cell list
+    # is (building either fails the test instead of allocating)
     def no_task(*args, **kwargs):
         raise AssertionError("a trial task was built")
 
+    def no_cells(self):
+        raise AssertionError("the cell list was built")
+
     monkeypatch.setattr(experiments, "_TrialTask", no_task)
+    monkeypatch.setattr(experiments.ExperimentConfig, "cells", no_cells)
+    values = ", ".join(str(v) for v in range(1, 201))
+    epsilons = ", ".join(f"{v / 1000}" for v in range(200))
+    texts = [
+        ("m = 10\nn = 12\nk = 1, 2\nepsilon = 0.0\ntrials = 1000000000\n",
+         "2 cells of 1000000000 trials are 2000000000 trials"),
+        (f"m = {values}\nn = {values}\nk = {values}\nepsilon = {epsilons}\ntrials = 1\n",
+         "1600000000 cells of 1 trials are 1600000000 trials"),
+    ]
     cfg = workspace["dir"] / "exp.cfg"
-    cfg.write_text("m = 10\nn = 12\nk = 1, 2\nepsilon = 0.0\ntrials = 1000000000\n")
     out = workspace["dir"] / "out.csv"
-    for command in ("validate-theorem1", "phase"):
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "capacity error: 2 cells of 1000000000 trials are 2000000000 trials, "
-            "above the ceiling of 1000000 trials per run\n")
-        assert not out.exists()
+    for text, count in texts:
+        cfg.write_text(text)
+        for command in ("validate-theorem1", "phase"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                f"capacity error: {count}, above the ceiling of 1000000 trials per run\n")
+            assert not out.exists()
 
 
 def test_trial_ceiling_admits_a_run_at_it(workspace, capsys, monkeypatch):

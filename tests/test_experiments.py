@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -343,8 +344,9 @@ def test_certify_is_exact_below_the_bound_and_the_same_alone(monkeypatch):
     # 12 x 14 Gaussian Grams at K = 1, the _small_config grid, on both sides
     # of 1/sqrt(2): below it every delta is exact_ric's, bit for bit; at or
     # above it a witness delta may stand in, never above the exact RIC; with
-    # no witness every delta is exact_ric's; and each Gram's delta is the
-    # same alone as in the stack
+    # no witness every delta is exact_ric's; each Gram's delta is the same
+    # alone as in the stack; and each floor is _magnitude_floor of its delta
+    # at its trial's epsilon, finite exactly below the bound
     cfg = _small_config()
     tasks = [experiments._TrialTask(cfg, "theorem1", 12, 14, 1, 0.0, seed, True)
              for seed in range(40)]
@@ -352,13 +354,19 @@ def test_certify_is_exact_below_the_bound_and_the_same_alone(monkeypatch):
     G = ripcheck._grams(AT.swapaxes(1, 2))
     exact = [exact_ric(A.T, 2).delta for A in AT]
     bound = sharp_ric_bound(1)
-    deltas = experiments._certify(G, 1).tolist()
+    epsilons = [(0.0, 0.05, 0.3)[t % 3] for t in range(len(G))]
+    deltas, floors = experiments._certify(G, 1, epsilons)
     assert 0 < sum(delta < bound for delta in deltas) < len(deltas)
     for delta, ric in zip(deltas, exact):
         assert delta == ric if delta < bound else bound <= delta <= ric
-    assert deltas == [experiments._certify(G[t : t + 1], 1)[0] for t in range(len(G))]
+    for delta, floor, eps in zip(deltas, floors, epsilons):
+        assert floor == ripcheck._magnitude_floor(delta, 1, eps)
+        assert (floor < math.inf) == (delta < bound)
+    assert 0.0 in floors and any(0.0 < floor < math.inf for floor in floors)
+    assert deltas == [experiments._certify(G[t : t + 1], 1, epsilons[t : t + 1])[0][0]
+                      for t in range(len(G))]
     monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
-    assert experiments._certify(G, 1).tolist() == exact
+    assert experiments._certify(G, 1, epsilons)[0] == exact
 
 
 def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
@@ -680,6 +688,20 @@ def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
         instances.append(args)
         return real_instance(*args)
 
+    # every RIC comes from the certify stage of a work unit: the replay
+    # reads the failing trial's delta and floor off its record
+    callers = []
+    real_certify = experiments._certify
+
+    def certify(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_certify(*args)
+
+    def no_exact_ric(*args, **kwargs):
+        raise AssertionError("exact_ric was called")
+
+    monkeypatch.setattr(experiments, "_certify", certify)
+    monkeypatch.setattr(experiments, "exact_ric", no_exact_ric)
     monkeypatch.setattr(experiments, "_omp_stack", drop_stack_support_in_noisy_cells)
     monkeypatch.setattr(experiments, "omp_run", drop_support_in_noisy_cells)
     monkeypatch.setattr(experiments, "ProblemInstance", instance)
@@ -699,11 +721,13 @@ def test_theorem1_violation_serializes_first_held_trial(monkeypatch, tmp_path):
     for par in (1, 2):
         failure_dir = tmp_path / f"p{par}"
         instances.clear()
+        callers.clear()
         with pytest.raises(GuaranteeViolation, match=expected):
             theorem1_validation(
                 replace(cfg, parallelism=par, failure_dir=str(failure_dir))
             )
         assert len(instances) == 1
+        assert callers and set(callers) == {"_run_unit"}
         assert [d.name for d in failure_dir.iterdir()] == [expected]
         report = json.loads((failure_dir / expected / "report.json").read_text())
         assert report["delta"] < report["ric_bound"]
