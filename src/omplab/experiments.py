@@ -125,9 +125,14 @@ class ExperimentConfig:
     A floor whose magnitude range (times ``dynamic_range``) overflows is
     refused here, before any trial runs: ``min_mag_fixed``, or under
     ``theorem_bound`` the smallest floor, ``margin_factor * 2 eps``, of
-    any epsilon. So is a run of more than ``MAX_RUN_TRIALS`` trials, as
-    MemoryError, counted from the four lengths before any cell list is
-    built.
+    any epsilon. So is an epsilon that a residual stop rule refuses
+    (``StopRule``: its square must be 0 or a normal float), and a run of
+    more than ``MAX_RUN_TRIALS`` trials, as MemoryError, counted from the
+    four lengths. Every grid rule (m, n and K positive, K <= n, and the
+    ``lemma1_family`` shape: every m and n 3, every K 2) is checked on the
+    value tuples, not on the cell list: a refusal names the first offending
+    cell in product order, and constructing a config, or ``replace`` on one,
+    costs O(values), however many cells the grid has.
     """
 
     m_values: tuple
@@ -182,26 +187,24 @@ class ExperimentConfig:
             if self.min_mag_policy == "theorem_bound" and math.isinf(
                     2.0 * eps * self.margin_factor * self.dynamic_range):
                 raise ValueError("margin_factor * 2 * epsilon * dynamic_range must be finite")
+            StopRule.residual_at_most(eps)  # a noisy cell's stop rule, refused before any draw
         cells = math.prod(map(len, (self.m_values, self.n_values, self.k_values,
                                     self.epsilon_values)))
         if cells * self.trials > MAX_RUN_TRIALS:  # before any cell list is built
             raise MemoryError(f"{cells} cells of {self.trials} trials are {cells * self.trials} "
                               f"trials, above the ceiling of {MAX_RUN_TRIALS} trials per run")
-        for m, n, k, _ in self.cells():
-            if m < 1 or n < 1 or k < 1:
-                raise ValueError("m, n and K must all be positive")
-            if k > n:
-                raise ValueError(f"cell (m={m}, n={n}, K={k}) has K > n")
+        if min(self.m_values + self.n_values + self.k_values) < 1:
+            raise ValueError("m, n and K must all be positive")
+        for n, k in itertools.product(self.n_values, self.k_values):
+            if k > n:  # m is not read, so the first such cell has the first m
+                raise ValueError(f"cell (m={self.m_values[0]}, n={n}, K={k}) has K > n")
         if self.ensemble == "lemma1_family":
             if not self.lemma1_deltas:
                 raise ValueError("lemma1_deltas must be non-empty for lemma1_family")
             if not all(0.0 <= d < 1.0 for d in self.lemma1_deltas):
                 raise ValueError("lemma1_deltas must lie in [0, 1)")
-            for m, n, k, _ in self.cells():
-                if (m, n, k) != (3, 3, 2):
-                    raise ValueError(
-                        "lemma1_family requires m = n = 3 and K = 2 cells"
-                    )
+            if {*self.m_values, *self.n_values} != {3} or {*self.k_values} != {2}:
+                raise ValueError("lemma1_family requires m = n = 3 and K = 2 cells")
 
     def cells(self):
         """Cell grid in deterministic (m, n, k, epsilon) product order."""
@@ -628,7 +631,9 @@ def theorem1_validation(config):
     """Validate the support-recovery guarantee cell by cell.
 
     Every cell needs K + 1 <= n, and its C(n, K + 1) subsets within the
-    subset budget (CapacityError otherwise), before any trial runs. Per
+    subset budget (CapacityError otherwise), before any trial runs; both
+    are checked on the (n, K) pairs, and a refusal names the first
+    offending cell in product order, (``m_values[0]``, n, K). Per
     trial: draw the matrix, certify its order-(K+1) RIC (``_certify``: exact
     below 1/sqrt(K+1), a witness delta may stand in at or above it), skip
     and count trials violating the RIC condition, draw the signal at the
@@ -639,10 +644,11 @@ def theorem1_validation(config):
     keeps, serialized under ``config.failure_dir``, and raises
     GuaranteeViolation: the conditional success rate must be exactly 1.0.
     """
-    for m, n, k, _ in config.cells():
+    for n, k in itertools.product(config.n_values, config.k_values):
+        cell = f"cell (m={config.m_values[0]}, n={n}, K={k})"  # no rule reads m
         if k + 1 > n:
-            raise ValueError(f"cell (m={m}, n={n}, K={k}) needs K+1 <= n")
-        _check_budget(n, k + 1, config.subset_budget, f"required by cell (m={m}, n={n}, K={k})")
+            raise ValueError(f"{cell} needs K+1 <= n")
+        _check_budget(n, k + 1, config.subset_budget, f"required by {cell}")
     rows = []
     for cell, tasks, outcomes in _run_cells(config, "theorem1"):
         for j, outcome in enumerate(outcomes):
@@ -677,14 +683,16 @@ def phase_table(config):
     Condition checking is performed where the enumeration budget allows it
     (conditions columns are empty elsewhere). Output is a pure function of
     (config, master_seed), byte-identical across parallelism settings. A
-    noiseless cell runs K iterations, so it needs K <= min(m, n).
+    noiseless cell runs K iterations, so it needs K <= min(m, n); the
+    config has refused K > n, so this is K <= m, checked on the (m, K)
+    pairs before any trial runs, and a refusal names the first offending
+    cell in product order, (m, ``n_values[0]``, K, the first zero epsilon).
     """
-    for m, n, k, eps in config.cells():
-        if eps == 0.0 and k > min(m, n):
-            raise ValueError(
-                f"cell (m={m}, n={n}, K={k}, epsilon={eps}) needs K <= min(m, n) "
-                "for its K-iteration run"
-            )
+    zero = [eps for eps in config.epsilon_values if eps == 0.0][:1]
+    for m, k, eps in itertools.product(config.m_values, config.k_values, zero):
+        if k > m:  # the config has refused K > n, so no rule reads n
+            raise ValueError(f"cell (m={m}, n={config.n_values[0]}, K={k}, epsilon={eps}) "
+                             "needs K <= min(m, n) for its K-iteration run")
     return [
         _aggregate_cell(cell, outcomes, tasks[0].check_conditions)
         for cell, tasks, outcomes in _run_cells(config, "phase")
@@ -749,16 +757,20 @@ def sharpness_probe(K, t):
     1/(K+1) < t, and with x = 1 on the support, column 0 wins the first
     selection by the factor c > 1.
 
-    An exact RIC computation and a noiseless K-iteration solver run verify
-    the instance: ``None`` means FailureInstance, the one counterexample
-    verdict, rejected them. At t == 1/sqrt(K+1) c = 1, so the first
+    K must be an integer in [2, MAX_SHARPNESS_K] (an integral float such
+    as 2.0 is accepted; 2.9 is refused, not truncated). An exact RIC
+    computation and a noiseless K-iteration solver run verify the instance:
+    ``None`` means FailureInstance, the one counterexample verdict,
+    rejected them, or, close to t = 1, that rounding left the scaled Gram
+    not positive definite, so it has no Cholesky factor and no instance is
+    built. At t == 1/sqrt(K+1) c = 1, so the first
     selection is an exact tie that rounding decides and no instance is
     claimed; a few ulps above the bound rounding can still break the tie
     toward the support (at K = 4, for one), and FailureInstance rejects it.
     """
+    if not (2 <= K <= MAX_SHARPNESS_K and K == int(K)):
+        raise ValueError(f"K must lie in [2, {MAX_SHARPNESS_K}] and be an integer, got {K!r}")
     K = int(K)
-    if not (2 <= K <= MAX_SHARPNESS_K):
-        raise ValueError(f"K must lie in [2, {MAX_SHARPNESS_K}]")
     sharp = sharp_ric_bound(K)
     if not (sharp <= t < 1.0):
         raise ValueError(f"t must lie in [1/sqrt(K+1), 1) = [{sharp:.6f}, 1)")
@@ -768,11 +780,11 @@ def sharpness_probe(K, t):
     G = np.eye(K + 1)
     G[0, 0] = 1.0 + 2.0 / K
     G[0, 1:] = G[1:, 0] = c / K
-    A = np.linalg.cholesky(G * (K / (K + 1.0))).T
     signal = SparseSignal(
         dimension=K + 1, support=np.arange(1, K + 1), values=np.ones(K)
     )
-    try:
+    try:  # near t = 1 rounding can leave G not positive definite: LinAlgError
+        A = np.linalg.cholesky(G * (K / (K + 1.0))).T
         return FailureInstance(A, signal)
     except ValueError:
         return None

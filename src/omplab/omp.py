@@ -53,7 +53,13 @@ class GuaranteeViolation(Exception):
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stopping rule: exactly one of the two kinds is active."""
+    """Stopping rule: exactly one of the two kinds is active.
+
+    A residual rule compares each residual norm, the square root of a
+    squared norm, against ``epsilon``, so a nonzero epsilon must have a
+    normal float square (about 1.5e-154 to 1.3e154): outside that range the
+    squares underflow to 0 or overflow, and the stop is decided wrongly.
+    Such an epsilon is refused (ValueError); 0 is accepted."""
 
     kind: str
     k: int = 0
@@ -74,6 +80,8 @@ class StopRule:
             object.__setattr__(self, "k", int(self.k))
         elif self.kind == STOP_RESIDUAL:
             object.__setattr__(self, "epsilon", float(as_epsilon(self.epsilon)))
+            if self.epsilon and not np.finfo(float).tiny <= self.epsilon * self.epsilon < math.inf:
+                raise ValueError(f"epsilon**2 must be 0 or a normal float, got {self.epsilon!r}")
         else:
             raise ValueError(f"unknown stop rule kind {self.kind!r}")
 

@@ -439,6 +439,41 @@ def test_cli_nan_eps_exit_code(workspace, capsys):
         assert "epsilon must be non-negative" in capsys.readouterr().err
 
 
+def test_cli_refuses_an_epsilon_whose_square_leaves_the_float_range(workspace, capsys,
+                                                                    monkeypatch):
+    # the residual stop compares norms taken from squared norms: at 1e-170
+    # they underflow to 0 and at 1e155 overflow, which reported false
+    # guarantee violations; both commands, and omp --eps, refuse such an
+    # epsilon before any trial runs, and 1e-150 and 1e150 run as they did
+    monkeypatch.chdir(workspace["dir"])
+    cfg, out = workspace["dir"] / "eps.cfg", workspace["dir"] / "out.csv"
+    A, y = str(workspace["A"]), str(workspace["y"])
+    units, run_unit = [], experiments._run_unit
+    monkeypatch.setattr(experiments, "_run_unit", lambda ts: units.append(ts) or run_unit(ts))
+    for eps in ("1e-170", "1e155"):
+        cfg.write_text(f"m = 12\nn = 14\nk = 1\nepsilon = {eps}\ntrials = 20\n")
+        for command in ("validate-theorem1", "phase"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "epsilon**2 must be 0 or a normal float" in capsys.readouterr().err
+        assert main(["omp", "--matrix", A, "--measurement", y, "--eps", eps]) == 2
+        assert "epsilon**2 must be 0 or a normal float" in capsys.readouterr().err
+    assert units == []
+    assert sorted(p.name for p in workspace["dir"].iterdir()) == ["A.mat", "eps.cfg", "x.sig",
+                                                                 "y.vec"]
+    for eps, command, digest in (
+        ("1e-150", "validate-theorem1",
+         "cbfa20fdae88f699c6c9482df0caa1773920430ec5ed785bcc86dbdf25a16fda"),
+        ("1e-150", "phase", "bea71d97c60f5af29aef16089c684271614d966ad66f1ddfc50a4dd3ed84f86c"),
+        ("1e150", "validate-theorem1",
+         "73afed7c9cf3ac03666485d8e2f5694d8e09a5164cfbc9c986b60c05c97e9c63"),
+        ("1e150", "phase", "b9b8c90ae879f62a37d2bf81613db7029da71a19862c513c1b303cc1821a3fbf"),
+    ):
+        cfg.write_text(f"m = 12\nn = 14\nk = 1\nepsilon = {eps}\ntrials = 20\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (eps, command)
+    assert not (workspace["dir"] / "theorem1-failures").exists()
+
+
 def test_cli_repeated_config_key_exit_code(workspace, capsys):
     cfg = workspace["dir"] / "dup.cfg"
     cfg.write_text("m = 10\nn = 12\nk = 1\nepsilon = 0.0\ntrials = 6\ntrials = 7\n")
@@ -603,6 +638,15 @@ def test_cli_sharpness_invalid_t(workspace, capsys):
         ]
     )
     assert code == 2
+
+
+def test_cli_sharpness_near_one_finds_nothing(workspace, capsys):
+    # a t inside [1/sqrt(K+1), 1) at which rounding leaves the scaled Gram not
+    # positive definite: no instance, and exit 0
+    out = workspace["dir"] / "failure"
+    assert main(["sharpness", "--k", "2", "--t", "0.9999999999999998", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] is False
+    assert not out.exists()
 
 
 def test_cli_sharpness_ignores_budget_and_seed(workspace, capsys):

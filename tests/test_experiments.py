@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -148,7 +149,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=message):
             _small_config(**overrides)
     _small_config(epsilon_values=(0.0,), margin_factor=1e308)  # a unit floor
-    _small_config(min_mag_policy="fixed", epsilon_values=(1e307,))
+    # unused under the fixed policy, whose floor range does not read epsilon
+    _small_config(min_mag_policy="fixed", epsilon_values=(1e150,), dynamic_range=1e160)
+    # a noisy cell's residual stop squares epsilon, which must stay a normal float
+    for eps in (1e307, 1e155, 1e-170):
+        message = f"epsilon**2 must be 0 or a normal float, got {eps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _small_config(min_mag_policy="fixed", epsilon_values=(0.0, eps))
 
 
 def test_theorem1_validation_refuses_k_equal_n_before_any_trial(monkeypatch):
@@ -183,6 +190,79 @@ def test_theorem1_validation_budget_error(monkeypatch):
                               "(required by cell (m=12, n=14, K=1))")
     assert (err.value.n, err.value.K, err.value.count, err.value.budget) == (14, 2, 91, 10)
     assert units == []
+
+
+# One grid per refusal, each with several values per key: a harness it is
+# handed to (the config itself refuses the first two), and the message, which
+# names the grid's first offending cell in (m, n, K, epsilon) product order.
+_GRID_REFUSALS = [
+    (phase_table, dict(m_values=(12, 20), n_values=(14, 3, 2), k_values=(1, 3, 4)),
+     ValueError, "cell (m=12, n=3, K=4) has K > n"),
+    (theorem1_validation, dict(m_values=(3,), n_values=(3, 4), k_values=(2, 1),
+                               ensemble="lemma1_family"),
+     ValueError, "lemma1_family requires m = n = 3 and K = 2 cells"),
+    (theorem1_validation, dict(m_values=(12, 8), n_values=(14, 3), k_values=(1, 3)),
+     ValueError, "cell (m=12, n=3, K=3) needs K+1 <= n"),
+    (theorem1_validation, dict(m_values=(12, 8), n_values=(6, 14), k_values=(1, 2),
+                               subset_budget=100),
+     CapacityError, "C(14, 3) = 364 subsets exceeds the enumeration budget 100 "
+                    "(required by cell (m=12, n=14, K=2))"),
+    (phase_table, dict(m_values=(12, 2, 1), n_values=(14, 6), k_values=(1, 3),
+                       epsilon_values=(0.05, 0.0)),
+     ValueError, "cell (m=2, n=14, K=3, epsilon=0.0) needs K <= min(m, n) for its "
+                 "K-iteration run"),
+]
+
+
+@pytest.mark.parametrize("harness, overrides, error, message", _GRID_REFUSALS)
+def test_grid_refusals_name_the_first_offending_cell(monkeypatch, harness, overrides, error,
+                                                     message):
+    ran = []
+    monkeypatch.setattr(experiments, "_run_unit", ran.append)
+    with pytest.raises(error) as err:
+        harness(_small_config(**overrides))
+    assert str(err.value) == message
+    assert ran == []
+
+
+def _wide_config(m_values=range(20, 120), n_values=range(20, 120), **overrides):
+    """A grid of 1,000,000 cells of one trial, the most a run holds."""
+    return ExperimentConfig(m_values=m_values, n_values=n_values, k_values=range(1, 11),
+                            epsilon_values=[e / 100 for e in range(10)], trials=1, **overrides)
+
+
+def _no_cells(self):
+    raise AssertionError("the cell list was built")
+
+
+def test_config_checks_a_wide_grid_on_its_value_tuples(monkeypatch):
+    # each of the config's rules reads at most two of the four value tuples,
+    # so neither the config nor its re-validation by replace (as the CLI's
+    # --parallelism does) builds the cell list
+    monkeypatch.setattr(ExperimentConfig, "cells", _no_cells)
+    config = _wide_config()
+    assert replace(config, parallelism=2).parallelism == 2
+
+
+def test_harnesses_refuse_a_wide_grid_on_its_value_tuples(monkeypatch):
+    # theorem1's K + 1 <= n and subset budget, and phase's noiseless
+    # K <= min(m, n), refuse before any cell list is built or trial runs
+    ran = []
+    monkeypatch.setattr(ExperimentConfig, "cells", _no_cells)
+    monkeypatch.setattr(experiments, "_run_unit", ran.append)
+    for harness, grid, error, message in (
+        (theorem1_validation, _wide_config(n_values=range(10, 110)),
+         ValueError, "cell (m=20, n=10, K=10) needs K+1 <= n"),
+        (theorem1_validation, _wide_config(), CapacityError,
+         "C(24, 11) = 2496144 subsets exceeds the enumeration budget 2000000 "
+         "(required by cell (m=20, n=24, K=10))"),
+        (phase_table, _wide_config(m_values=range(1, 101)), ValueError,
+         "cell (m=1, n=20, K=2, epsilon=0.0) needs K <= min(m, n) for its K-iteration run"),
+    ):
+        with pytest.raises(error) as err:
+            harness(grid)
+        assert str(err.value) == message
+    assert ran == []
 
 
 def test_theorem1_lemma1_family_nonvacuous():
@@ -872,6 +952,9 @@ def test_sharpness_probe_exact_tie_returns_none():
     # would decide, so no instance is claimed.
     for K in range(2, 9):
         assert sharpness_probe(K, sharp_ric_bound(K)) is None
+    # just below t = 1 rounding leaves the scaled Gram not positive definite:
+    # it has no Cholesky factor, and no instance is claimed either
+    assert sharpness_probe(2, 0.9999999999999998) is None
 
 
 def test_failure_instance_rejects_what_is_not_a_counterexample():
@@ -906,9 +989,13 @@ def test_sharpness_probe_validation(monkeypatch):
         sharpness_probe(2, 0.3)  # below the sharp bound
     with pytest.raises(ValueError):
         sharpness_probe(2, 1.0)
-    for K in (experiments.MAX_SHARPNESS_K + 1, 100_000):
+    for K in (experiments.MAX_SHARPNESS_K + 1, 100_000, 2.9):  # 2.9 is not truncated to 2
         with pytest.raises(ValueError, match="K must lie in"):
             sharpness_probe(K, 0.9)
+
+
+def test_sharpness_probe_takes_an_integral_float_k():
+    assert sharpness_probe(2.0, 0.7).matrix.tobytes() == sharpness_probe(2, 0.7).matrix.tobytes()
 
 
 def test_lemma_sweep_report():
