@@ -21,11 +21,14 @@ then K), so that its workers finish together. Results are reduced in trial
 order. Harness trials validate at the public entry points and trust their
 own draws: the config refuses what a draw would (an unknown sign pattern, a
 fixed floor whose magnitude range overflows) before any trial runs, and a
-trial forms y = A x + v itself and is handed its floor. Each trial's
-record keeps its delta and floor, so only a theorem1 failure, replayed for
-its record, becomes a ProblemInstance, and the replay reads both off the
-record: it computes no RIC, and its delta is the one that decided its
-verdict.
+trial forms y = A x + v itself and is handed its floor. Signals and RICs
+stay arrays: a trial holds its signal as (support, values), the draw of
+``random_sparse_signal``, and reads its delta from the RIC search's arrays
+(``_ric_search``), so no trial builds a SparseSignal or a RicReport. Each
+trial's record keeps its delta and floor, so only a theorem1 failure,
+replayed for its record, becomes a SparseSignal and a ProblemInstance, and
+the replay reads both off the record: it computes no RIC, and its delta is
+the one that decided its verdict.
 ``FailureInstance`` is the one counterexample verdict: apart from the exact
 tie at t = 1/sqrt(K+1), ``sharpness_probe`` returns None exactly when it
 refuses.
@@ -61,10 +64,10 @@ from .omp import (
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
     _check_budget,
-    _gram_rics,
     _grams,
     _lemma1_sides,
     _magnitude_floor,
+    _ric_search,
     _witness_deltas,
     exact_ric,
     sharp_ric_bound,
@@ -76,12 +79,11 @@ from .sensing import (
     SparseSignal,
     _gaussian_draw,
     _keyed,
-    gaussian_sensing_matrix,
+    _signal_draw,
     generate_measurement,
     lemma1_example_instance,
     load_problem_instance,
     noise_vector,
-    random_sparse_signal,
     save_problem_instance,
     splitmix64,
 )
@@ -120,7 +122,9 @@ class ExperimentConfig:
       RIC-0 value ``2 eps`` stands in, and a floor of exactly 0 (noiseless
       cells) is replaced by a unit floor, since the guarantee then imposes
       no constraint.
-    * ``fixed``: always ``min_mag_fixed``.
+    * ``fixed``: always ``min_mag_fixed``, which must be a normal float: at
+      a subnormal floor y = A x rounds to multiples of 5e-324 and loses the
+      signal. ``theorem_bound`` ignores the field.
 
     A floor whose magnitude range (times ``dynamic_range``) overflows is
     refused here, before any trial runs: ``min_mag_fixed``, or under
@@ -169,6 +173,8 @@ class ExperimentConfig:
             raise ValueError("margin_factor must exceed 1 for theorem_bound policy")
         if not (0 < self.min_mag_fixed < math.inf):
             raise ValueError("min_mag_fixed must be positive and finite")
+        if self.min_mag_policy == "fixed" and self.min_mag_fixed < np.finfo(float).tiny:
+            raise ValueError(f"min_mag_fixed must be a normal float, got {self.min_mag_fixed!r}")
         if not (1 <= self.dynamic_range < math.inf):
             raise ValueError("dynamic_range must be finite and at least 1")
         if self.min_mag_policy == "fixed" and math.isinf(self.min_mag_fixed * self.dynamic_range):
@@ -382,27 +388,27 @@ def _stop_rule(task):
 
 
 def _build_trial(task, A, floor):
-    """The trial's signal, sphere noise v and measurement y = A x + v. The
-    signal's magnitude floor is min_mag_fixed, or margin_factor times
+    """The trial's signal x as (support, values), the draw of
+    ``random_sparse_signal``, sphere noise v and measurement y = A x + v.
+    The signal's magnitude floor is min_mag_fixed, or margin_factor times
     ``floor``, the guarantee's (_magnitude_floor), where +inf (no RIC
     checked, or the RIC condition fails) stands for no guarantee and its
-    RIC-0 value 2 eps is used; and 1 where that is 0."""
+    RIC-0 value 2 eps is used; and 1 where that is 0. The config has checked
+    every argument of the draw but this floor's magnitude range."""
     config = task.config
     if config.min_mag_policy == "fixed":
         floor = config.min_mag_fixed
     else:
         floor = 2.0 * task.epsilon if floor == math.inf else floor
         floor = floor * config.margin_factor if floor > 0.0 else 1.0
-    signal = random_sparse_signal(
-        task.n,
-        task.k,
-        floor,
-        config.dynamic_range,
-        _derived_seed(task.trial_seed, _SIGNAL_TAG),
-        sign_pattern=config.sign_pattern,
-    )
+    if math.isinf(floor * config.dynamic_range):
+        raise ValueError("min_mag and min_mag * dynamic_range must be finite")
+    support, values = _signal_draw(task.n, task.k, floor, config.dynamic_range,
+                                   _derived_seed(task.trial_seed, _SIGNAL_TAG), config.sign_pattern)
+    x = np.zeros(task.n)
+    x[support] = values
     v = noise_vector(A.shape[0], task.epsilon, _derived_seed(task.trial_seed, _NOISE_TAG))
-    return signal, v, A @ signal.to_dense() + v
+    return support, values, v, A @ x + v
 
 
 def _draw_stack(tasks):
@@ -457,7 +463,7 @@ def _certify(G, k, epsilons):
     cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
     for s in range(0, len(kernel), cap):
         rows = kernel[s : s + cap]
-        deltas[rows] = [report.delta for report in _gram_rics(G[rows], k + 1)]
+        deltas[rows] = _ric_search(G[rows], k + 1)[0]
     deltas = deltas.tolist()
     return deltas, [_magnitude_floor(d, k, eps) for d, eps in zip(deltas, epsilons)]
 
@@ -470,12 +476,12 @@ def _solve(AT, trials):
     exactly K iterations), and the conditions held if the signal's
     magnitudes clear the floor."""
     built = [_build_trial(task, A.T, floor) for (task, _, floor), A in zip(trials, AT)]
-    runs = _omp_stack(AT, np.array([y for _, _, y in built]), _stop_rule(trials[0][0]))
-    return [_TrialOutcome(signal.min_magnitude() > floor, True,
-                          bool(np.array_equal(np.sort(run.picks), signal.support)),
+    runs = _omp_stack(AT, np.array([y for *_, y in built]), _stop_rule(trials[0][0]))
+    return [_TrialOutcome(float(np.abs(values).min()) > floor, True,
+                          bool(np.array_equal(np.sort(run.picks), support)),
                           run.picks.size, run.stopped_by == STOPPED_RANK_FAILURE,
                           delta if floor < math.inf else None, floor)
-            for (_, delta, floor), (signal, _, _), run in zip(trials, built, runs)]
+            for (_, delta, floor), (support, values, _, _), run in zip(trials, built, runs)]
 
 
 def _run_unit(tasks):
@@ -655,9 +661,9 @@ def theorem1_validation(config):
             if outcome.held and not outcome.success:
                 m, n, k, eps = cell
                 A = _draw_stack(tasks[j : j + 1])[0].T
-                signal, v, y = _build_trial(tasks[j], A, outcome.floor)
-                result = omp_run(A, y, _stop_rule(tasks[j]), true_support=signal.support)
-                instance = ProblemInstance(A, signal, v, y)
+                support, values, v, y = _build_trial(tasks[j], A, outcome.floor)
+                result = omp_run(A, y, _stop_rule(tasks[j]), true_support=support)
+                instance = ProblemInstance(A, SparseSignal(n, support, values), v, y)
                 directory = os.path.join(
                     config.failure_dir,
                     f"cell_m{m}_n{n}_K{k}_eps{eps}_trial{j}",
@@ -858,8 +864,9 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
     below 1 (else it claims nothing; the instance counts as skipped).
 
     Each instance draws from its own seeds, but the instances of one
-    ``_SWEEP_SHAPES`` row are checked together (``_sweep_checks``), each
-    value bit for bit as if checked alone, in chunks of at most
+    ``_SWEEP_SHAPES`` row are drawn (``_sweep_draws``, a Gaussian row's
+    matrices in one stacked draw) and checked (``_sweep_checks``) together,
+    each value bit for bit as if checked alone, in chunks of at most
     ``_UNIT_ENTRIES // C(n, K + 1)`` of them (one at least), so memory stays
     bounded. Results are reduced in instance order: the first instance that
     violates an inequality is serialized and raises GuaranteeViolation, and
@@ -922,28 +929,52 @@ def lemma_sweep(seed, instances, failure_dir="lemma-sweep-failures"):
 
 
 def _sweep_instance(seed, i):
-    """Instance i of a lemma sweep: its matrix A, signal, ambient vector w,
-    projected-energy split (S1, rest) and coefficients u. S1 alternates
-    inside and outside the support; w, then u, come from one generator."""
-    trial_seed = (int(seed) ^ splitmix64(i)) & MASK64
-    kind, m, n, K = _SWEEP_SHAPES[i % len(_SWEEP_SHAPES)]
-    if kind == "lemma1_family":
-        A, signal, _ = lemma1_example_instance(LEMMA1_DELTAS[i % len(LEMMA1_DELTAS)])
-    else:
-        if kind == "identity":
-            A = np.eye(n, order="F")
+    """Instance i of a lemma sweep, the chunk-of-one view of _sweep_draws:
+    its matrix A, signal, ambient vector w, projected-energy split (S1,
+    rest) and coefficients u."""
+    AT, support, values, w, s1, rest, u = _sweep_draws(seed, [i])
+    return AT[0].T, SparseSignal(AT.shape[1], support[0], values[0]), w[0], s1[0], rest[0], u[0]
+
+
+def _sweep_draws(seed, chunk):
+    """The draws of ``chunk``, indices of one _SWEEP_SHAPES row: its matrices
+    as one (T, n, m) stack AT, row j of AT[t] column j of instance t's A (a
+    Gaussian chunk is one _gaussian_draw call, each matrix in the Fortran
+    order it is drawn in); its signals' supports and values, (T, K) arrays,
+    the draws of ``random_sparse_signal``; its ambient vectors w, (T, m);
+    and per instance its projected-energy split, S1 and rest, and
+    coefficients u. S1 alternates inside and outside the support; w, then u,
+    come from one generator."""
+    seeds = [(int(seed) ^ splitmix64(i)) & MASK64 for i in chunk]
+    kind, m, n, K = _SWEEP_SHAPES[chunk[0] % len(_SWEEP_SHAPES)]
+    T = len(chunk)
+    AT, w = np.empty((T, n, m)), np.empty((T, m))
+    support, values = np.empty((T, K), dtype=np.intp), np.empty((T, K))
+    if kind == "gaussian":
+        _gaussian_draw(AT, np.empty((T, m, n)),
+                       [_derived_seed(s, _MATRIX_TAG) for s in seeds], True)
+    elif kind == "identity":
+        AT[:] = np.eye(n)
+    else:  # each worked example built once
+        examples = [lemma1_example_instance(delta)[:2] for delta in LEMMA1_DELTAS]
+    s1, rest, u = [], [], []
+    for t, (i, trial_seed) in enumerate(zip(chunk, seeds)):
+        if kind == "lemma1_family":
+            A, signal = examples[i % len(LEMMA1_DELTAS)]
+            AT[t], support[t], values[t] = A.T, signal.support, signal.values
         else:
-            A = gaussian_sensing_matrix(m, n, _derived_seed(trial_seed, _MATRIX_TAG))
-        signal = random_sparse_signal(n, K, 1.0, 10.0, _derived_seed(trial_seed, _SIGNAL_TAG))
-    if i % 2 == 0 and K >= 2:
-        s1, rest = signal.support[: K // 2], signal.support[K // 2 :]
-    else:
-        off = np.ones(n, dtype=bool)
-        off[signal.support] = False
-        s1, rest = off.nonzero()[0][:1], signal.support
-    rng = _keyed(_derived_seed(trial_seed, 0x77))
-    w = rng.standard_normal(m)
-    return A, signal, w, s1, rest, rng.standard_normal(rest.size)
+            support[t], values[t] = _signal_draw(n, K, 1.0, 10.0,
+                                                 _derived_seed(trial_seed, _SIGNAL_TAG), "random")
+        if i % 2 == 0 and K >= 2:
+            s1.append(support[t, : K // 2])
+            rest.append(support[t, K // 2 :])
+        else:  # the first column off the support
+            s1.append(np.flatnonzero(np.bincount(support[t], minlength=n) == 0)[:1])
+            rest.append(support[t])
+        rng = _keyed(_derived_seed(trial_seed, 0x77))
+        w[t] = rng.standard_normal(m)
+        u.append(rng.standard_normal(rest[t].size))
+    return AT, support, values, w, s1, rest, u
 
 
 def _sweep_results(seed, chunk, subsets):
@@ -963,22 +994,20 @@ def _sweep_checks(seed, chunk, subsets):
     monotonicity margins, correlation-energy and projected-energy margins,
     and the selection inequality's margins and verdicts per row of
     ``subsets[K]``, both None where delta_{K+1} >= 1. Each check is one
-    batched call on the matrices stacked in the Fortran order they are drawn
-    in, so that each value is bit for bit its own."""
-    A, signals, w, s1, rest, u = zip(*(_sweep_instance(seed, i) for i in chunk))
-    K, t = signals[0].sparsity, np.arange(len(chunk))[:, None]
-    AT = np.stack([a.T for a in A])  # row j of AT[t] is column j of A[t]
+    batched call on the chunk's stack of draws (_sweep_draws), each matrix in
+    the Fortran order it is drawn in, so that each value is bit for bit its
+    own."""
+    AT, support, values, w, s1, rest, u = _sweep_draws(seed, chunk)
+    K, t = support.shape[1], np.arange(len(chunk))[:, None]
     A = AT.swapaxes(1, 2)  # the draws, each in Fortran order, held once
 
     def dots(v):  # v[t] @ v[t] for each t, one BLAS dot each
         return (v[:, None, :] @ v[:, :, None]).ravel()
 
     G = _grams(A)
-    deltas = np.array([[r.delta for r in _gram_rics(G, order)] for order in range(1, K + 2)]).T
-    support = np.array([x.support for x in signals])
+    deltas = np.array([_ric_search(G, order)[0] for order in range(1, K + 2)]).T
 
     # correlation energy against a random ambient vector; as np.linalg.norm ** 2
-    w = np.array(w)
     norms = np.sqrt(dots((AT[t, support] @ w[:, :, None])[..., 0]))
     margin3 = (1.0 + deltas[:, K - 1]) * dots(w) - [v**2 for v in norms]
 
@@ -998,8 +1027,7 @@ def _sweep_checks(seed, chunk, subsets):
     # selection inequality, one row per proper subset of the support
     held = deltas[:, K] < 1.0
     rows = slice(None) if held.all() else held  # a view, not a copy, if it can
-    lhs, rhs, holds = _lemma1_sides(A[rows], support[rows],
-                                    np.array([x.values for x in signals])[rows],
+    lhs, rhs, holds = _lemma1_sides(A[rows], support[rows], values[rows],
                                     deltas[rows, K], subsets[K])
     lemma1 = iter(zip((lhs - rhs).tolist(), holds.tolist()))
     return [(lemma2, m3, min(lo, hi), *(next(lemma1) if h else (None, None)))

@@ -405,9 +405,24 @@ def _grams(A):
 
 def _gram_rics(G, K):
     """The RicReport of exact_ric at order K for each Gram of the stack G
-    (T, n, n), from finite Grams, 1 <= K <= n: enumerations of at most
-    ``_UNBOUNDED`` subsets eigensolved whole, streamed ones one Gram at a
-    time, and the others bounded together (``_bounded_ric``)."""
+    (T, n, n), from finite Grams, 1 <= K <= n: _ric_search's delta, witness
+    and count, and the witness's eigenvalue extremes, read in one more round
+    where the search kept none."""
+    deltas, witnesses, solved, extremes = _ric_search(G, K)
+    lo, hi = extremes or _eigvals(G, np.arange(len(G)), witnesses)
+    count = math.comb(G.shape[-1], K)
+    return [RicReport(int(K), float(d), s, float(a), float(b), count, int(c))
+            for d, s, a, b, c in zip(deltas, witnesses, lo, hi, solved)]
+
+
+def _ric_search(G, K):
+    """The exact order-K RIC search of exact_ric on each Gram of the stack G
+    (T, n, n), from finite Grams, 1 <= K <= n, as arrays: the deltas (T,),
+    witness subsets (T, K) and subsets eigensolved (T,), and the witnesses'
+    eigenvalue extremes (lo, hi) where the search read them, else None.
+    Enumerations of at most ``_UNBOUNDED`` subsets are eigensolved whole
+    (which keeps the extremes), streamed ones one Gram at a time, and the
+    others bounded together (``_bounded_search``)."""
     count = math.comb(G.shape[-1], K)
     if count <= _UNBOUNDED:  # one Gram or < 64 * 63**2 entries per matrix
         table = _cached_table(G.shape[-1], K)[0]
@@ -417,21 +432,22 @@ def _gram_rics(G, K):
         w = w[0] if len(w) == 1 else np.concatenate(w)
         deltas = np.maximum(w[..., -1] - 1.0, 1.0 - w[..., 0])
         rows = deltas.argmax(axis=1)  # the smallest row of the largest delta
-        return [RicReport(int(K), float(deltas[t, i]), table[i].copy(), float(w[t, i, 0]),
-                          float(w[t, i, -1]), count, count) for t, i in enumerate(rows)]
+        top = w[np.arange(len(G)), rows]  # each witness's eigenvalues
+        return deltas.max(axis=1), table[rows], np.full(len(G), count), (top[:, 0], top[:, -1])
     if count * K > _ENTRY_LIMIT:
-        return [_bounded_ric(g[None], K, count)[0] for g in G]
-    return _bounded_ric(G, K, count)
+        found = [_bounded_search(g[None], K, count) for g in G]
+        return *map(np.concatenate, zip(*found)), None
+    return *_bounded_search(G, K, count), None
 
 
-def _bounded_ric(G, K, count):
-    """RicReports of the stack G from its ``_bounded_blocks`` (see exact_ric):
-    one block for a stack, or the blocks of one streamed Gram. Each block
-    takes at most two rounds, all Grams in one batch: the ``_LEAD`` largest
-    bounds of each Gram (in block 0, or in a later block of a streamed Gram
-    with more rows left), then every row that can still reach its Gram's
-    incumbent. So every Gram eigensolves the subsets it would alone. Each
-    report's eigenvalue extremes are read once, from its witness subset."""
+def _bounded_search(G, K, count):
+    """The deltas, witness subsets and subsets eigensolved of the stack G
+    from its ``_bounded_blocks`` (see exact_ric): one block for a stack, or
+    the blocks of one streamed Gram. Each block takes at most two rounds,
+    all Grams in one batch: the ``_LEAD`` largest bounds of each Gram (in
+    block 0, or in a later block of a streamed Gram with more rows left),
+    then every row that can still reach its Gram's incumbent. So every Gram
+    eigensolves the subsets it would alone."""
     T = len(G)
     guard = _GUARD_C * K * _U
     best = np.full(T, -np.inf)
@@ -469,9 +485,7 @@ def _bounded_ric(G, K, count):
         for t in (deltas.max(axis=1) > best).nonzero()[0]:
             best[t] = deltas[t, top[t]]
             best_subset[t] = np.concatenate((prefix, tails[top[t]]))
-    lo, hi = _eigvals(G, np.arange(T), np.array(best_subset))
-    return [RicReport(int(K), float(best[t]), best_subset[t], float(lo[t]), float(hi[t]),
-                      count, int(solved[t])) for t in range(T)]
+    return best, np.array(best_subset), solved
 
 
 def sharp_ric_bound(K):

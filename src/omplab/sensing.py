@@ -254,7 +254,7 @@ def random_sparse_signal(n, K, min_mag, dynamic_range, seed, sign_pattern="rando
     Support is a uniform K-subset of [0, n) (Fisher-Yates permutation prefix).
     Magnitudes are uniform on [min_mag, min_mag * dynamic_range], so
     ``min_magnitude() >= min_mag`` is guaranteed. Draw order: support,
-    magnitudes, signs.
+    magnitudes, signs. The draw is ``_signal_draw``'s.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -268,14 +268,20 @@ def random_sparse_signal(n, K, min_mag, dynamic_range, seed, sign_pattern="rando
         raise ValueError("min_mag and min_mag * dynamic_range must be finite")
     if sign_pattern not in SIGN_PATTERNS:
         raise ValueError(f"sign_pattern must be one of {SIGN_PATTERNS}")
+    support, values = _signal_draw(n, K, min_mag, dynamic_range, seed, sign_pattern)
+    return SparseSignal(dimension=n, support=support, values=values)
+
+
+def _signal_draw(n, K, min_mag, dynamic_range, seed, sign_pattern):
+    """The support (sorted) and values of ``random_sparse_signal``,
+    from the same Philox calls in the same order; trusted: its callers check
+    the arguments first."""
     rng = _keyed(seed)
     support = np.sort(rng.permutation(n)[:K])
-    magnitudes = rng.uniform(min_mag, min_mag * dynamic_range, size=K)
+    values = rng.uniform(min_mag, min_mag * dynamic_range, size=K)  # the magnitudes
     if sign_pattern == "random":
-        signs = rng.integers(0, 2, size=K) * 2.0 - 1.0
-    else:
-        signs = np.ones(K)
-    return SparseSignal(dimension=n, support=support, values=magnitudes * signs)
+        values *= rng.integers(0, 2, size=K) * 2.0 - 1.0
+    return support, values
 
 
 # ---------------------------------------------------------------------------

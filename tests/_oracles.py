@@ -339,12 +339,12 @@ def run_unit_one_at_a_time(tasks):
                 held=False, attempted=False, success=False, iterations=0,
                 rank_failure=False, delta=None, floor=math.inf))
             continue
-        signal, _, y = experiments._build_trial(task, A, floor)
-        result = omp_run(A, y, experiments._stop_rule(task), true_support=signal.support)
+        support, values, _, y = experiments._build_trial(task, A, floor)
+        result = omp_run(A, y, experiments._stop_rule(task), true_support=support)
         outcomes.append(experiments._TrialOutcome(
-            held=float(np.abs(signal.values).min()) > floor,
+            held=float(np.abs(values).min()) > floor,
             attempted=True,
-            success=result.recovered_support.tolist() == signal.support.tolist(),
+            success=result.recovered_support.tolist() == support.tolist(),
             iterations=result.iterations,
             rank_failure=result.stopped_by == "rank_failure",
             delta=delta,

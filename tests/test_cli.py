@@ -291,6 +291,25 @@ def test_cli_overflowing_theorem_bound_floor_exit_code(workspace, capsys, monkey
     assert ran == []
 
 
+def test_cli_refuses_a_subnormal_fixed_floor(workspace, capsys, monkeypatch):
+    # a subnormal min_mag_fixed rounds y = A x to multiples of 5e-324, which
+    # reported a false guarantee violation (exit 4, a failure record); it is
+    # refused before any trial runs, and the least normal float runs clean
+    monkeypatch.chdir(workspace["dir"])
+    cfg, out = workspace["dir"] / "tiny.cfg", workspace["dir"] / "out.csv"
+    units, run_unit = [], experiments._run_unit
+    monkeypatch.setattr(experiments, "_run_unit", lambda ts: units.append(ts) or run_unit(ts))
+    grid = "m = 12\nn = 14\nk = 1\nepsilon = 0\ntrials = 20\nmin_mag_policy = fixed\n"
+    cfg.write_text(grid + "min_mag_fixed = 5e-324\n")
+    assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "min_mag_fixed must be a normal float, got 5e-324" in capsys.readouterr().err
+    assert units == [] and not out.exists()
+    cfg.write_text(grid + f"min_mag_fixed = {float(np.finfo(float).tiny)!r}\n")
+    assert main(["validate-theorem1", "--config", str(cfg), "--out", str(out)]) == 0
+    assert units and out.exists()
+    assert not (workspace["dir"] / "theorem1-failures").exists()
+
+
 def test_cli_bad_sign_pattern_exit_code(workspace, capsys, monkeypatch):
     # refused by the config, before any trial could skip on its RIC
     ran = []

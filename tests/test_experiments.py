@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omplab import experiments, ripcheck
+from omplab import experiments, ripcheck, sensing
 from omplab import (
     DEFAULT_SUBSET_BUDGET,
     CapacityError,
@@ -141,6 +141,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"min_mag_fixed \* dynamic_range must be finite"):
         _small_config(min_mag_policy="fixed", min_mag_fixed=1e308)
     _small_config(min_mag_fixed=1e308)  # unused under the theorem_bound policy
+    _small_config(min_mag_fixed=5e-324)  # so is a subnormal one
     # the theorem_bound floor is at least margin_factor * 2 eps
     message = r"margin_factor \* 2 \* epsilon \* dynamic_range must be finite"
     for overrides in (dict(epsilon_values=(0.0, 1e307)),
@@ -394,15 +395,15 @@ def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
          "7dabc200b9c341b38bb7fd4ba3ae4347023536bb6446c6aad6196b84b3c612ae"),
     ]
     units, stacks = [], []  # what _run_unit and the kernel get at _UNIT_ENTRIES = 1
-    run_unit, gram_rics = experiments._run_unit, experiments._gram_rics
+    run_unit, ric_search = experiments._run_unit, experiments._ric_search
     for cfg, *digests in golden:
         for run, digest in zip((theorem1_validation, phase_table), digests):
             texts = [rows_csv_text(run(replace(cfg, parallelism=p))) for p in (1, 2, 3)]
             with monkeypatch.context() as mp:
                 mp.setattr(experiments, "_UNIT_ENTRIES", 1)
                 mp.setattr(experiments, "_run_unit", lambda ts: units.append(ts) or run_unit(ts))
-                mp.setattr(experiments, "_gram_rics",
-                           lambda G, K: stacks.append(len(G)) or gram_rics(G, K))
+                mp.setattr(experiments, "_ric_search",
+                           lambda G, K: stacks.append(len(G)) or ric_search(G, K))
                 texts.append(rows_csv_text(run(cfg)))
             # and with no witness settling a verdict: every Gram to the kernel
             for entries in (experiments._UNIT_ENTRIES, 1):
@@ -449,6 +450,38 @@ def test_certify_is_exact_below_the_bound_and_the_same_alone(monkeypatch):
     assert experiments._certify(G, 1, epsilons)[0] == exact
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a public-API object the harness discards")
+
+
+def test_certify_builds_no_ric_report(monkeypatch):
+    # the certify stage reads its kernel deltas as arrays: with every Gram
+    # sent to the kernel it builds no RicReport, and its deltas are still
+    # exact_ric's on each matrix alone
+    cfg = _small_config()
+    tasks = [experiments._TrialTask(cfg, "theorem1", 12, 14, 1, 0.0, seed, True)
+             for seed in range(12)]
+    AT = experiments._draw_stack(tasks)
+    G = ripcheck._grams(AT.swapaxes(1, 2))
+    exact = [exact_ric(A.T, 2).delta for A in AT]
+    monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
+    monkeypatch.setattr(ripcheck, "RicReport", _refuse)
+    assert experiments._certify(G, 1, [0.0] * len(G))[0] == exact
+
+
+def test_build_trial_refuses_a_floor_whose_range_overflows():
+    # the one draw check a trial's floor needs: the config bounds margin *
+    # 2 eps * dynamic_range, but a delta just below the bound makes the
+    # guarantee's floor as large as it likes
+    cfg = _small_config(epsilon_values=(1e150,), dynamic_range=1e150)
+    task = experiments._TrialTask(cfg, "theorem1", 12, 14, 1, 1e150, 5, True)
+    A = experiments._draw_stack([task])[0].T
+    with pytest.raises(ValueError, match=r"min_mag \* dynamic_range must be finite"):
+        experiments._build_trial(task, A, 1e300)
+    support, values, _, _ = experiments._build_trial(task, A, 1e150)
+    assert support.shape == values.shape == (1,) and np.abs(values).min() > 1e150
+
+
 def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
     # the theorem1 bench grid (family 3): 6 groups of 18 trials per (n, K + 1),
     # each one unit, where kernel-sized units made 28 (the 18 C(24, 4) trials
@@ -458,11 +491,11 @@ def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
                         epsilon_values=(0.0, 0.01, 0.05), trials=2, master_seed=3)
     grams, witness, kernel = [], [], []
     real_grams, real_witness, real_kernel = (
-        experiments._grams, experiments._witness_deltas, experiments._gram_rics)
+        experiments._grams, experiments._witness_deltas, experiments._ric_search)
     monkeypatch.setattr(experiments, "_grams", lambda Ms: grams.append(len(Ms)) or real_grams(Ms))
     monkeypatch.setattr(experiments, "_witness_deltas",
                         lambda G, K: witness.append((G.shape[-1], K)) or real_witness(G, K))
-    monkeypatch.setattr(experiments, "_gram_rics",
+    monkeypatch.setattr(experiments, "_ric_search",
                         lambda G, K: kernel.append((G.shape[-1], K, len(G))) or real_kernel(G, K))
     theorem1_validation(cfg)
     groups = [(n, k + 1) for n in cfg.n_values for k in cfg.k_values]
@@ -514,15 +547,15 @@ def test_kernel_receives_only_grams_the_witness_leaves_open(monkeypatch):
     # the others, in stacks of 2**14 // 10,626 = 1 Gram, and still finds some
     # of them above the bound
     received = []
-    real = experiments._gram_rics
-    monkeypatch.setattr(experiments, "_gram_rics", lambda G, K: received.append(G) or real(G, K))
+    real = experiments._ric_search
+    monkeypatch.setattr(experiments, "_ric_search", lambda G, K: received.append(G) or real(G, K))
     cfg = _small_config(m_values=(16, 120), n_values=(24,), k_values=(3,),
                         epsilon_values=(0.05,), trials=8)
     theorem1_validation(cfg)
     G = np.concatenate(received)
     bound = sharp_ric_bound(3)
     assert (ripcheck._witness_deltas(G, 4) < bound).all()
-    deltas = [report.delta for report in real(G, 4)]
+    deltas = [report.delta for report in ripcheck._gram_rics(G, 4)]
     assert min(deltas) < bound <= max(deltas)
     assert len(G) < cfg.trials * len(cfg.cells())
     assert {len(stack) for stack in received} == {1}
@@ -632,7 +665,7 @@ def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
     # omp_run
     events, drawn = [], []
     real_slot, real_stack = experiments._gaussian_draw, experiments._omp_stack
-    real_draw, real_omp = experiments.gaussian_sensing_matrix, experiments.omp_run
+    real_draw, real_omp = sensing.gaussian_sensing_matrix, experiments.omp_run
 
     def slot_draw(out, scratch, seeds, normalize):
         events.extend(["draw"] * len(seeds))
@@ -655,7 +688,8 @@ def test_trials_without_ric_draw_and_solve_in_bounded_stacks(monkeypatch):
     csv = rows_csv_text(phase_table(cfg))
     monkeypatch.setattr(experiments, "_gaussian_draw", slot_draw)
     monkeypatch.setattr(experiments, "_omp_stack", solve_stack)
-    monkeypatch.setattr(experiments, "gaussian_sensing_matrix", draw)
+    assert not hasattr(experiments, "gaussian_sensing_matrix")  # reached only through sensing
+    monkeypatch.setattr(sensing, "gaussian_sensing_matrix", draw)
     monkeypatch.setattr(experiments, "omp_run", solve)
     stack_entries = experiments._STACK_ENTRIES
     # at 1,000 entries the cap binds for m * n = 384 (2 trials) and the
@@ -1104,6 +1138,36 @@ def test_sweep_checks_match_one_instance_at_a_time():
                 [c.holds for c in checks],
             )
             assert repr(got) == repr(want), i
+
+
+def test_gaussian_sweep_chunk_is_one_draw_of_arrays(monkeypatch):
+    # each Gaussian lemma_sweep chunk is drawn by one _gaussian_draw call
+    # into its stack, and its signals and RICs stay arrays: no SparseSignal
+    # and no RicReport is built, and every result is as it was
+    seed, count = 5, 60
+    shapes = experiments._SWEEP_SHAPES
+    subsets = {K: np.array([[j in S for j in range(K)] for size in range(K)
+                            for S in itertools.combinations(range(K), size)])
+               for K in (1, 2, 3)}
+    chunks = [range(s, count, len(shapes)) for s, shape in enumerate(shapes)
+              if shape[0] == "gaussian"]
+    expected = [repr(experiments._sweep_checks(seed, chunk, subsets)) for chunk in chunks]
+    draws, real = [], sensing._gaussian_draw
+
+    def draw(out, scratch, seeds, normalize):
+        draws.append(len(seeds))
+        return real(out, scratch, seeds, normalize)
+
+    for module, name, value in ((experiments, "_gaussian_draw", draw),
+                                (sensing, "_gaussian_draw", draw),
+                                (experiments, "SparseSignal", _refuse),
+                                (sensing, "SparseSignal", _refuse),
+                                (ripcheck, "RicReport", _refuse)):
+        monkeypatch.setattr(module, name, value)
+    for chunk, want in zip(chunks, expected):
+        draws.clear()
+        assert repr(experiments._sweep_checks(seed, chunk, subsets)) == want
+        assert draws == [len(chunk)]
 
 
 def _fail_instances(monkeypatch, seed, failing):

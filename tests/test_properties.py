@@ -4,8 +4,9 @@ for exact_ric and its batched form against the unpruned reference on
 tie-heavy matrices, for the harness's witness deltas against the kernel's
 RICs, for verify_lemma1 and the batched
 selection-inequality kernel behind it against an explicit oracle, and for
-that kernel on stacks of instances against each instance alone, and for
-the re-keyed generator of internal draws against a freshly built one.
+that kernel on stacks of instances against each instance alone, for
+the re-keyed generator of internal draws against a freshly built one, and
+for the harnesses' array signal draw against random_sparse_signal.
 
 Hypothesis runs derandomized and without an example database, so the suite
 stays deterministic. It still caches the constants it reads from source
@@ -579,6 +580,24 @@ _DRAWS = st.one_of(
     st.tuples(st.just("uniform"), st.integers(0, 7)),
     st.tuples(st.just("integers"), st.integers(0, 7)),
 )
+
+
+@_SETTINGS
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 3.0, 1e150]),
+       st.sampled_from([1.0, 1.5, 10.0, 1e100]), st.sampled_from(sensing.SIGN_PATTERNS),
+       st.integers(0, 2**64 - 1))
+def test_array_signal_draw_is_random_sparse_signals(shape, floor, dynamic_range, pattern, seed):
+    # the harnesses' array draw makes random_sparse_signal's Philox calls in
+    # its order: the same support and values, bit for bit, and the same
+    # generator state after
+    n, K = shape
+    x = sensing.random_sparse_signal(n, K, floor, dynamic_range, seed, pattern)
+    state = sensing._THREAD.rng.bit_generator.state  # the keyed generator's, after
+    support, values = sensing._signal_draw(n, K, floor, dynamic_range, seed, pattern)
+    assert same_state(sensing._THREAD.rng.bit_generator.state, state)
+    assert support.dtype == x.support.dtype and support.tobytes() == x.support.tobytes()
+    assert values.dtype == x.values.dtype and values.tobytes() == x.values.tobytes()
 
 
 def _draw(rng, op):

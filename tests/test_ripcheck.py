@@ -265,7 +265,7 @@ def test_streamed_filter_keeps_every_row_the_reach_test_keeps(monkeypatch, norma
             mp.setattr(ripcheck, "_ENTRY_LIMIT", limit)
             whole = _later_rows(G, K, -np.inf)
             bounds = np.array(list(whole.values()))
-            reach = bounds + 1.0  # as _bounded_ric computes it
+            reach = bounds + 1.0  # as _bounded_search computes it
             reach *= guard
             reach += bounds
             reaches = dict(zip(whole, reach))
@@ -433,6 +433,31 @@ def test_batched_rounds_cut_per_gram(monkeypatch):
             assert (b.delta, b.lambda_min, b.lambda_max) == (s.delta, s.lambda_min, s.lambda_max)
             assert np.array_equal(b.witness_subset, s.witness_subset)
             assert b.subsets_eigensolved == s.subsets_eigensolved
+
+
+@pytest.mark.parametrize("m, n, K", [(10, 8, 2), (12, 18, 2), (16, 14, 3), (20, 40, 5)])
+def test_ric_search_arrays_match_the_reports(m, n, K):
+    # the array search the harnesses read, on whole (at most 64 subsets),
+    # cached and streamed enumerations: its deltas, witnesses and counts are
+    # _gram_rics' reports field for field, and exact_ric's on each matrix
+    # alone; it hands on eigenvalue extremes only where the whole
+    # enumeration computed them
+    matrices = [sensing.gaussian_sensing_matrix(m, n, seed) for seed in range(3)]
+    G = ripcheck._grams(np.stack([A.T for A in matrices]).swapaxes(1, 2))
+    count = math.comb(n, K)
+    deltas, witnesses, solved, extremes = ripcheck._ric_search(G, K)
+    assert deltas.shape == solved.shape == (3,) and witnesses.shape == (3, K)
+    assert (extremes is None) == (count > ripcheck._UNBOUNDED)
+    streamed = count * K > ripcheck._ENTRY_LIMIT
+    assert streamed == ((m, n, K) == (20, 40, 5))
+    for t, A in enumerate(matrices):
+        for report in (ripcheck._gram_rics(G, K)[t], exact_ric(A, K)):
+            assert (report.order, report.subsets_examined) == (K, count)
+            assert report.delta == deltas[t]
+            assert np.array_equal(report.witness_subset, witnesses[t])
+            assert report.subsets_eigensolved == solved[t]
+            if extremes:
+                assert (report.lambda_min, report.lambda_max) == (extremes[0][t], extremes[1][t])
 
 
 def test_bounded_block_takes_its_lead_then_one_round(monkeypatch):
