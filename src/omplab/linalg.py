@@ -160,7 +160,7 @@ def parse_matrix(text):
     for i, vals in enumerate(data):
         if len(vals) != cols:
             raise ValueError(f"row {i} has {len(vals)} entries, expected {cols}")
-    return as_matrix([[float(v) for v in vals] for vals in data])
+    return as_matrix(np.array(data, dtype=float))  # each token through Python's float
 
 
 def write_matrix(path, A):

@@ -116,7 +116,9 @@ class Lemma1Check(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _cached_table(n, k):
-    """_subset_table(n, k), read-only."""
+    """_subset_table(n, k), read-only. At most 64 tables are held, each
+    within ``_ENTRY_LIMIT`` entries plus its tail index: whole enumerations'
+    tables and streamed ones' lower tables alike (see _bounded_blocks)."""
     table, tails = _subset_table(n, k)
     for array in (table, *tails):
         array.flags.writeable = False
@@ -185,19 +187,20 @@ def _table_squares(P, table, tails):
 
 
 def _bounded_blocks(G, K, count, best):
-    """Yield (prefix, tails, bounds): the K-subsets (*prefix, *tail) of
-    range(n) in lexicographic order and their bounds b_S (see exact_ric),
-    one row of bounds per Gram of the stack G. Within ``_ENTRY_LIMIT``, one
-    block, the cached table and its tail index; beyond it, for a stack of
-    one Gram, one per prefix of the shortest length L whose tails, the
-    (K - L)-subsets of range(L, n), fit: one table built uncached, so memory
-    stays bounded whatever K is. A streamed block is built once its
-    predecessors are consumed, and keeps only the tails whose bounds can
-    reach the incumbent ``best[0]`` as it then stands (see exact_ric): a
-    block none of whose tails can is not yielded. A prefix's sums past the
-    float maximum are +inf bounds, unreported, in an np.errstate that closes
-    before each ``yield``: a waiting generator would carry it into its
-    consumer."""
+    """Yield (prefix, tails, bounds): the K-subsets (*prefix, *(tail + L))
+    of range(n) in lexicographic order, L = len(prefix), and their bounds
+    b_S (see exact_ric), one row of bounds per Gram of the stack G: tails
+    are relative to their prefix. Within ``_ENTRY_LIMIT``, one block, the
+    cached table and its tail index, with an empty prefix; beyond it, for a
+    stack of one Gram, one per prefix of the shortest length L whose tails,
+    the (K - L)-subsets of range(n - L), fit: one cached table, read-only
+    and within the same limit, so memory stays bounded whatever K is. A
+    streamed block is built once its predecessors are consumed, and keeps
+    only the tails whose bounds can reach the incumbent ``best[0]`` as it
+    then stands (see exact_ric): a block none of whose tails can is not
+    yielded. A prefix's sums past the float maximum are +inf bounds,
+    unreported, in an np.errstate that closes before each ``yield``: a
+    waiting generator would carry it into its consumer."""
     n = G.shape[-1]
     offset = np.abs(G.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1, keepdims=True)
     spread = math.sqrt((K - 1) / K)
@@ -219,10 +222,8 @@ def _bounded_blocks(G, K, count, best):
     L = 1
     while math.comb(n - L, K - L) * (K - L) > _ENTRY_LIMIT:
         L += 1
-    lower, lower_tails = _subset_table(n - L, K - L)
+    lower, lower_tails = _cached_table(n - L, K - L)
     lower_squares = _table_squares(P[L:, L:], lower, lower_tails)
-    del lower_tails  # not held through the blocks' eigensolves
-    lower += L
     guard = float(_GUARD_C * K * _U)  # Python floats: inf - inf is NaN, unreported
     for prefix in itertools.combinations(range(n - K + L), L):
         start = len(lower) - math.comb(n - prefix[-1] - 1, K - L)
@@ -248,7 +249,7 @@ def _bounded_blocks(G, K, count, best):
             tails = lower[rows]
             squares = np.full((1, len(tails)), head)
             for column in tails.T:
-                squares += col.take(column)
+                squares += col[L:].take(column)
             squares += lower_squares[rows]
         yield prefix, tails, bounds(squares)
 
@@ -474,7 +475,7 @@ def _bounded_search(G, K, count):
             t, r = np.divmod(f, rows)
             sub = np.empty((f.size, K), dtype=np.intp)
             sub[:, : prefix.size] = prefix
-            sub[:, prefix.size :] = tails[r]
+            np.add(tails[r], prefix.size, out=sub[:, prefix.size :])
             lo, hi = _eigvals(G, t, sub)
             deltas.reshape(-1)[f] = np.maximum(hi - 1.0, 1.0 - lo)
             solved += np.bincount(t, minlength=T)
@@ -484,7 +485,7 @@ def _bounded_search(G, K, count):
         top = deltas.argmax(axis=1)  # the smallest row of each largest delta
         for t in (deltas.max(axis=1) > best).nonzero()[0]:
             best[t] = deltas[t, top[t]]
-            best_subset[t] = np.concatenate((prefix, tails[top[t]]))
+            best_subset[t] = np.concatenate((prefix, tails[top[t]] + prefix.size))
     return best, np.array(best_subset), solved
 
 

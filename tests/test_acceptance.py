@@ -4,8 +4,10 @@ Each test prints one PASS line (run with ``pytest -v -s`` to see them) and
 asserts the criterion itself, including its runtime budget.
 """
 
+import hashlib
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from omplab import (
     sharpness_probe,
     theorem1_validation,
     verify_lemma1,
+    write_rows_csv,
 )
 from omplab.cli import main as cli_main
 
@@ -73,6 +76,50 @@ def test_criterion_2_theorem1_zero_failures():
     print(
         f"\n[PASS] criterion 2: {total} trials, {held} condition-holding, "
         f"0 failures ({elapsed:.1f}s single-threaded)"
+    )
+
+
+def test_criterion_10_noisy_theorem1_k2_to_k4(tmp_path):
+    # criterion 2's noisy condition-holding trials all have K = 1; taller
+    # Gaussian designs hold the noisy conditions at K = 2, 3 and 4 too
+    start = time.perf_counter()
+    blobs = []
+    for parallelism in (1, 2):
+        config = ExperimentConfig(
+            m_values=(64, 128, 256),
+            n_values=(12, 14, 16),
+            k_values=(2, 3, 4),
+            epsilon_values=(0.0, 0.01, 0.05),
+            trials=70,
+            min_mag_policy="theorem_bound",
+            margin_factor=1.01,
+            master_seed=20240817,
+            parallelism=parallelism,
+        )
+        rows = theorem1_validation(config)  # raises GuaranteeViolation on failure
+        out = tmp_path / f"criterion10-{parallelism}.csv"
+        write_rows_csv(out, rows)
+        blobs.append(out.read_bytes())
+    held = Counter()  # (K, eps): condition-holding trials
+    for row in rows:
+        held[row.k, row.epsilon] += row.conditions_held_count
+        if row.conditions_held_count:
+            assert row.conditional_success_rate == 1.0
+        else:
+            assert row.conditional_success_rate is None
+    noisy = {k: held[k, 0.01] + held[k, 0.05] for k in config.k_values}
+    assert min(noisy.values()) >= 500, noisy
+    assert hashlib.sha256(blobs[0]).hexdigest() == (
+        "45dbac72062b3f89c781e6ac7729659bc718ff0f58fc6d9b8fa5f02bf5938878")
+    assert blobs[1] == blobs[0]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0
+    counts = "; ".join(f"K={k}: " + ", ".join(f"eps={e} {held[k, e]}" for e in config.epsilon_values)
+                       for k in config.k_values)
+    print(
+        f"\n[PASS] criterion 10: {config.trials * len(config.cells())} trials, noisy "
+        f"condition-holding per K {noisy}, 0 failures ({counts}; {elapsed:.1f}s for "
+        f"P=1 and P=2, same bytes)"
     )
 
 

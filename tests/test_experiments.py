@@ -482,6 +482,26 @@ def test_build_trial_refuses_a_floor_whose_range_overflows():
     assert support.shape == values.shape == (1,) and np.abs(values).min() > 1e150
 
 
+def test_held_test_is_strict_at_an_exact_tie():
+    # a fixed floor with a unit dynamic range draws every |x_i| equal to it,
+    # so a floor set to the trial's guarantee floor ties it exactly: the
+    # magnitude condition min |x_i| > floor is strict, and one ulp above holds
+    cfg = _small_config(m_values=(20,), n_values=(18,), epsilon_values=(0.05,), trials=1,
+                        min_mag_policy="fixed", min_mag_fixed=1.0, dynamic_range=1.0,
+                        master_seed=3)
+    [(_, _, [record])] = experiments._run_cells(cfg, "theorem1")
+    assert record.delta == pytest.approx(0.6690, abs=1e-4)
+    assert record.floor == pytest.approx(1.8569, abs=1e-4)
+    for magnitude, held in ((record.floor, False), (np.nextafter(record.floor, np.inf), True)):
+        tie = replace(cfg, min_mag_fixed=float(magnitude))
+        [(_, [task], [outcome])] = experiments._run_cells(tie, "theorem1")
+        A = experiments._draw_stack([task])[0].T
+        values = experiments._build_trial(task, A, outcome.floor)[1]
+        assert np.all(np.abs(values) == magnitude)
+        assert (outcome.delta, outcome.floor) == (record.delta, record.floor)
+        assert outcome.held is held
+
+
 def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
     # the theorem1 bench grid (family 3): 6 groups of 18 trials per (n, K + 1),
     # each one unit, where kernel-sized units made 28 (the 18 C(24, 4) trials

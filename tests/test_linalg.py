@@ -155,3 +155,15 @@ def test_matrix_rows_are_checked_before_the_header_allocates():
     # a header asking for 8 TB over a row of one entry fails on the row
     with pytest.raises(ValueError, match="row 0 has 1 entries, expected 1000000000000"):
         parse_matrix("1 1000000000000\n1.0\n")
+
+
+def test_matrix_tokens_parse_as_python_floats():
+    # every token is converted by Python's float: its syntax, bits and errors
+    tokens = ["1_0", "-0.0", "0.1", "1e-400", "4.9e-324", "+.5E3", "1.7976931348623157e308", "١٢"]
+    A = parse_matrix(f"2 4\n{' '.join(tokens[:4])}\n{' '.join(tokens[4:])}\n")
+    assert [v.hex() for v in A.ravel(order="C").tolist()] == [float(t).hex() for t in tokens]
+    for token in ("nan", "-inf", "1e400"):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            parse_matrix(f"1 2\n1.0 {token}\n")
+    with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+        parse_matrix("1 2\n1.0 abc\n")

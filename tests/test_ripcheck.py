@@ -175,7 +175,8 @@ _ENUMERATIONS = [(1, 1), (6, 1), (6, 6), (6, 2), (7, 3), (9, 4), (10, 6), (30, 2
 
 
 def _rows(prefix, tails):
-    return np.hstack((np.broadcast_to(prefix, (len(tails), prefix.size)), tails))
+    # a block's tails are relative to its prefix: element = tail value + len(prefix)
+    return np.hstack((np.broadcast_to(prefix, (len(tails), prefix.size)), tails + prefix.size))
 
 
 @pytest.mark.parametrize("streamed", [False, True])
@@ -210,15 +211,39 @@ def test_subset_enumeration_matches_itertools(monkeypatch, streamed, size):
                               expected)
 
 
-def test_streamed_exact_ric_caches_nothing(monkeypatch):
+def _report_bits(r):
+    return (r.order, r.delta.hex(), tuple(r.witness_subset.tolist()), r.lambda_min.hex(),
+            r.lambda_max.hex(), r.subsets_examined, r.subsets_eigensolved)
+
+
+def test_streamed_exact_ric_caches_only_its_lower_table(monkeypatch):
     # entry limits of 0, 20, 200 and 1000 stream C(13, 4) by prefixes of
-    # length 4, 3, 2 and 1
-    A = gaussian_sensing_matrix(9, 13, seed=3)
-    before = ripcheck._cached_table.cache_info()
-    for limit in (0, 20, 200, 1000):
+    # length L = 4, 3, 2 and 1, whose tails come from the read-only cached
+    # table of the (4 - L)-subsets of range(13 - L)
+    A, B = (gaussian_sensing_matrix(9, 13, seed=s) for s in (3, 4))
+    cache = ripcheck._cached_table
+    for limit, L in ((0, 4), (20, 3), (200, 2), (1000, 1)):
         monkeypatch.setattr(ripcheck, "_ENTRY_LIMIT", limit)
-        exact_ric(A, 4)
-    assert ripcheck._cached_table.cache_info() == before
+        cache.cache_clear()
+        cold = _report_bits(exact_ric(A, 4))
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        table, tails = cache(13 - L, 4 - L)  # the one entry: a hit
+        assert cache.cache_info().misses == 1
+        for array in (table, *tails):
+            assert not array.flags.writeable
+        expected, expected_tails = ripcheck._subset_table(13 - L, 4 - L)
+        assert np.array_equal(table, expected)
+        assert len(tails) == len(expected_tails)
+        assert all(map(np.array_equal, tails, expected_tails))
+        before = cache.cache_info()
+        exact_ric(B, 4)  # a second matrix of the same shape
+        after = cache.cache_info()
+        assert after.hits > before.hits
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        warm = _report_bits(exact_ric(A, 4))
+        cache.cache_clear()
+        assert _report_bits(exact_ric(A, 4)) == warm == cold
 
 
 def test_streamed_eigensolve_counts_hold(monkeypatch):
