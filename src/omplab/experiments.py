@@ -3,32 +3,34 @@ and the sharpness probe.
 
 Every experiment is a pure function of (config, master_seed). Trial t draws
 its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
-index, so runs are reproducible, order-insensitive, and byte-identical across
-parallelism levels. A run executes in work units, each of which draws its
-trials' matrices into one stack per m and solves each cell's trials in
+index, so runs are reproducible, order-insensitive, and byte-identical
+across parallelism levels. A run executes in work units, each of which draws
+its trials' matrices into one stack per m and solves each cell's trials in
 lockstep by one ``_omp_stack`` call. One budget rule decides which cells
-check the RIC condition: those whose order-(K+1) enumeration has subsets
-and fits the subset budget (theorem1 refuses any other cell). Their trials,
+check the RIC condition: those whose order-(K+1) enumeration has subsets and
+fits the subset budget (theorem1 refuses any other cell). Their trials,
 grouped by (n, K + 1) across cells, first take one Gram stack per unit from
-those matrices, and one certify stage (``_certify``) gives their deltas
-and magnitude floors: one witness call covers the stack, which can settle
-"at or above 1/sqrt(K+1)", and the Grams it leaves open reach the RIC
-kernel in stacks sized for its bound entries; a theorem1 trial that fails
-the condition is not solved. The other trials run cell by cell. A serial
-run executes the units in-process; above parallelism 1 one process pool,
-shared by every cell, receives the same units, the largest first (by m*n,
-then K), so that its workers finish together. Results are reduced in trial
-order. Harness trials validate at the public entry points and trust their
-own draws: the config refuses what a draw would (an unknown sign pattern, a
-fixed floor whose magnitude range overflows) before any trial runs, and a
-trial forms y = A x + v itself and is handed its floor. Signals and RICs
-stay arrays: a trial holds its signal as (support, values), the draw of
-``random_sparse_signal``, and reads its delta from the RIC search's arrays
-(``_ric_search``), so no trial builds a SparseSignal or a RicReport. Each
-trial's record keeps its delta and floor, so only a theorem1 failure,
-replayed for its record, becomes a SparseSignal and a ProblemInstance, and
-the replay reads both off the record: it computes no RIC, and its delta is
-the one that decided its verdict.
+those matrices, and one certify stage (``_certify``) gives each its record:
+delta, magnitude floor, the witness subset that decided the verdict, and
+whether the witness pass settled it. One witness call covers the stack,
+which can settle "at or above 1/sqrt(K+1)", and the Grams it leaves open
+reach the RIC kernel in stacks sized for its bound entries; a theorem1 trial
+that fails the condition is not solved. The other trials run cell by cell. A
+serial run executes the units in-process; above parallelism 1 one process
+pool, shared by every cell, receives the same units, the largest first (by
+m*n, then K), so that its workers finish together. Results are reduced in
+trial order. Harness trials validate at the public entry points and trust
+their own draws: the config refuses what a draw would (an unknown sign
+pattern, a fixed floor whose magnitude range overflows) before any trial
+runs, and a trial forms y = A x + v itself and is handed its floor. Signals
+and RICs stay arrays: a trial holds its signal as (support, values), the
+draw of ``random_sparse_signal``, and reads its delta from the RIC search's
+arrays (``_ric_search``), so no trial builds a SparseSignal or a RicReport.
+Each trial has one record from the certify stage on, which the solve
+completes; it keeps the trial's delta, floor and witness, so only a theorem1
+failure, replayed for its record, becomes a SparseSignal and a
+ProblemInstance, and the replay reads its delta and floor off the record: it
+computes no RIC, and its delta is the one that decided its verdict.
 ``FailureInstance`` is the one counterexample verdict: apart from the exact
 tie at t = 1/sqrt(K+1), ``sharpness_probe`` returns None exactly when it
 refuses.
@@ -49,6 +51,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,9 +105,10 @@ def _derived_seed(trial_seed, tag):
 
 
 #: Most trials in one run. A run holds every trial's task and record until
-#: its last trial is done: a tracemalloc peak of 425 bytes a trial on a
-#: 20,000-trial theorem1 run and 521 on a phase run (m = 12, n = 14, K = 1,
-#: epsilon 0 and 0.05), so about 0.5 GB at this ceiling.
+#: its last trial is done: a tracemalloc peak of 571 bytes a trial on a
+#: 20,000-trial theorem1 run and 533 on a phase run (m = 12, n = 14, K = 1,
+#: epsilon 0 and 0.05; each RIC-checked record keeps its witness subset), so
+#: about 0.6 GB at this ceiling.
 MAX_RUN_TRIALS = 1_000_000
 
 
@@ -363,12 +367,18 @@ class _TrialTask:
     check_conditions: bool
 
 
-@dataclass(frozen=True)
-class _TrialOutcome:
-    """One trial's record; the defaults are a theorem1 trial skipped for
-    failing the RIC condition. ``delta``, the trial's exact order-(K+1) RIC
-    where its magnitude ``floor`` is finite (None elsewhere), and ``floor``,
-    +inf where no guarantee applies, are never written to a CSV."""
+class _TrialOutcome(NamedTuple):
+    """One trial's record, from the certify stage on; the defaults are a
+    trial that checks no RIC and is not solved. The certify stage (_certify)
+    fills ``delta``, the trial's exact order-(K+1) RIC where its magnitude
+    ``floor`` is finite (None elsewhere), ``floor``, +inf where no guarantee
+    applies, ``witness``, the sorted subset whose delta decided the verdict
+    (None where no RIC is checked), and ``settled``, whether the witness
+    pass decided it; _solve fills the rest. A theorem1 trial that fails the
+    RIC condition keeps its certified record unsolved. None of these four
+    fields is written to a CSV. A named tuple, since every RIC-checked trial
+    builds one: it builds in about a third of a frozen dataclass's time, and
+    pickles across the pool faster."""
 
     held: bool = False
     attempted: bool = False
@@ -377,6 +387,8 @@ class _TrialOutcome:
     rank_failure: bool = False
     delta: float | None = None
     floor: float = math.inf
+    witness: tuple[int, ...] | None = None
+    settled: bool = False
 
 
 def _stop_rule(task):
@@ -450,38 +462,44 @@ _STACK_ENTRIES = 2**18
 
 
 def _certify(G, k, epsilons):
-    """The order-(k + 1) delta of each Gram of the stack G, and its
-    magnitude floor (_magnitude_floor) at its trial's epsilon, +inf where
-    the RIC condition fails; trusted: its callers check the order and the
+    """The certified record (_TrialOutcome) of each Gram of the stack G at
+    order k + 1: its delta, its magnitude floor (_magnitude_floor) at its
+    trial's epsilon, +inf where the RIC condition fails, and the witness
+    subset of that delta; trusted: its callers check the order and the
     subset budget first. One witness call covers the stack. A Gram whose
     witness delta (_witness_deltas, at most the RIC) reaches 1/sqrt(k + 1)
-    keeps it, which decides its verdict; the others get their exact RICs
-    from kernel calls on at most ``_UNIT_ENTRIES // C(n, k + 1)`` Grams each
-    (one at least), each delta bit for bit as if computed alone."""
-    deltas = _witness_deltas(G, k + 1)
-    kernel = np.flatnonzero(deltas < sharp_ric_bound(k))  # verdicts no witness settles
+    is settled by it, which decides its verdict; the others get their exact
+    RICs and the kernel's witnesses from kernel calls on at most
+    ``_UNIT_ENTRIES // C(n, k + 1)`` Grams each (one at least), each bit for
+    bit as if computed alone."""
+    deltas, subsets = _witness_deltas(G, k + 1)
+    settled = deltas >= sharp_ric_bound(k)
+    kernel = np.flatnonzero(~settled)  # verdicts no witness settles
     cap = max(1, _UNIT_ENTRIES // math.comb(G.shape[-1], k + 1))
     for s in range(0, len(kernel), cap):
         rows = kernel[s : s + cap]
-        deltas[rows] = _ric_search(G[rows], k + 1)[0]
-    deltas = deltas.tolist()
-    return deltas, [_magnitude_floor(d, k, eps) for d, eps in zip(deltas, epsilons)]
+        deltas[rows], subsets[rows] = _ric_search(G[rows], k + 1)[:2]
+    deltas, subsets, settled = deltas.tolist(), subsets.tolist(), settled.tolist()
+    floors = [_magnitude_floor(delta, k, eps) for delta, eps in zip(deltas, epsilons)]
+    return [_TrialOutcome(delta=delta if floor < math.inf else None, floor=floor,
+                          witness=tuple(subset), settled=done)
+            for delta, floor, subset, done in zip(deltas, floors, subsets, settled)]
 
 
 def _solve(AT, trials):
-    """The records of one cell's trials, each a (task, delta, floor) whose
-    matrix is its row of the stack AT: each trial is built (_build_trial)
-    and one _omp_stack call solves them in lockstep. That call reorders AT
-    in place, so nothing reads it after. Success is the exact support (so
-    exactly K iterations), and the conditions held if the signal's
-    magnitudes clear the floor."""
-    built = [_build_trial(task, A.T, floor) for (task, _, floor), A in zip(trials, AT)]
+    """The records of one cell's trials, each a (task, record) whose matrix
+    is its row of the stack AT and whose record holds its certified floor:
+    each trial is built (_build_trial) and one _omp_stack call solves them
+    in lockstep. That call reorders AT in place, so nothing reads it after.
+    Success is the exact support (so exactly K iterations), and the
+    conditions held if the signal's magnitudes clear the floor."""
+    built = [_build_trial(task, A.T, record.floor) for (task, record), A in zip(trials, AT)]
     runs = _omp_stack(AT, np.array([y for *_, y in built]), _stop_rule(trials[0][0]))
-    return [_TrialOutcome(float(np.abs(values).min()) > floor, True,
-                          bool(np.array_equal(np.sort(run.picks), support)),
-                          run.picks.size, run.stopped_by == STOPPED_RANK_FAILURE,
-                          delta if floor < math.inf else None, floor)
-            for (_, delta, floor), (support, values, _, _), run in zip(trials, built, runs)]
+    return [record._replace(held=float(np.abs(values).min()) > record.floor, attempted=True,
+                            success=bool(np.array_equal(np.sort(run.picks), support)),
+                            iterations=run.picks.size,
+                            rank_failure=run.stopped_by == STOPPED_RANK_FAILURE)
+            for (_, record), (support, values, _, _), run in zip(trials, built, runs)]
 
 
 def _run_unit(tasks):
@@ -490,29 +508,29 @@ def _run_unit(tasks):
     since epsilon does not touch the matrix; the certify stage, where a
     RIC-checked unit's trials share (n, K + 1), each stack's Grams come from
     one stacked product, they form one stack, and _certify gives each its
-    delta and floor (the floor +inf where no RIC is checked); and the solve,
-    one _solve call per cell: every phase trial, and the theorem1 trials
-    that hold the RIC condition; the others skip."""
+    record (the default record where no RIC is checked); and the solve, one
+    _solve call per cell, which completes the records of every phase trial
+    and of the theorem1 trials that hold the RIC condition; the others
+    skip."""
     draws = {}  # m: positions in tasks
     for i, task in enumerate(tasks):
         draws.setdefault(task.m, []).append(i)
     stacks = [_draw_stack([tasks[i] for i in members]) for members in draws.values()]
-    certified = [(None, math.inf)] * len(tasks)  # (delta, floor) per trial
+    outcomes = [_TrialOutcome()] * len(tasks)
     if tasks[0].check_conditions:
         drawn = list(itertools.chain(*draws.values()))
         G = np.concatenate([_grams(AT.swapaxes(1, 2)) for AT in stacks])
-        for i, pair in zip(drawn, zip(*_certify(G, tasks[0].k, [tasks[i].epsilon for i in drawn]))):
-            certified[i] = pair
-    outcomes = [_TrialOutcome()] * len(tasks)
+        for i, record in zip(drawn, _certify(G, tasks[0].k, [tasks[i].epsilon for i in drawn])):
+            outcomes[i] = record
     for members, AT in zip(draws.values(), stacks):
         cells = {}  # epsilon: rows of AT to solve
         for row, i in enumerate(members):
-            if tasks[i].mode == "phase" or certified[i][1] < math.inf:
+            if tasks[i].mode == "phase" or outcomes[i].floor < math.inf:
                 cells.setdefault(tasks[i].epsilon, []).append(row)
         for rows in cells.values():
             solved = [members[row] for row in rows]
             cell = AT if len(rows) == len(AT) else AT[rows]
-            for i, record in zip(solved, _solve(cell, [(tasks[i], *certified[i]) for i in solved])):
+            for i, record in zip(solved, _solve(cell, [(tasks[i], outcomes[i]) for i in solved])):
                 outcomes[i] = record
     return outcomes
 

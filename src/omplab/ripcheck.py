@@ -270,10 +270,11 @@ def _eigvals(G, t, sub):
 
 def _witness_deltas(G, K):
     """The computed delta_S of one greedy K-subset S per Gram of the stack G,
-    2 <= K <= n: the pair, then each next column, that adds the most to
-    ||M_S - I||_F**2 (see exact_ric). S is eigensolved sorted, as the kernel
-    does, and the kernel returns the largest computed delta_S, never less.
-    Overflowed terms are +inf and only added: no choice reads a NaN."""
+    2 <= K <= n, and those subsets, (T,) and (T, K): the pair, then each
+    next column, that adds the most to ||M_S - I||_F**2 (see exact_ric). S is
+    eigensolved sorted, as the kernel does, and the kernel returns the
+    largest computed delta_S, never less. Overflowed terms are +inf and only
+    added: no choice reads a NaN."""
     T, n = G.shape[:2]
     t = np.arange(T)
     P = np.triu(_pair_squares(G))
@@ -288,8 +289,9 @@ def _witness_deltas(G, K):
             c = first[step] if step < 2 else np.where(chosen, -np.inf, gain).argmax(axis=1)
             chosen[t, c] = True
             gain += P[t, c]
-    lo, hi = _eigvals(G, t, chosen.nonzero()[1].reshape(T, K))
-    return np.maximum(hi - 1.0, 1.0 - lo)
+    subsets = chosen.nonzero()[1].reshape(T, K)
+    lo, hi = _eigvals(G, t, subsets)
+    return np.maximum(hi - 1.0, 1.0 - lo), subsets
 
 
 def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):

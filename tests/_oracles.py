@@ -28,7 +28,13 @@ from omplab.omp import (
     OmpResult,
     omp_run,
 )
-from omplab.ripcheck import _magnitude_floor, exact_ric
+from omplab.ripcheck import (
+    _grams,
+    _magnitude_floor,
+    _witness_deltas,
+    exact_ric,
+    sharp_ric_bound,
+)
 from omplab.sensing import (
     SparseSignal,
     gaussian_sensing_matrix,
@@ -308,15 +314,17 @@ def gaussian_matrix_one_draw(m, n, seed, normalize_columns=True):
     return np.asfortranarray(A)
 
 
-def run_unit_one_at_a_time(tasks):
+def run_unit_one_at_a_time(tasks, witness=True):
     """``experiments._run_unit`` one trial at a time: each matrix drawn
     alone by ``gaussian_sensing_matrix`` (or as its ``lemma1_family`` 3x3),
-    a RIC-checked trial's delta from its own ``exact_ric`` and its floor
-    from ``_magnitude_floor``, and each solved trial run alone by
-    ``omp_run``; a theorem1 trial whose RIC condition fails skips. Every
-    field of each record is built here from those results, the delta kept
-    only where the floor is finite. The stacked unit must match it record
-    for record."""
+    a RIC-checked trial certified alone: settled where its own greedy
+    witness (``_witness_deltas`` on its Gram alone, and only if ``witness``)
+    reaches 1/sqrt(K + 1), else its delta and witness subset from its own
+    ``exact_ric``; its floor from ``_magnitude_floor``. Each solved trial
+    runs alone by ``omp_run``; a theorem1 trial whose RIC condition fails
+    skips. Every field of each record is built here from those results, the
+    delta kept only where the floor is finite. The stacked unit must match
+    it record for record."""
     outcomes = []
     for task in tasks:
         config = task.config
@@ -329,25 +337,33 @@ def run_unit_one_at_a_time(tasks):
             A = gaussian_sensing_matrix(
                 task.m, task.n, seed,
                 normalize_columns=config.ensemble == "gaussian_normalized")
-        delta, floor = None, math.inf
+        certified = experiments._TrialOutcome()
         if task.check_conditions:
-            ric = exact_ric(A, task.k + 1).delta
+            deltas, subsets = _witness_deltas(_grams(A[None]), task.k + 1)
+            settled = witness and bool(deltas[0] >= sharp_ric_bound(task.k))
+            if settled:
+                ric, subset = float(deltas[0]), subsets[0]
+            else:
+                report = exact_ric(A, task.k + 1)
+                ric, subset = report.delta, report.witness_subset
             floor = _magnitude_floor(ric, task.k, task.epsilon)
-            delta = ric if floor < math.inf else None
-        if task.mode == "theorem1" and floor == math.inf:
-            outcomes.append(experiments._TrialOutcome(
-                held=False, attempted=False, success=False, iterations=0,
-                rank_failure=False, delta=None, floor=math.inf))
+            certified = experiments._TrialOutcome(
+                delta=ric if floor < math.inf else None, floor=floor,
+                witness=tuple(int(i) for i in subset), settled=settled)
+        if task.mode == "theorem1" and certified.floor == math.inf:
+            outcomes.append(certified)
             continue
-        support, values, _, y = experiments._build_trial(task, A, floor)
+        support, values, _, y = experiments._build_trial(task, A, certified.floor)
         result = omp_run(A, y, experiments._stop_rule(task), true_support=support)
         outcomes.append(experiments._TrialOutcome(
-            held=float(np.abs(values).min()) > floor,
+            held=float(np.abs(values).min()) > certified.floor,
             attempted=True,
             success=result.recovered_support.tolist() == support.tolist(),
             iterations=result.iterations,
             rank_failure=result.stopped_by == "rank_failure",
-            delta=delta,
-            floor=floor,
+            delta=certified.delta,
+            floor=certified.floor,
+            witness=certified.witness,
+            settled=certified.settled,
         ))
     return outcomes

@@ -418,36 +418,60 @@ def test_batched_rics_keep_csv_bytes_at_every_parallelism(monkeypatch):
 
 
 def _no_witness(G, K):
-    return np.full(len(G), -np.inf)
+    # no witness reaches the bound; its subsets are all -1, so a record that
+    # kept one would show it
+    return np.full(len(G), -np.inf), np.full((len(G), K), -1)
+
+
+def _subset_delta(g, S):
+    """The computed delta_S of the subset S of the Gram g, as the kernel and
+    the witness pass compute it."""
+    w = np.linalg.eigvalsh(g[np.ix_(S, S)])
+    return np.maximum(w[-1] - 1.0, 1.0 - w[0])
+
+
+def _kernel_record(report, k, eps):
+    """The certified record of a Gram whose verdict the kernel decides, from
+    its exact_ric report at order k + 1."""
+    floor = ripcheck._magnitude_floor(report.delta, k, eps)
+    return experiments._TrialOutcome(delta=report.delta if floor < math.inf else None,
+                                     floor=floor, witness=tuple(report.witness_subset.tolist()))
 
 
 def test_certify_is_exact_below_the_bound_and_the_same_alone(monkeypatch):
     # 12 x 14 Gaussian Grams at K = 1, the _small_config grid, on both sides
-    # of 1/sqrt(2): below it every delta is exact_ric's, bit for bit; at or
-    # above it a witness delta may stand in, never above the exact RIC; with
-    # no witness every delta is exact_ric's; each Gram's delta is the same
-    # alone as in the stack; and each floor is _magnitude_floor of its delta
-    # at its trial's epsilon, finite exactly below the bound
+    # of 1/sqrt(2): a Gram the witness leaves open gets exact_ric's delta and
+    # witness, bit for bit, and its floor is _magnitude_floor of that delta
+    # at its trial's epsilon, finite exactly below the bound; a settled Gram
+    # keeps its witness, whose delta lies at or above the bound and never
+    # above the exact RIC, and the floor +inf; with no witness every record
+    # is the kernel's; each Gram's record is the same alone as in the stack
     cfg = _small_config()
     tasks = [experiments._TrialTask(cfg, "theorem1", 12, 14, 1, 0.0, seed, True)
              for seed in range(40)]
     AT = experiments._draw_stack(tasks)
     G = ripcheck._grams(AT.swapaxes(1, 2))
-    exact = [exact_ric(A.T, 2).delta for A in AT]
+    reports = [exact_ric(A.T, 2) for A in AT]
     bound = sharp_ric_bound(1)
     epsilons = [(0.0, 0.05, 0.3)[t % 3] for t in range(len(G))]
-    deltas, floors = experiments._certify(G, 1, epsilons)
-    assert 0 < sum(delta < bound for delta in deltas) < len(deltas)
-    for delta, ric in zip(deltas, exact):
-        assert delta == ric if delta < bound else bound <= delta <= ric
-    for delta, floor, eps in zip(deltas, floors, epsilons):
-        assert floor == ripcheck._magnitude_floor(delta, 1, eps)
-        assert (floor < math.inf) == (delta < bound)
+    records = experiments._certify(G, 1, epsilons)
+    kernel = [_kernel_record(report, 1, eps) for report, eps in zip(reports, epsilons)]
+    assert 0 < sum(report.delta < bound for report in reports) < len(reports)
+    assert any(record.settled for record in records)
+    for g, record, expected, report in zip(G, records, kernel, reports):
+        if record.settled:
+            assert (record.delta, record.floor) == (None, math.inf)
+            assert bound <= _subset_delta(g, list(record.witness)) <= report.delta
+        else:
+            assert record == expected
+            assert _subset_delta(g, list(record.witness)) == report.delta
+        assert (record.floor < math.inf) == (report.delta < bound)
+    floors = [record.floor for record in records]
     assert 0.0 in floors and any(0.0 < floor < math.inf for floor in floors)
-    assert deltas == [experiments._certify(G[t : t + 1], 1, epsilons[t : t + 1])[0][0]
-                      for t in range(len(G))]
+    assert records == [experiments._certify(G[t : t + 1], 1, epsilons[t : t + 1])[0]
+                       for t in range(len(G))]
     monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
-    assert experiments._certify(G, 1, epsilons)[0] == exact
+    assert experiments._certify(G, 1, epsilons) == kernel
 
 
 def _refuse(*args, **kwargs):
@@ -455,18 +479,19 @@ def _refuse(*args, **kwargs):
 
 
 def test_certify_builds_no_ric_report(monkeypatch):
-    # the certify stage reads its kernel deltas as arrays: with every Gram
-    # sent to the kernel it builds no RicReport, and its deltas are still
-    # exact_ric's on each matrix alone
+    # the certify stage reads its kernel deltas and witnesses as arrays:
+    # with every Gram sent to the kernel it builds no RicReport, and each
+    # record is still the one exact_ric's report on its matrix alone gives
     cfg = _small_config()
     tasks = [experiments._TrialTask(cfg, "theorem1", 12, 14, 1, 0.0, seed, True)
              for seed in range(12)]
     AT = experiments._draw_stack(tasks)
     G = ripcheck._grams(AT.swapaxes(1, 2))
-    exact = [exact_ric(A.T, 2).delta for A in AT]
+    expected = [_kernel_record(exact_ric(A.T, 2), 1, 0.0) for A in AT]
+    assert any(record.delta is not None for record in expected)
     monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
     monkeypatch.setattr(ripcheck, "RicReport", _refuse)
-    assert experiments._certify(G, 1, [0.0] * len(G))[0] == exact
+    assert experiments._certify(G, 1, [0.0] * len(G)) == expected
 
 
 def test_build_trial_refuses_a_floor_whose_range_overflows():
@@ -574,11 +599,88 @@ def test_kernel_receives_only_grams_the_witness_leaves_open(monkeypatch):
     theorem1_validation(cfg)
     G = np.concatenate(received)
     bound = sharp_ric_bound(3)
-    assert (ripcheck._witness_deltas(G, 4) < bound).all()
+    assert (ripcheck._witness_deltas(G, 4)[0] < bound).all()
     deltas = [report.delta for report in ripcheck._gram_rics(G, 4)]
     assert min(deltas) < bound <= max(deltas)
     assert len(G) < cfg.trials * len(cfg.cells())
     assert {len(stack) for stack in received} == {1}
+
+
+def test_certify_settles_a_witness_delta_at_the_bound(monkeypatch):
+    # a witness delta of exactly 1/sqrt(K + 1) fails the strict RIC
+    # condition, so the witness settles its Gram: the record keeps that
+    # witness, no delta and the floor +inf, though the Gram's exact RIC is
+    # below the bound; the kernel gets only the Grams left unsettled
+    cfg = _small_config()
+    tasks = [experiments._TrialTask(cfg, "theorem1", 12, 14, 1, 0.05, seed, True)
+             for seed in range(12)]
+    AT = experiments._draw_stack(tasks)
+    G = ripcheck._grams(AT.swapaxes(1, 2))
+    bound = sharp_ric_bound(1)
+    tie = next(t for t, A in enumerate(AT) if exact_ric(A.T, 2).delta < bound)
+    deltas, subsets = ripcheck._witness_deltas(G, 2)
+    deltas[tie] = bound
+
+    received, real = [], experiments._ric_search
+    monkeypatch.setattr(experiments, "_witness_deltas",
+                        lambda G, K: (deltas.copy(), subsets.copy()))
+    monkeypatch.setattr(experiments, "_ric_search", lambda G, K: received.append(G) or real(G, K))
+    records = experiments._certify(G, 1, [0.05] * len(G))
+    assert records[tie] == experiments._TrialOutcome(
+        witness=tuple(subsets[tie].tolist()), settled=True)
+    left = [t for t, record in enumerate(records) if not record.settled]
+    assert tie not in left and left
+    assert np.array_equal(np.concatenate(received), G[left])
+
+
+def _witness_grid(mode):
+    """A run's cells with settled and kernel-decided trials: 12 x 14 and
+    40 x 14 Gaussians at K = 1 and 2; a phase run checks no RIC at K = 2."""
+    cfg = _small_config(m_values=(12, 40), k_values=(1, 2), trials=8)
+    return cfg if mode == "theorem1" else replace(cfg, subset_budget=100)
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "phase"])
+def test_records_are_the_same_at_every_parallelism(monkeypatch, mode):
+    # every field of every record, the witness and settled included, is the
+    # same when the units run in-process and when they cross a pool of 2
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    cfg = _witness_grid(mode)
+    serial, pooled = ([outcomes for *_, outcomes in
+                       experiments._run_cells(replace(cfg, parallelism=p), mode)]
+                      for p in (1, 2))
+    assert serial == pooled
+    records = [record for outcomes in serial for record in outcomes]
+    assert any(record.settled for record in records)
+    assert any(record.witness is not None and not record.settled for record in records)
+    assert any(record.witness is None for record in records) == (mode == "phase")
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "phase"])
+def test_every_record_witness_reproduces_its_verdict(mode):
+    # each RIC-checked record's witness replays its verdict on the trial's
+    # own Gram: where the witness pass settled it, the subset's computed
+    # delta reaches 1/sqrt(K + 1); elsewhere the witness is exact_ric's, its
+    # computed delta is the exact RIC bit for bit, and the record keeps that
+    # delta exactly where the floor is finite
+    for (_, _, k, _), tasks, outcomes in experiments._run_cells(_witness_grid(mode), mode):
+        bound = sharp_ric_bound(k)
+        for task, record in zip(tasks, outcomes):
+            if record.witness is None:
+                assert not task.check_conditions and not record.settled
+                continue
+            AT = experiments._draw_stack([task])
+            g = ripcheck._grams(AT.swapaxes(1, 2))[0]
+            delta = _subset_delta(g, list(record.witness))
+            if record.settled:
+                assert delta >= bound
+                assert (record.delta, record.floor) == (None, math.inf)
+                continue
+            report = exact_ric(AT[0].T, k + 1)
+            assert record.witness == tuple(report.witness_subset.tolist())
+            assert delta == report.delta
+            assert (record.floor < math.inf) == (delta < bound)
+            assert record.delta == (delta if delta < bound else None)
 
 
 @pytest.mark.parametrize("mode", ["theorem1", "phase"])
@@ -602,9 +704,16 @@ def test_overflowing_gram_terms_keep_the_kernel_outcomes(monkeypatch, mode):
     units = [tasks[:8], tasks[8:]]
     outcomes = [experiments._run_unit(unit) for unit in units]
     monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
-    assert outcomes == [experiments._run_unit(unit) for unit in units]
+    kernel = [experiments._run_unit(unit) for unit in units]
+    # only a settled record differs, and only in its witness and settled
+    for records, expected in zip(outcomes, kernel):
+        assert not any(record.settled for record in expected)
+        for record, alone in zip(records, expected):
+            assert record == (alone._replace(witness=record.witness, settled=True)
+                              if record.settled else alone)
     # theorem1 skips the scaled trials on their witness; phase runs them
     assert [o.attempted for o in outcomes[0][1::2]] == [mode == "phase"] * 4
+    assert all(o.settled for o in outcomes[0][1::2])
 
 
 @pytest.mark.parametrize("ensemble", ["gaussian_raw", "lemma1_family"])
@@ -631,8 +740,13 @@ def test_run_unit_matches_trials_run_one_at_a_time(monkeypatch, ensemble, mode, 
     monkeypatch.setattr(experiments, "_omp_stack",
                         lambda AT, Y, rule: solves.append(AT.shape) or real_stack(AT, Y, rule))
     assert experiments._run_unit(tasks) == expected
+    assert any(o.settled for o in expected) == check
     monkeypatch.setattr(experiments, "_witness_deltas", _no_witness)
-    assert experiments._run_unit(tasks) == expected
+    kernel = run_unit_one_at_a_time(tasks, witness=False)
+    assert experiments._run_unit(tasks) == kernel
+    # the witness pass changes no field but the witness and settled
+    assert [o._replace(witness=None, settled=False) for o in expected] == [
+        o._replace(witness=None) for o in kernel]
     attempted = [sum(o.attempted for t, o in zip(tasks, expected) if (t.m, t.epsilon) == cell)
                  for cell in cells]
     assert solves == 2 * [(a, n, m) for a, (m, _) in zip(attempted, cells) if a]

@@ -1,4 +1,5 @@
-"""Print every field of the exact-RIC reports on a fixed set of matrices.
+"""Print every field of the exact-RIC reports on a fixed set of matrices,
+then the certified fields of every theorem1 benchmark trial.
 
 One line per ``RicReport``, each float in hex (``float.hex``), so two
 checkouts that print the same lines computed the same bits:
@@ -18,13 +19,25 @@ The set covers every path of the exact-RIC search:
   and 77, 150 instances), at every order 1..K+1: whole enumerations of at
   most 64 subsets and cached, bounded ones.
 
+Then one line per trial record of the theorem1 workload's config, for each
+of the 32 input families of ``bench/workloads.py`` (written in a temporary
+directory), run serially through ``experiments._run_cells``:
+
+    label delta floor witness settled
+
+with the delta (``None`` where the floor is +inf) and the floor in hex, the
+witness subset that decided the trial's verdict, and whether the witness
+pass settled it.
+
 BLAS threads are pinned to 1 before numpy loads, as the benchmark pins
 them. Run from the root of a checkout:
 ``python3 tools/ricdigest.py > ricdigest.txt``.
 """
 
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -35,6 +48,12 @@ def line(label, report):
                      ",".join(str(int(i)) for i in report.witness_subset),
                      report.lambda_min.hex(), report.lambda_max.hex(),
                      str(report.subsets_examined), str(report.subsets_eigensolved)])
+
+
+def record_line(label, record):
+    delta = "None" if record.delta is None else record.delta.hex()
+    return " ".join([label, delta, record.floor.hex(),
+                     ",".join(str(i) for i in record.witness), str(record.settled)])
 
 
 def ric_stream_matrices(family):
@@ -81,6 +100,20 @@ def main():
             for order in range(1, K + 2):
                 for i, report in zip(chunk, ripcheck._gram_rics(G, order)):
                     print(line(f"lemma_sweep/{seed}/{i}", report))
+    import workloads
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for family in range(workloads.FAMILIES):
+                config = experiments.read_config(workloads.Theorem1(family).path("theorem1.cfg"))
+                for (m, n, k, eps), _, outcomes in experiments._run_cells(config, "theorem1"):
+                    for j, record in enumerate(outcomes):
+                        label = f"theorem1/{family}/m{m}_n{n}_K{k}_eps{eps}/{j}"
+                        print(record_line(label, record), flush=True)
+        finally:
+            os.chdir(home)
     return 0
 
 
