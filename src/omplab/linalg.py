@@ -92,7 +92,8 @@ def least_squares(A_S, y):
 def _least_squares(A_S, y):
     """:func:`least_squares` on an ``A_S`` and ``y`` already validated by
     ``as_matrix`` and ``as_vector``, or on stacks of them, (c, m, k) and
-    (c, m): c minimizers, bit for bit as if each were solved alone."""
+    (c, m): c minimizers, bit for bit as if each were solved alone. A
+    system is singular where _rank_deficient holds on its |R_ii|."""
     m, k = A_S.shape[-2:]
     if m != y.shape[-1]:
         raise ValueError(f"shape mismatch: matrix has {m} rows, y has {y.shape[-1]}")
@@ -103,11 +104,19 @@ def _least_squares(A_S, y):
     Q, R = np.linalg.qr(A_S)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).reshape(-1, k)
     largest = diag.max(axis=1)
-    bad = (largest == 0.0) | (diag.min(axis=1) <= DEFAULT_RANK_TOL * largest)
+    bad = _rank_deficient(diag.min(axis=1), largest)
     if bad.any():
         i = int(np.argmax(bad))
         raise SingularSystemError(np.argmin(diag[i]), diag[i].min(), largest[i])
     return np.linalg.solve(R, Q.swapaxes(-1, -2) @ y[..., None])[..., 0]
+
+
+def _rank_deficient(smallest, largest):
+    """The rank test, elementwise on arrays: a triangular factor whose
+    smallest |R_ii| is at most ``DEFAULT_RANK_TOL`` times its largest is
+    singular; an all-zero diagonal is (0 <= 0). The one place it is
+    written: least squares and the solver both read it."""
+    return smallest <= DEFAULT_RANK_TOL * largest
 
 
 def projection_residual(A_S, y):

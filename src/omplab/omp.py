@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, as_epsilon, as_matrix, as_vector
+from .linalg import _rank_deficient, as_epsilon, as_matrix, as_vector
 from .sensing import SparseSignal
 
 STOP_MAX_ITERATIONS = "max_iterations"
@@ -258,8 +258,9 @@ def _omp_stack(AT, Y, rule, off=None):
     corrs, norms = np.empty((T, width)), np.empty((T, width))
     offs = None if off is None else np.empty((T, width))
     selected = np.zeros((T, n), dtype=bool)
-    # The rank test compares the smallest and largest |R_ii|, the new rho
-    # included; R's diagonal is the accepted rhos, so their extremes suffice.
+    # The rank test, linalg._rank_deficient, reads the smallest and largest
+    # |R_ii|, the new rho included; R's diagonal is the accepted rhos, so
+    # their extremes suffice.
     # Iteration 0 sets them (rho_min and rho_max start as placeholders).
     failed, failures = np.zeros(T, dtype=bool), 0
     trial = np.arange(T)  # the trial at each position
@@ -324,7 +325,7 @@ def _omp_stack(AT, Y, rule, off=None):
             np.add(w, w2, out=R[:, :k, k, None])
         rho = np.sqrt(np.vecdot(u, u))
         lo, hi = (np.fmin(rho_min, rho), np.fmax(rho_max, rho)) if k else (rho, rho)
-        failed = lo <= DEFAULT_RANK_TOL * hi  # lo is 0 where rho is
+        failed = _rank_deficient(lo, hi)  # lo is 0 where rho is
         failures = np.count_nonzero(failed)
         if failures:  # these trials stop at the top; spare their division
             rho[failed] = 1.0

@@ -262,7 +262,7 @@ def _eigvals(G, t, sub):
     lo, hi = np.empty(len(sub)), np.empty(len(sub))
     for s in range(0, len(sub), batch):
         rows, cols = sub[s : s + batch, :, None], sub[s : s + batch, None, :]
-        grams = G[0][rows, cols] if len(G) == 1 else G[t[s : s + batch, None, None], rows, cols]
+        grams = G[t[s : s + batch, None, None], rows, cols]
         w = np.linalg.eigvalsh(grams)
         lo[s : s + batch], hi[s : s + batch] = w[:, 0], w[:, -1]
     return lo, hi
@@ -432,7 +432,7 @@ def _ric_search(G, K):
         per = max(1, _ENTRY_LIMIT // (count * K * K))  # matrices per eigvalsh call
         w = [np.linalg.eigvalsh(G[s : s + per, table[:, :, None], table[:, None, :]])
              for s in range(0, len(G), per)]
-        w = w[0] if len(w) == 1 else np.concatenate(w)
+        w = np.concatenate(w)
         deltas = np.maximum(w[..., -1] - 1.0, 1.0 - w[..., 0])
         rows = deltas.argmax(axis=1)  # the smallest row of the largest delta
         top = w[np.arange(len(G)), rows]  # each witness's eigenvalues
@@ -514,11 +514,23 @@ def min_magnitude_bound(delta_k1, K, epsilon):
     return 2.0 * epsilon / (1.0 - math.sqrt(K + 1.0) * delta_k1)
 
 
+def _ric_condition(delta_k1, K):
+    """The RIC condition delta_{K+1} < 1/sqrt(K + 1), strict, elementwise on
+    arrays: the one place it is written."""
+    return delta_k1 < sharp_ric_bound(K)
+
+
+def _magnitude_condition(min_magnitude, floor):
+    """The magnitude condition min |x_i| > floor, strict: the one place it is
+    written. A floor of +inf (the RIC condition fails) admits nothing."""
+    return min_magnitude > floor
+
+
 def _magnitude_floor(delta_k1, K, epsilon):
-    """The floor on min |x_i| at an order-(K+1) RIC delta_k1, where both
-    recovery conditions are decided: min_magnitude_bound below the sharp RIC
-    bound, +inf (no magnitude suffices) at or above it."""
-    if delta_k1 < sharp_ric_bound(K):
+    """The floor on min |x_i| at an order-(K+1) RIC delta_k1:
+    min_magnitude_bound where _ric_condition holds, +inf (no magnitude
+    suffices) where it fails."""
+    if _ric_condition(delta_k1, K):
         return min_magnitude_bound(delta_k1, K, epsilon)
     return math.inf
 
@@ -526,10 +538,11 @@ def _magnitude_floor(delta_k1, K, epsilon):
 def check_theorem1_conditions(A, signal, epsilon):
     """Evaluate both recovery conditions for (A, x, eps) with exact RIC.
 
-    Strict inequalities, zero tolerance. Returns a ConditionVerdict. The
-    order K + 1 is checked by exact_ric alone: a support of every column
-    raises its ValueError, and an enumeration beyond the default subset
-    budget propagates as CapacityError.
+    Strict inequalities, zero tolerance: ``ric_ok`` is _ric_condition and
+    ``min_mag_ok`` _magnitude_condition against _magnitude_floor. Returns a
+    ConditionVerdict. The order K + 1 is checked by exact_ric alone: a
+    support of every column raises its ValueError, and an enumeration
+    beyond the default subset budget propagates as CapacityError.
     """
     A = as_matrix(A)
     if A.shape[1] != signal.dimension:
@@ -540,9 +553,9 @@ def check_theorem1_conditions(A, signal, epsilon):
     as_epsilon(epsilon)
     report = exact_ric(A, K + 1)
     bound = sharp_ric_bound(K)
-    ric_ok = report.delta < bound
+    ric_ok = _ric_condition(report.delta, K)
     mm_bound = _magnitude_floor(report.delta, K, epsilon)
-    min_mag_ok = signal.min_magnitude() > mm_bound
+    min_mag_ok = _magnitude_condition(signal.min_magnitude(), mm_bound)
     return ConditionVerdict(
         ric_ok=bool(ric_ok),
         ric_bound=bound,
@@ -678,7 +691,7 @@ def comparison_report(K, delta_k1, epsilon):
     our_ric = sharp_ric_bound(K)
     cw_mm = chang_wu_min_mag_bound(delta_k1, K, epsilon)  # checks delta, eps
     our_mm = _magnitude_floor(delta_k1, K, epsilon)
-    our_defined = delta_k1 < our_ric
+    our_defined = _ric_condition(delta_k1, K)
     cw_defined = math.isfinite(cw_mm)
     weaker = our_defined and cw_mm >= our_mm
     strictly = our_defined and cw_mm > our_mm

@@ -633,6 +633,31 @@ def test_certify_settles_a_witness_delta_at_the_bound(monkeypatch):
     assert np.array_equal(np.concatenate(received), G[left])
 
 
+def test_certify_reads_no_nan_witness_delta(monkeypatch):
+    # a NaN delta fails _ric_condition, as in _magnitude_floor, so a NaN
+    # witness delta would settle its Gram with the floor +inf and no kernel
+    # call; on the finite Grams _grams admits the witness delta is never
+    # NaN, even with Gram entries up to 1e306, and such a Gram is settled
+    A = np.array(gaussian_sensing_matrix(12, 20, seed=3))
+    stack = []
+    for scale in (1.0, 1e77, 1e150, 1e153):
+        B = A.copy()
+        B[:, [3, 11]] *= scale
+        stack.append(B)
+    G = ripcheck._grams(np.stack(stack))
+    deltas, subsets = ripcheck._witness_deltas(G, 2)
+    assert not np.isnan(deltas).any() and np.abs(G[-1]).max() > 1e306
+    records = experiments._certify(G, 1, [0.05] * len(G))
+    assert all(record.settled and record.floor == math.inf for record in records[1:])
+
+    deltas[0] = np.nan
+    monkeypatch.setattr(experiments, "_witness_deltas",
+                        lambda G, K: (deltas.copy(), subsets.copy()))
+    monkeypatch.setattr(experiments, "_ric_search", _refuse)
+    assert experiments._certify(G[:1], 1, [0.05])[0] == experiments._TrialOutcome(
+        witness=tuple(subsets[0].tolist()), settled=True)
+
+
 def _witness_grid(mode):
     """A run's cells with settled and kernel-decided trials: 12 x 14 and
     40 x 14 Gaussians at K = 1 and 2; a phase run checks no RIC at K = 2."""

@@ -59,6 +59,13 @@ def test_least_squares_rank_error_carries_index():
     assert err.value.diagonal_index == 1
 
 
+def test_zero_design_is_rank_deficient():
+    # every |R_ii| is 0, and 0 <= DEFAULT_RANK_TOL * 0 holds
+    with pytest.raises(SingularSystemError) as err:
+        least_squares(np.zeros((4, 2)), np.ones(4))
+    assert err.value.diagonal_value == err.value.largest_diagonal == 0.0
+
+
 def test_stacked_least_squares_solves_each_system_alone():
     # a stack of systems gives each system's minimizer bit for bit, and a
     # rank-deficient stack raises for its first rank-deficient system

@@ -184,6 +184,13 @@ def test_rank_failure_outcome():
     assert len(set(picks)) == len(picks)
 
 
+def test_zero_design_stops_by_rank_failure():
+    # the first pick's rho is 0, its own smallest and largest |R_ii|
+    res = omp_run(np.zeros((4, 3)), np.ones(4), StopRule.max_iterations(2))
+    assert res.stopped_by == "rank_failure"
+    assert res.iterations == 0
+
+
 def test_budget_exhaustion():
     A = gaussian_sensing_matrix(4, 6, seed=10)
     y = np.array([1.0, -1.0, 0.5, 2.0])

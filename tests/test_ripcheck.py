@@ -648,6 +648,18 @@ def test_check_conditions_lemma1_below_bound():
     assert v.min_mag_ok and v.overall
 
 
+def test_check_conditions_magnitude_is_strict_at_an_exact_tie():
+    # every Gram of the identity is exactly I: delta is 0.0 and the floor 2 eps
+    eps = 0.05
+    at_floor = SparseSignal(dimension=4, support=[0, 1], values=[2 * eps, -2 * eps])
+    v = check_theorem1_conditions(np.eye(4), at_floor, eps)
+    assert v.delta == 0.0 and v.min_mag_bound == 2 * eps
+    assert v.ric_ok and not v.min_mag_ok and not v.overall
+    above = np.nextafter(2 * eps, 1.0)
+    v = check_theorem1_conditions(np.eye(4), SparseSignal(4, [0, 1], [above, -above]), eps)
+    assert v.ric_ok and v.min_mag_ok and v.overall
+
+
 def test_order_checks_need_a_column_beyond_the_support():
     # |support| + 1 > n: there is no order-(K+1) RIC, and exact_ric says so
     x = SparseSignal(dimension=3, support=[0, 1, 2], values=[1.0, 1.0, 1.0])
