@@ -6,34 +6,34 @@ its randomness from ``master_seed ^ splitmix64(t)`` with t a global trial
 index, so runs are reproducible, order-insensitive, and byte-identical
 across parallelism levels. A run executes in work units, each of which draws
 its trials' matrices into one stack per m and solves each cell's trials in
-lockstep by one ``_omp_stack`` call. One budget rule decides which cells
-check the RIC condition: those whose order-(K+1) enumeration has subsets and
-fits the subset budget (theorem1 refuses any other cell). Their trials,
-grouped by (n, K + 1) across cells, first take one Gram stack per unit from
-those matrices, and one certify stage (``_certify``) gives each its record:
-delta, magnitude floor, the witness subset that decided the verdict, and
-whether the witness pass settled it. One witness call covers the stack,
-which can settle "at or above 1/sqrt(K+1)", and the Grams it leaves open
-reach the RIC kernel in stacks sized for its bound entries; a theorem1 trial
-that fails the condition is not solved. The other trials run cell by cell. A
-serial run executes the units in-process; above parallelism 1 one process
-pool, shared by every cell, receives the same units, the largest first (by
-m*n, then K), so that its workers finish together. Results are reduced in
-trial order. Harness trials validate at the public entry points and trust
-their own draws: the config refuses what a draw would (an unknown sign
-pattern, a fixed floor whose magnitude range overflows) before any trial
-runs, and a trial forms y = A x + v itself and is handed its floor. Signals
-and RICs stay arrays: a trial holds its signal as (support, values), the
-draw of ``random_sparse_signal``, and reads its delta from the RIC search's
-arrays (``_ric_search``), so no trial builds a SparseSignal or a RicReport.
-Each trial has one record from the certify stage on, which the solve
-completes; it keeps the trial's delta, floor and witness, so only a theorem1
-failure, replayed for its record, becomes a SparseSignal and a
-ProblemInstance, and the replay reads its delta and floor off the record: it
-computes no RIC, and its delta is the one that decided its verdict.
-``FailureInstance`` is the one counterexample verdict: apart from the exact
-tie at t = 1/sqrt(K+1), ``sharpness_probe`` returns None exactly when it
-refuses.
+lockstep by one ``_omp_stack`` call. One budget rule, ``_fits_budget``,
+decides which cells check the RIC condition: those whose order-(K+1)
+enumeration has subsets and fits the subset budget (theorem1 refuses any
+other cell). Their trials, grouped by (n, K + 1) across cells, first take
+one Gram stack per unit from those matrices, and one certify stage
+(``_certify``) gives each its record: delta, magnitude floor, the witness
+subset that decided the verdict, and whether the witness pass settled it.
+One witness call covers the stack, which can settle "at or above
+1/sqrt(K+1)", and the Grams it leaves open reach the RIC kernel in stacks
+sized for its bound entries; a theorem1 trial that fails the condition is
+not solved. The other trials run cell by cell. A serial run executes the
+units in-process; above parallelism 1 one process pool, shared by every
+cell, receives the same units, the largest first (by m*n, then K), so that
+its workers finish together. Results are reduced in trial order. Harness
+trials validate at the public entry points and trust their own draws: the
+config refuses what a draw would (an unknown sign pattern, a fixed floor
+whose magnitude range overflows) before any trial runs, and a trial forms
+y = A x + v itself (``_measurement``) and is handed its floor. Signals and
+RICs stay arrays: a trial holds its signal as (support, values), the draw of
+``random_sparse_signal``, and reads its delta from the RIC search's arrays
+(``_ric_search``), so no trial builds a SparseSignal or a RicReport. Each
+trial has one record from the certify stage on, which the solve completes;
+it keeps the trial's delta, floor and witness, so only a theorem1 failure,
+replayed for its record, becomes a SparseSignal and a ProblemInstance, and
+the replay reads its delta and floor off the record: it computes no RIC, and
+its delta is the one that decided its verdict. ``FailureInstance`` is the
+one counterexample verdict: apart from the exact tie at t = 1/sqrt(K+1),
+``sharpness_probe`` returns None exactly when it refuses.
 
 Reporting separates the conditional claim from unconditioned context: the
 recovery guarantee is conditional on the exactly computed RIC, so
@@ -67,6 +67,7 @@ from .omp import (
 from .ripcheck import (
     DEFAULT_SUBSET_BUDGET,
     _check_budget,
+    _fits_budget,
     _grams,
     _lemma1_sides,
     _magnitude_condition,
@@ -84,6 +85,7 @@ from .sensing import (
     SparseSignal,
     _gaussian_draw,
     _keyed,
+    _measurement,
     _signal_draw,
     generate_measurement,
     lemma1_example_instance,
@@ -405,7 +407,8 @@ def _build_trial(task, A, floor):
     ``floor``, the guarantee's (_magnitude_floor), where +inf (no RIC
     checked, or the RIC condition fails) stands for no guarantee and its
     RIC-0 value 2 eps is used; and 1 where that is 0. The config has checked
-    every argument of the draw but this floor's magnitude range."""
+    every argument of the draw but this floor's magnitude range. y is
+    sensing._measurement's."""
     config = task.config
     if config.min_mag_policy == "fixed":
         floor = config.min_mag_fixed
@@ -416,10 +419,8 @@ def _build_trial(task, A, floor):
         raise ValueError("min_mag and min_mag * dynamic_range must be finite")
     support, values = _signal_draw(task.n, task.k, floor, config.dynamic_range,
                                    _derived_seed(task.trial_seed, _SIGNAL_TAG), config.sign_pattern)
-    x = np.zeros(task.n)
-    x[support] = values
     v = noise_vector(A.shape[0], task.epsilon, _derived_seed(task.trial_seed, _NOISE_TAG))
-    return support, values, v, A @ x + v
+    return support, values, v, _measurement(A, support, values, v)
 
 
 def _draw_stack(tasks):
@@ -486,18 +487,24 @@ def _certify(G, k, epsilons):
             for delta, floor, subset, done in zip(deltas, floors, subsets, settled)]
 
 
+def _recovered(picks, support):
+    """The one recovery verdict: the picks, in any order, are exactly the
+    sorted ``support``, so a K-sparse signal took exactly K iterations."""
+    return np.array_equal(np.sort(picks), support)
+
+
 def _solve(AT, trials):
     """The records of one cell's trials, each a (task, record) whose matrix
     is its row of the stack AT and whose record holds its certified floor:
     each trial is built (_build_trial) and one _omp_stack call solves them
     in lockstep. That call reorders AT in place, so nothing reads it after.
-    Success is the exact support (so exactly K iterations), and the
-    conditions held where _magnitude_condition holds on the signal's
-    smallest magnitude and the floor."""
+    Success is _recovered, and the conditions held where
+    _magnitude_condition holds on the signal's smallest magnitude and the
+    floor."""
     built = [_build_trial(task, A.T, record.floor) for (task, record), A in zip(trials, AT)]
     runs = _omp_stack(AT, np.array([y for *_, y in built]), _stop_rule(trials[0][0]))
     return [record._replace(held=_magnitude_condition(float(np.abs(values).min()), record.floor),
-                            success=bool(np.array_equal(np.sort(run.picks), support)),
+                            success=_recovered(run.picks, support),
                             attempted=True, iterations=run.picks.size,
                             rank_failure=run.stopped_by == STOPPED_RANK_FAILURE)
             for (_, record), (support, values, _, _), run in zip(trials, built, runs)]
@@ -590,13 +597,13 @@ def _run_cells(config, mode):
     ``(cell, tasks, outcomes)`` per cell in cell order. Trial j of cell ci has
     global index t = ci * trials + j. One rule decides every cell's RIC
     check: its trials check the conditions where the order-(K+1)
-    enumeration has subsets (K < n) and fits the subset budget. Theorem1
+    enumeration has subsets (K < n) and _fits_budget holds. Theorem1
     refuses every cell that would not, before it gets here. The config has
     refused a run of more than ``MAX_RUN_TRIALS`` trials."""
     cells = config.cells()
     tasks = []
     for ci, (m, n, k, eps) in enumerate(cells):
-        check = 0 < math.comb(n, k + 1) <= config.subset_budget
+        check = k < n and _fits_budget(n, k + 1, config.subset_budget)
         for j in range(config.trials):
             t = ci * config.trials + j
             trial_seed = (config.master_seed ^ splitmix64(t)) & MASK64
@@ -741,12 +748,14 @@ class FailureInstance:
 
     The instance computes ``verified_delta``, the exact order-(K+1) RIC of
     its own matrix, ``sharp_bound``, 1/sqrt(K+1) of the signal's K, and
-    ``omp_trace``, the noiseless K-iteration run on y = A x. The RIC may not
-    sit below that bound (such an instance would contradict the guarantee),
-    and the run must recover something other than the signal support. This
-    is the package's one counterexample verdict: the probe and the loader
-    both construct through it. The RIC enumerates C(n, K+1) subsets within
-    the default subset budget and raises CapacityError above it.
+    ``omp_trace``, the noiseless K-iteration run on y = A x (not
+    sensing._measurement's: adding a zero v would turn a -0.0 of A x into
+    +0.0). The RIC may not sit below that bound (such an instance would
+    contradict the guarantee), and the run must fail _recovered on the
+    signal support. This is the package's one counterexample verdict: the
+    probe and the loader both construct through it. The RIC enumerates
+    C(n, K+1) subsets within the default subset budget and raises
+    CapacityError above it.
     """
 
     matrix: np.ndarray
@@ -766,7 +775,7 @@ class FailureInstance:
         y = self.matrix @ self.signal.to_dense()
         rule = StopRule.max_iterations(K)
         trace = omp_run(self.matrix, y, rule, true_support=self.signal.support)
-        if np.array_equal(trace.recovered_support, self.signal.support):
+        if _recovered(trace.recovered_support, self.signal.support):
             raise ValueError("trace recovers the true support; not a failure")
         object.__setattr__(self, "omp_trace", trace)
 

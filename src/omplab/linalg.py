@@ -55,6 +55,16 @@ def as_matrix(a, name="matrix"):
     return np.asfortranarray(m)
 
 
+def _as_indices(a):
+    """The entries of ``a``, flattened, as intp indices; refused unless each
+    is integral and finite. The one rule for indices passed in from outside
+    (a signal's support, verify_lemma1's S, omp_run's true support)."""
+    idx = np.asarray(a).reshape(-1)
+    if idx.dtype.kind == "f" and not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
+        raise ValueError("support indices must be integral")
+    return idx.astype(np.intp, copy=False)
+
+
 def as_vector(v, name="vector"):
     """Validate and return ``v`` as a 1-D finite float64 array."""
     w = np.asarray(v, dtype=float)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _rank_deficient, as_epsilon, as_matrix, as_vector
+from .linalg import _as_indices, _rank_deficient, as_epsilon, as_matrix, as_vector
 from .sensing import SparseSignal
 
 STOP_MAX_ITERATIONS = "max_iterations"
@@ -158,7 +158,7 @@ def omp_run(A, y, rule, true_support=None):
         )
     truth = off = None
     if true_support is not None:
-        truth = set(map(int, np.asarray(true_support).reshape(-1).tolist()))
+        truth = set(_as_indices(true_support).tolist())
         off = ~np.isin(np.arange(n), list(truth))[None]
 
     [run] = _omp_stack(A.T[None], y[None], rule, off)

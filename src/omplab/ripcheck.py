@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _least_squares, as_epsilon, as_matrix
+from .linalg import _as_indices, _least_squares, as_epsilon, as_matrix
 
 #: Hard ceiling on the number of subsets exact_ric will enumerate.
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -387,12 +387,16 @@ def exact_ric(A, K, budget=DEFAULT_SUBSET_BUDGET):
     return _gram_rics(_grams(A[None]), K)[0]
 
 
+def _fits_budget(n, K, budget):
+    """The one subset-budget rule: C(n, K) subsets fit ``budget``."""
+    return math.comb(n, K) <= budget
+
+
 def _check_budget(n, K, budget, context=None):
-    """Refuse, as CapacityError, an enumeration of C(n, K) subsets beyond
-    ``budget``; ``context`` names what requires it."""
-    count = math.comb(n, K)
-    if count > budget:
-        raise CapacityError(n, K, count, budget, context)
+    """Refuse, as CapacityError, an enumeration of C(n, K) subsets that
+    fails _fits_budget; ``context`` names what requires it."""
+    if not _fits_budget(n, K, budget):
+        raise CapacityError(n, K, math.comb(n, K), budget, context)
 
 
 def _grams(A):
@@ -587,7 +591,7 @@ def verify_lemma1(A, signal, S, delta_k1=None):
     if A.shape[1] != signal.dimension:
         raise ValueError("matrix columns must match signal dimension")
     omega = signal.support
-    given = np.asarray(list(S), dtype=np.intp)
+    given = _as_indices(list(S))
     S = np.unique(given)
     if S.size != given.size:
         raise ValueError("S contains duplicates")

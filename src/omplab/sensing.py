@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _as_indices,
     as_epsilon,
     as_matrix,
     as_vector,
@@ -96,10 +97,7 @@ class SparseSignal:
         n = self.dimension
         if not (1 <= n < math.inf and n == int(n)):
             raise ValueError("dimension must be positive and integral")
-        sup = np.asarray(self.support).reshape(-1)
-        if sup.dtype.kind == "f" and not (np.isfinite(sup) & (sup == np.trunc(sup))).all():
-            raise ValueError("support indices must be integral")
-        sup = sup.astype(np.intp, copy=False)
+        sup = _as_indices(self.support)
         val = np.asarray(self.values, dtype=float).reshape(-1)
         if sup.size != val.size:
             raise ValueError("support and values must have equal length")
@@ -132,7 +130,8 @@ class SparseSignal:
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """A measurement y = A x + v together with its ingredients."""
+    """A measurement y = A x + v together with its ingredients; y must
+    reconstruct as _measurement's, within 1e-12 relative."""
 
     matrix: np.ndarray
     signal: SparseSignal
@@ -147,7 +146,7 @@ class ProblemInstance:
             raise ValueError("matrix columns must match signal dimension")
         if A.shape[0] != v.size or A.shape[0] != y.size:
             raise ValueError("noise and measurement must have matrix.rows entries")
-        recon = A @ self.signal.to_dense() + v
+        recon = _measurement(A, self.signal.support, self.signal.values, v)
         scale = 1.0 + float(np.abs(y).max()) if y.size else 1.0
         if np.abs(recon - y).max() > 1e-12 * scale:
             raise ValueError("measurement does not reconstruct as A x + v")
@@ -172,9 +171,17 @@ def noise_vector(m, epsilon, seed):
     return g * (epsilon / norm)
 
 
+def _measurement(A, support, values, v):
+    """The one measurement y = A x + v, with x built as ``to_dense`` builds
+    it: zeros, and ``values`` at ``support``."""
+    x = np.zeros(A.shape[1])
+    x[support] = values
+    return A @ x + v
+
+
 def generate_measurement(A, signal, epsilon=0.0, seed=0):
-    """Form y = A x + v with v = ``noise_vector(rows, epsilon, seed)``; the
-    default is the noiseless y = A x."""
+    """Form y = A x + v (_measurement) with v = ``noise_vector(rows,
+    epsilon, seed)``; the default is the noiseless y = A x."""
     A = as_matrix(A)
     if A.shape[1] != signal.dimension:
         raise ValueError(
@@ -182,7 +189,7 @@ def generate_measurement(A, signal, epsilon=0.0, seed=0):
             f"{signal.dimension}"
         )
     v = noise_vector(A.shape[0], epsilon, seed)
-    y = A @ signal.to_dense() + v
+    y = _measurement(A, signal.support, signal.values, v)
     return ProblemInstance(matrix=A, signal=signal, noise=v, measurement=y)
 
 

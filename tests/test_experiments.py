@@ -17,11 +17,14 @@ from omplab import (
     ExperimentConfig,
     GuaranteeViolation,
     SparseSignal,
+    StopRule,
+    check_theorem1_conditions,
     exact_ric,
     gaussian_sensing_matrix,
     generate_measurement,
     lemma_sweep,
     load_failure_instance,
+    omp_run,
     parse_config,
     phase_table,
     rows_csv_text,
@@ -527,6 +530,28 @@ def test_held_test_is_strict_at_an_exact_tie():
         assert outcome.held is held
 
 
+def test_a_stop_one_ulp_above_epsilon_is_not_recovered_today():
+    # x = e_3 at eps = 0.05 with noise exactly orthogonal to a_3 at norm eps:
+    # the conditions hold, yet the first residual reads one ulp above eps, so
+    # the residual stop runs a second iteration and picks a wrong column.
+    # This pins today's float verdict. Once the final stop is decided exactly
+    # on the stored floats (ROADMAP.md, Theorem 1's third hypothesis), this
+    # trial is to be reported as a stop tie, and this test changes with it.
+    eps = 0.05
+    A = gaussian_sensing_matrix(20, 18, 0)
+    x = SparseSignal(18, [3], [1.0])
+    a = A[:, 3]
+    g = np.random.default_rng(0).standard_normal(20)
+    u = g - a * (a @ g) / (a @ a)
+    v = eps * u / np.linalg.norm(u)
+    assert check_theorem1_conditions(A, x, eps).overall
+    run = omp_run(A, sensing._measurement(A, x.support, x.values, v),
+                  StopRule.residual_at_most(eps))
+    assert run.trace[0].residual_norm == np.nextafter(eps, 1.0)
+    assert [rec.selected_index for rec in run.trace] == [3, 16]
+    assert not experiments._recovered(run.recovered_support, x.support)
+
+
 def test_theorem1_groups_share_one_gram_stack_and_witness_call(monkeypatch):
     # the theorem1 bench grid (family 3): 6 groups of 18 trials per (n, K + 1),
     # each one unit, where kernel-sized units made 28 (the 18 C(24, 4) trials
@@ -1017,6 +1042,15 @@ def test_theorem1_determinism_across_parallelism():
     a = rows_csv_text(theorem1_validation(cfg))
     b = rows_csv_text(theorem1_validation(replace(cfg, parallelism=3)))
     assert a == b
+
+
+def test_phase_table_checks_conditions_exactly_up_to_the_budget():
+    # C(8, 3) = 56: a budget of 56 subsets fits the cell's enumeration, 55
+    # does not, and the cell then leaves its conditions columns empty
+    cfg = ExperimentConfig(m_values=(12,), n_values=(8,), k_values=(2,),
+                           epsilon_values=(0.0,), trials=3, subset_budget=56)
+    assert phase_table(cfg)[0].conditions_held_count == 0
+    assert phase_table(replace(cfg, subset_budget=55))[0].conditions_held_count is None
 
 
 def test_phase_table_over_budget_cells_report_rate_only():

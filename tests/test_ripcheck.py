@@ -504,6 +504,13 @@ def test_bounded_block_takes_its_lead_then_one_round(monkeypatch):
     assert np.array_equal(witness, [0, 1, 2])
 
 
+def test_exact_ric_budget_admits_exactly_its_count():
+    A = gaussian_sensing_matrix(12, 8, 0)  # C(8, 3) = 56
+    assert exact_ric(A, 3, budget=56).subsets_examined == 56
+    with pytest.raises(CapacityError, match=r"C\(8, 3\) = 56 subsets exceeds"):
+        exact_ric(A, 3, budget=55)
+
+
 def test_exact_ric_budget_and_validation():
     A = gaussian_sensing_matrix(8, 20, seed=1)
     with pytest.raises(CapacityError) as err:

@@ -86,6 +86,10 @@ _X8 = SparseSignal(8, [1, 2], [1.0, 1.0])
     (lambda: SparseSignal(4.9, [1.7, 2.2], [1.0, 2.0]), "dimension must be positive and integral"),
     (lambda: SparseSignal(4, [1, np.nan], [1.0, 2.0]), "support indices must be integral"),
     (lambda: SparseSignal(4, [1, np.inf], [1.0, 2.0]), "support indices must be integral"),
+    (lambda: verify_lemma1(*lemma1_example_instance(0.3)[:2], [0.7]),
+     "support indices must be integral"),
+    (lambda: omp_run(np.eye(4), np.ones(4), StopRule.max_iterations(1), true_support=[2.5]),
+     "support indices must be integral"),
     (lambda: ProblemInstance(np.ones((4, 7)), _X8, np.zeros(4), np.zeros(4)),
      "matrix columns must match"),
     (lambda: noise_vector(0, 0.1, 1), "m must be positive"),

@@ -19,7 +19,9 @@ survivor that ``MUTANTS`` marks as equivalent is printed with its argument.
 The exit status is 1 if a survivor is not marked equivalent, 2 if the
 unmutated tests fail or a mutant's source text is not found exactly once,
 else 0. Nothing is written into the checkout. Only the standard library is
-used.
+used. ``tests/test_tools.py`` checks ``MUTANTS`` in the test suite without
+running a mutant: each source text occurs exactly once in its file, and each
+mapped test file exists.
 """
 
 import os
@@ -47,6 +49,7 @@ class Mutant(NamedTuple):
 
 
 RIPCHECK, OMP, LINALG = "src/omplab/ripcheck.py", "src/omplab/omp.py", "src/omplab/linalg.py"
+EXPERIMENTS = "src/omplab/experiments.py"
 
 MUTANTS = (
     Mutant("ric-condition-strict", RIPCHECK, "return delta_k1 < sharp_ric_bound(K)",
@@ -68,6 +71,12 @@ MUTANTS = (
            ("tests/test_ripcheck.py",)),
     Mutant("witness-delta-both-ends", RIPCHECK, "return np.maximum(hi - 1.0, 1.0 - lo), subsets",
            "return hi - 1.0, subsets", ("tests/test_ripcheck.py", "tests/test_properties.py")),
+    Mutant("recovered-exactly-k", EXPERIMENTS, "return np.array_equal(np.sort(picks), support)",
+           "return np.array_equal(np.sort(picks[: len(support)]), support)",
+           ("tests/test_experiments.py",)),
+    Mutant("fits-budget-inclusive", RIPCHECK, "return math.comb(n, K) <= budget",
+           "return math.comb(n, K) < budget",
+           ("tests/test_ripcheck.py", "tests/test_experiments.py")),
 )
 
 
